@@ -3,15 +3,18 @@ baseline, and the checkers tying each original form to its dynamics run."""
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dataset, GameObjective
-from .dynamics import (DynamicsConfig, PlayOrder, WeightSchedule,
+from .dynamics import (DynamicsConfig, PlayOrder, Trace, WeightSchedule,
                        run_dynamics)
+from .errors import TooFewRows
 from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, OftlPrevLoss,
                        OftrlEntropyPrev, OftrlQNorm, OmdBall, OmdEntropy,
                        project_ball, softmax_neg)
@@ -28,11 +31,6 @@ def smooth_config(horizon: int, record_full_trace: bool = True) -> DynamicsConfi
         horizon=horizon, record_full_trace=record_full_trace)
 
 
-# the momentum form shares the smooth Perceptron's game configuration; only
-# the output (weighted sum vs weighted average) differs
-ji_config = smooth_config
-
-
 def nag_config(horizon: int, record_full_trace: bool = True) -> DynamicsConfig:
     return DynamicsConfig(
         objective=GameObjective.L2_REGULARIZED, order=PlayOrder.P_FIRST,
@@ -42,6 +40,8 @@ def nag_config(horizon: int, record_full_trace: bool = True) -> DynamicsConfig:
 
 
 def mpfp_config(n: int, horizon: int, record_full_trace: bool = True) -> DynamicsConfig:
+    if n < 2:
+        raise TooFewRows("mpfp", n)
     root = math.sqrt(math.log(n))
     return DynamicsConfig(
         objective=GameObjective.BILINEAR, order=PlayOrder.W_FIRST,
@@ -52,6 +52,8 @@ def mpfp_config(n: int, horizon: int, record_full_trace: bool = True) -> Dynamic
 
 def pnorm_config(n: int, horizon: int, p_exp: float,
                  record_full_trace: bool = True) -> DynamicsConfig:
+    if n < 2:
+        raise TooFewRows("pnorm", n)
     q = p_exp / (p_exp - 1.0)
     eta_w = math.sqrt(1.0 / (2.0 * (q - 1.0) * math.log(n)))
     return DynamicsConfig(
@@ -60,6 +62,66 @@ def pnorm_config(n: int, horizon: int, p_exp: float,
         w_learner=OftrlQNorm(eta=eta_w, q=q),
         p_learner=FtrlPlusEntropy(eta=1.0 / eta_w),
         horizon=horizon, record_full_trace=record_full_trace)
+
+
+# ---------------------------------------------------------------------------
+# the algorithms `nrp run` and `nrp sweep` accept by name
+
+@dataclass(frozen=True)
+class Algorithm:
+    """How `nrp run` and `nrp sweep` run one named algorithm."""
+
+    # (n, horizon, p_exp) -> game configuration; None runs the vanilla baseline
+    config: Callable[[int, int, float], DynamicsConfig] | None
+    # the original form outputs w_sum / 4 rather than the average w_bar
+    quarter_sum: bool
+    # (gamma, log n, p_exp) -> the theory horizon `--T auto` picks
+    horizon_rule: Callable[[float, float, float], int]
+
+    def output(self, trace: Trace) -> np.ndarray:
+        return 0.25 * trace.w_sum if self.quarter_sum else trace.w_bar
+
+    def run(self, dataset: Dataset, horizon: int, p_exp: float):
+        """Returns (trace or None, final vector, R^w, R^p)."""
+        if self.config is None:
+            w, _, _ = vanilla_perceptron(dataset, horizon)
+            return None, w, float("nan"), float("nan")
+        trace = run_dynamics(self.config(dataset.n, horizon, p_exp), dataset)
+        return trace, self.output(trace), trace.regret_w, trace.regret_p
+
+
+# --T auto: the theory horizons at which each method is guaranteed a clean margin
+
+def _accelerated_horizon(gamma, logn, p_exp):
+    return int(math.ceil(4.0 * math.sqrt(logn) / gamma))
+
+
+def _pnorm_horizon(gamma, logn, p_exp):
+    return int(math.ceil(math.sqrt(2.0 * (p_exp - 1.0) * logn) / gamma)) + 1
+
+
+def _perceptron_horizon(gamma, logn, p_exp):
+    return int(math.ceil(1.0 / gamma ** 2))
+
+
+def _smooth(n, horizon, p_exp):
+    # the momentum form and the plain dynamics share the smooth Perceptron's
+    # game; only the output differs
+    return smooth_config(horizon)
+
+
+ALGORITHMS = {
+    "smooth": Algorithm(_smooth, False, _accelerated_horizon),
+    "ji": Algorithm(_smooth, True, _accelerated_horizon),
+    "nag": Algorithm(lambda n, horizon, p_exp: nag_config(horizon), True,
+                     _accelerated_horizon),
+    "mpfp": Algorithm(lambda n, horizon, p_exp: mpfp_config(n, horizon), False,
+                      _accelerated_horizon),
+    "pnorm": Algorithm(lambda n, horizon, p_exp: pnorm_config(n, horizon, p_exp),
+                       False, _pnorm_horizon),
+    "vanilla": Algorithm(None, False, _perceptron_horizon),
+    "dynamics": Algorithm(_smooth, False, _accelerated_horizon),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +317,11 @@ class EquivalencePair(enum.Enum):
     MPFP = "mpfp"
 
 
+# the named algorithm whose game and output each check compares against
+_PAIR_ALGORITHM = {EquivalencePair.PROP1: "smooth", EquivalencePair.PROP2: "ji",
+                   EquivalencePair.NAG: "nag", EquivalencePair.MPFP: "mpfp"}
+
+
 @dataclass
 class EquivalenceReport:
     which: EquivalencePair
@@ -278,35 +345,26 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
     perturb != 0 scales the p-learner's step by (1 + perturb); a negative
     control that must break the match.
     """
-    n = dataset.n
-    if which in (EquivalencePair.PROP1, EquivalencePair.PROP2):
-        config = smooth_config(horizon)
-    elif which is EquivalencePair.NAG:
-        config = nag_config(horizon)
-    else:
-        config = mpfp_config(n, horizon)
+    algo = ALGORITHMS[_PAIR_ALGORITHM[which]]
+    config = algo.config(dataset.n, horizon, 2.0)   # p_exp matters to pnorm only
     if perturb != 0.0:
         pl = config.p_learner
-        config = DynamicsConfig(
-            objective=config.objective, order=config.order,
-            weight_schedule=config.weight_schedule,
-            w_learner=config.w_learner,
-            p_learner=type(pl)(eta=pl.eta * (1.0 + perturb)),
-            horizon=horizon)
+        config = dataclasses.replace(
+            config, p_learner=dataclasses.replace(pl, eta=pl.eta * (1.0 + perturb)))
     trace = run_dynamics(config, dataset)
 
     devs: dict[str, float] = {}
     if which is EquivalencePair.PROP1:
         res = smooth_perceptron(dataset, horizon)
-        devs["v_vs_w_bar"] = _rel_dev(res.v, trace.w_bar, tol, abs_floor)
+        devs["v_vs_w_bar"] = _rel_dev(res.v, algo.output(trace), tol, abs_floor)
         devs["q_vs_p_bar"] = _rel_dev(res.q, trace.p_bar, tol, abs_floor)
     elif which is EquivalencePair.PROP2:
         res = accel_perceptron_ji(dataset, horizon)
-        devs["v_vs_quarter_w_sum"] = _rel_dev(res.v, 0.25 * trace.w_sum, tol, abs_floor)
+        devs["v_vs_quarter_w_sum"] = _rel_dev(res.v, algo.output(trace), tol, abs_floor)
         devs["q_vs_p_final"] = _rel_dev(res.q, trace.ps[-1], tol, abs_floor)
     elif which is EquivalencePair.NAG:
         res = nag_margin(dataset, horizon)
-        devs["s_vs_quarter_w_sum"] = _rel_dev(res.s, 0.25 * trace.w_sum, tol, abs_floor)
+        devs["s_vs_quarter_w_sum"] = _rel_dev(res.s, algo.output(trace), tol, abs_floor)
     else:
         res = mpfp(dataset, horizon)
         devs["u_w_vs_w"] = _rel_dev(res.us_w, trace.ws, tol, abs_floor)

@@ -9,21 +9,19 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import algorithms as alg
 from .core import Dataset, margin, normalized_margin, read_dataset, write_dataset
 from .datagen import GenMode, GenSpec, generate
-from .dynamics import run_dynamics
-from .errors import NrpError
+from .errors import NrpError, TooFewRows
 
 TRACE_HEADER = ("t,alpha,margin_avg,normalized_margin,l1_delta_p,"
                 "regret_w_running,regret_p_running,gap_bound")
 SUMMARY_HEADER = ("algo,n,d,gamma,T,final_margin,final_normalized_margin,"
                   "Rw,Rp,wallclock_ms")
-ALGOS = ("smooth", "ji", "nag", "mpfp", "pnorm", "vanilla", "dynamics")
+ALGOS = tuple(alg.ALGORITHMS)
 
 
 def _fmt(x) -> str:
@@ -64,35 +62,13 @@ def auto_horizon(algo: str, dataset: Dataset, p_exp: float) -> int:
     gamma = dataset.known_margin
     if gamma is None:
         raise NrpError("--T auto needs known_margin metadata")
-    logn = math.log(dataset.n)
-    if algo == "pnorm":
-        return int(math.ceil(math.sqrt(2.0 * (p_exp - 1.0) * logn) / gamma)) + 1
-    if algo == "vanilla":
-        return int(math.ceil(1.0 / gamma ** 2))
-    return int(math.ceil(4.0 * math.sqrt(logn) / gamma))
-
-
-def _run_one(algo: str, dataset: Dataset, horizon: int, p_exp: float):
-    """Run one algorithm; returns (trace_or_None, final_vector, rw, rp)."""
-    if algo == "vanilla":
-        w, updates, _ = alg.vanilla_perceptron(dataset, horizon)
-        return None, w, float("nan"), float("nan")
-    if algo in ("smooth", "ji", "dynamics"):
-        config = alg.smooth_config(horizon)
-    elif algo == "nag":
-        config = alg.nag_config(horizon)
-    elif algo == "mpfp":
-        config = alg.mpfp_config(dataset.n, horizon)
-    elif algo == "pnorm":
-        config = alg.pnorm_config(dataset.n, horizon, p_exp)
-    else:
-        raise NrpError(f"unknown algorithm {algo}")
-    trace = run_dynamics(config, dataset)
-    if algo in ("ji", "nag"):
-        final = 0.25 * trace.w_sum     # the original forms output this sum
-    else:
-        final = trace.w_bar
-    return trace, final, trace.regret_w, trace.regret_p
+    horizon = alg.ALGORITHMS[algo].horizon_rule(gamma, math.log(dataset.n), p_exp)
+    if horizon < 1:
+        if dataset.n < 2:
+            raise TooFewRows(algo, dataset.n)
+        raise NrpError(f"--T auto gives horizon {horizon} for {algo} "
+                       f"with known_margin {gamma}")
+    return horizon
 
 
 def _trace_rows(trace) -> list[str]:
@@ -123,7 +99,7 @@ def cmd_run(args) -> int:
         if horizon < 1:
             raise NrpError("T must be >= 1")
     t0 = time.perf_counter()
-    trace, final, rw, rp = _run_one(args.algo, dataset, horizon, p_exp)
+    trace, final, rw, rp = alg.ALGORITHMS[args.algo].run(dataset, horizon, p_exp)
     ms = (time.perf_counter() - t0) * 1000.0
 
     if args.out:
@@ -169,7 +145,7 @@ def cmd_sweep(args) -> int:
                        mode=_mode(mode), seed=seed)
         dataset = generate(spec)
         t0 = time.perf_counter()
-        _, final, rw, rp = _run_one(algo, dataset, horizon, p)
+        _, final, rw, rp = alg.ALGORITHMS[algo].run(dataset, horizon, p)
         ms = (time.perf_counter() - t0) * 1000.0
         fm = margin(dataset, final)
         fnm = (normalized_margin(dataset, final)
@@ -178,12 +154,7 @@ def cmd_sweep(args) -> int:
                          str(seed), str(horizon), _fmt(fm), _fmt(fnm),
                          _fmt(rw), _fmt(rp), _fmt(ms)])
 
-    workers = int(os.environ.get("NRP_THREADS", os.cpu_count() or 1))
-    if grid:
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            rows = list(pool.map(cell, grid))   # ordered by grid index
-    else:
-        rows = []
+    rows = [cell(item) for item in grid]
     with open(args.out, "w") as fh:
         fh.write(header + "\n")
         for row in rows:

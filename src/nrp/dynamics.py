@@ -14,23 +14,9 @@ import numpy as np
 
 from .core import Dataset, GameObjective, best_response_value, margin
 from .errors import IncompatibleConfig, NonFiniteIterate
-from .learners import (
-    EntropyFtrlPlusState,
-    EntropyOftrlState,
-    FtrlPlusEntropy,
-    FtrlPlusUnregularized,
-    LearnerSpec,
-    OftlPrevLoss,
-    OftlWState,
-    OftrlEntropyPrev,
-    OftrlQNorm,
-    OmdBall,
-    OmdBallState,
-    OmdEntropy,
-    OmdEntropyState,
-    QnormOftrlWState,
-    UnregularizedFtrlWState,
-)
+from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, LearnerSpec,
+                       OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
+                       OmdEntropy)
 
 
 class PlayOrder(enum.Enum):
@@ -81,10 +67,7 @@ class Trace:
     regret_p: float
     gap_bound: float
     w_geometry: str
-    bounded_w_comparator: bool
     sum_sq_l1_delta: float
-    hats_w: np.ndarray | None = None  # secondary iterates of OMD runs
-    hats_p: np.ndarray | None = None
 
     @property
     def horizon(self) -> int:
@@ -97,71 +80,45 @@ def _alphas(schedule: WeightSchedule, horizon: int) -> np.ndarray:
     return np.ones(horizon, dtype=np.float64)
 
 
-def _w_geometry(spec: LearnerSpec) -> str:
-    if isinstance(spec, (OftlPrevLoss, FtrlPlusUnregularized)):
-        return "l2_unconstrained"
-    if isinstance(spec, OmdBall):
-        return "ball"
-    if isinstance(spec, OftrlQNorm):
-        return f"qnorm:{spec.q}"
-    raise IncompatibleConfig(f"{spec} is not a w-side learner")
+# (w-learner, p-learner) -> (play order, payoff) of the game the pair plays.
+# The OMD pair decides from hints alone, so it plays in either order.
+_GAMES = {
+    (OftlPrevLoss, FtrlPlusEntropy): (PlayOrder.W_FIRST, GameObjective.L2_REGULARIZED),
+    (OftrlQNorm, FtrlPlusEntropy): (PlayOrder.W_FIRST, GameObjective.BILINEAR),
+    (FtrlPlusUnregularized, OftrlEntropyPrev): (PlayOrder.P_FIRST,
+                                                GameObjective.L2_REGULARIZED),
+    (OmdBall, OmdEntropy): (None, GameObjective.BILINEAR),
+}
 
 
-def _validate(config: DynamicsConfig) -> str:
-    """Return the engine regime for a config, or raise IncompatibleConfig."""
-    w, p, obj, order = (config.w_learner, config.p_learner,
-                        config.objective, config.order)
-    if isinstance(w, (OftlPrevLoss, OftrlQNorm)) and isinstance(p, FtrlPlusEntropy):
-        if order is not PlayOrder.W_FIRST:
-            raise IncompatibleConfig("optimistic-w configs play w first")
-        need = (GameObjective.L2_REGULARIZED if isinstance(w, OftlPrevLoss)
-                else GameObjective.BILINEAR)
-        if obj is not need:
-            raise IncompatibleConfig(f"{type(w).__name__} requires {need}")
-        return "w_first"
-    if isinstance(p, OftrlEntropyPrev) and isinstance(w, FtrlPlusUnregularized):
-        if order is not PlayOrder.P_FIRST:
-            raise IncompatibleConfig("optimistic-p configs play p first")
-        if obj is not GameObjective.L2_REGULARIZED:
-            raise IncompatibleConfig("unregularized FTL needs the ridge payoff")
-        return "p_first"
-    if isinstance(w, OmdBall) and isinstance(p, OmdEntropy):
-        if obj is not GameObjective.BILINEAR:
-            raise IncompatibleConfig("ball OMD requires the bilinear payoff")
-        return "omd"
-    raise IncompatibleConfig(
-        f"unsupported learner pair {type(w).__name__} / {type(p).__name__}")
+def _validate(config: DynamicsConfig) -> None:
+    """Raise IncompatibleConfig unless the learner pair, play order and payoff
+    form one of the supported games."""
+    pair = (type(config.w_learner), type(config.p_learner))
+    names = " / ".join(cls.__name__ for cls in pair)
+    if pair not in _GAMES:
+        raise IncompatibleConfig(f"unsupported learner pair {names}")
+    order, objective = _GAMES[pair]
+    if order is not None and config.order is not order:
+        raise IncompatibleConfig(f"{names} plays {order.value}")
+    if config.objective is not objective:
+        raise IncompatibleConfig(f"{names} requires {objective}")
 
 
 def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
     """Execute the dynamics; deterministic given config and dataset."""
-    regime = _validate(config)
     a = dataset.matrix
     n, d = a.shape
     horizon = config.horizon
     alphas = _alphas(config.weight_schedule, horizon)
     ridge = config.objective is GameObjective.L2_REGULARIZED
-    geometry = _w_geometry(config.w_learner)
-
-    # learner states
-    if regime == "w_first":
-        if isinstance(config.w_learner, OftlPrevLoss):
-            wl = OftlWState(a)
-        else:
-            wl = QnormOftrlWState(a, config.w_learner.eta, config.w_learner.q)
-        pl = EntropyFtrlPlusState(n, config.p_learner.eta)
-    elif regime == "p_first":
-        wl = UnregularizedFtrlWState(a)
-        pl = EntropyOftrlState(n, config.p_learner.eta)
-    else:
-        wl = OmdBallState(d, config.w_learner.eta)
-        pl = OmdEntropyState(n, config.p_learner.eta)
+    w_first = config.order is PlayOrder.W_FIRST
+    wl = config.w_learner.start(a)
+    pl = config.p_learner.start(a)
 
     record = config.record_full_trace
     ws = np.empty((horizon, d)) if record else None
     ps = np.empty((horizon, n)) if record else None
-    hats_w = np.empty((horizon, d)) if (record and regime == "omd") else None
-    hats_p = np.empty((horizon, n)) if (record and regime == "omd") else None
     l1_delta = np.empty(horizon)
     margin_avg = np.empty(horizon)
     norm_margin = np.empty(horizon)
@@ -170,7 +127,8 @@ def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
     gap_running = np.empty(horizon)
 
     prev_p = np.ones(n) / n        # p_0
-    prev_loss = np.zeros(n)        # A w_0 with w_0 = 0
+    w_hint = prev_p                # what a first-moving w-player sees of p
+    p_hint = np.zeros(n)           # A w_0 with w_0 = 0, for a first-moving p-player
     w_sum = np.zeros(d)
     p_sum = np.zeros(n)
     cum_alpha = 0.0
@@ -181,24 +139,17 @@ def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
 
     for t in range(1, horizon + 1):
         alpha = alphas[t - 1]
-        if regime == "w_first":
-            w_t = wl.decide(alpha, prev_p)
+        # the second mover's hint is what the first shows of this round's play
+        if w_first:
+            w_t = wl.decide(alpha, w_hint)
             loss = a @ w_t
-            p_t = pl.step(alpha, loss)
-            wl.absorb(alpha, p_t)
-        elif regime == "p_first":
-            p_t = pl.decide(alpha, prev_loss)
-            w_t = wl.step(alpha, p_t)
-            loss = a @ w_t
-            pl.absorb(alpha, loss)
+            p_t = pl.decide(alpha, wl.shown(loss))
         else:
-            hint_w = -(a.T @ pl.hat)
-            hint_p = a @ wl.hat
-            w_t = wl.decide(alpha, hint_w)
-            p_t = pl.decide(alpha, hint_p)
+            p_t = pl.decide(alpha, p_hint)
+            w_t = wl.decide(alpha, pl.shown(p_t))
             loss = a @ w_t
-            wl.absorb(alpha, -(a.T @ p_t))
-            pl.absorb(alpha, loss)
+        wl.absorb(alpha, p_t)
+        pl.absorb(alpha, loss)
 
         if not (np.all(np.isfinite(w_t)) and np.all(np.isfinite(p_t))):
             raise NonFiniteIterate(t)
@@ -214,14 +165,7 @@ def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
         delta = float(np.abs(p_t - prev_p).sum())
         sum_sq_delta += delta * delta
 
-        if geometry == "l2_unconstrained":
-            best_w = -0.5 * float(np.dot(a.T @ p_sum, a.T @ p_sum)) / cum_alpha
-        elif geometry == "ball":
-            best_w = -float(np.linalg.norm(a.T @ p_sum))
-        else:
-            q = float(geometry.split(":")[1])
-            best_w = -float(np.linalg.norm(a.T @ p_sum, ord=q / (q - 1.0)))
-        rw = played_w - best_w
+        rw = played_w - wl.comparator_value(p_sum, cum_alpha)
         rp = played_p - float(np.min(cum_lossvec))
 
         w_bar = w_sum / cum_alpha
@@ -236,12 +180,12 @@ def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
         if record:
             ws[t - 1] = w_t
             ps[t - 1] = p_t
-            if hats_w is not None:
-                hats_w[t - 1] = wl.hat
-                hats_p[t - 1] = pl.hat
 
         prev_p = p_t
-        prev_loss = loss
+        if w_first:
+            w_hint = pl.shown(p_t)
+        else:
+            p_hint = wl.shown(loss)
 
     return Trace(
         config=config, alphas=alphas, ws=ws, ps=ps,
@@ -253,10 +197,8 @@ def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
         sum_alpha=cum_alpha,
         regret_w=float(rw_running[-1]), regret_p=float(rp_running[-1]),
         gap_bound=float(gap_running[-1]),
-        w_geometry=geometry,
-        bounded_w_comparator=geometry.startswith("qnorm"),
+        w_geometry=config.w_learner.geometry,
         sum_sq_l1_delta=sum_sq_delta,
-        hats_w=hats_w, hats_p=hats_p,
     )
 
 

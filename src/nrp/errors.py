@@ -26,8 +26,14 @@ class NonFinite(NrpError):
     """A vector contains NaN or infinite entries."""
 
 
-class Degenerate(NrpError):
-    """A multiplicative simplex update started from a zero coordinate."""
+class TooFewRows(NrpError):
+    """A method's step size or theory horizon has a log n factor, which is 0
+    at n = 1."""
+
+    def __init__(self, algo, n):
+        self.algo = algo
+        self.n = n
+        super().__init__(f"{algo} needs n >= 2 rows (log n = 0), got n = {n}")
 
 
 class NonFiniteIterate(NrpError):

@@ -1,5 +1,20 @@
 """Closed-form online learners over the three geometries the dynamics use.
 
+Each spec makes its learner state with ``spec.start(a)``, and every state
+speaks one protocol:
+
+- ``decide(alpha, hint)`` returns the round's play from the absorbed
+  history plus the optimistic term ``alpha * hint``;
+- ``absorb(alpha, realized)`` adds the opponent's realized play;
+- ``shown(play)`` is what the opponent sees of this learner as its hint:
+  the play itself, or an OMD learner's secondary iterate.
+
+The w-player's hints and realized plays are distributions p over rows; the
+p-player's are loss vectors A w.  A "plus" learner (FTRL that includes the
+current round) is ``decide`` with the realized play as its hint, so it is
+the player that moves second.  The w-side states also give the comparator
+value their regret is measured against.
+
 Simplex learners (entropy geometry) keep the cumulative weighted loss
 vector and output a max-subtracted softmax; nothing multiplicative is
 stored, so underflow cannot compound.  The w-side learners keep the
@@ -24,6 +39,10 @@ from .core import TOL
 class OftlPrevLoss:
     """Optimistic FTL over R^d with previous-round hint; ridge-regularized
     losses make it well posed without an explicit regularizer."""
+    geometry = "l2_unconstrained"
+
+    def start(self, a: np.ndarray) -> DualAveragingW:
+        return DualAveragingW(a)
 
 
 @dataclass(frozen=True)
@@ -35,6 +54,9 @@ class FtrlPlusEntropy:
         if self.eta <= 0:
             raise ValueError("eta must be positive")
 
+    def start(self, a: np.ndarray) -> EntropySimplex:
+        return EntropySimplex(a.shape[0], self.eta)
+
 
 @dataclass(frozen=True)
 class OftrlEntropyPrev:
@@ -45,10 +67,17 @@ class OftrlEntropyPrev:
         if self.eta <= 0:
             raise ValueError("eta must be positive")
 
+    def start(self, a: np.ndarray) -> EntropySimplex:
+        return EntropySimplex(a.shape[0], self.eta)
+
 
 @dataclass(frozen=True)
 class FtrlPlusUnregularized:
     """Unregularized follow-the-leader including the current round (R^d)."""
+    geometry = "l2_unconstrained"
+
+    def start(self, a: np.ndarray) -> DualAveragingW:
+        return DualAveragingW(a)
 
 
 @dataclass(frozen=True)
@@ -63,15 +92,27 @@ class OftrlQNorm:
         if not 1.0 < self.q <= 2.0:
             raise ValueError("q must lie in (1, 2]")
 
+    @property
+    def geometry(self) -> str:
+        return f"qnorm:{self.q}"
+
+    def start(self, a: np.ndarray) -> DualAveragingW:
+        _self_test_dual_map(self.q)
+        return DualAveragingW(a, self.eta, self.q)
+
 
 @dataclass(frozen=True)
 class OmdBall:
     """Optimistic mirror descent on the unit l2 ball."""
     eta: float
+    geometry = "ball"
 
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+
+    def start(self, a: np.ndarray) -> OmdBallState:
+        return OmdBallState(a, self.eta)
 
 
 @dataclass(frozen=True)
@@ -82,6 +123,9 @@ class OmdEntropy:
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+
+    def start(self, a: np.ndarray) -> EntropySimplex:
+        return EntropySimplex(a.shape[0], self.eta, shows_hat=True)
 
 
 LearnerSpec = (OftlPrevLoss | FtrlPlusEntropy | OftrlEntropyPrev
@@ -166,184 +210,105 @@ def _self_test_dual_map(q: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# simplex-side learners (decisions on the simplex, losses are n-vectors A w)
+# learner states: decide(alpha, hint), absorb(alpha, realized), shown(play)
 
-class EntropyFtrlPlusState:
-    """p_t proportional to exp(-eta * sum_{s<=t} alpha_s (A w_s))."""
+class EntropySimplex:
+    """p proportional to exp(-eta * (cum + alpha * hint)), where cum is the
+    weighted sum of the absorbed loss vectors.
 
-    def __init__(self, n: int, eta: float):
-        self.eta = eta
-        self.cum_loss = np.zeros(n)
-        self.cum_alpha = 0.0
-        self.t = 0
-
-    def step(self, alpha: float, loss_vec: np.ndarray) -> np.ndarray:
-        self.cum_loss = self.cum_loss + alpha * loss_vec
-        self.cum_alpha += alpha
-        self.t += 1
-        return softmax_neg(self.eta * self.cum_loss)
-
-
-class EntropyOftrlState:
-    """Optimistic variant: the hint is the previous round's loss vector."""
-
-    def __init__(self, n: int, eta: float):
-        self.eta = eta
-        self.cum_loss = np.zeros(n)
-        self.cum_alpha = 0.0
-        self.t = 0
-
-    def decide(self, alpha: float, hint_vec: np.ndarray) -> np.ndarray:
-        return softmax_neg(self.eta * (self.cum_loss + alpha * hint_vec))
-
-    def absorb(self, alpha: float, loss_vec: np.ndarray) -> None:
-        self.cum_loss = self.cum_loss + alpha * loss_vec
-        self.cum_alpha += alpha
-        self.t += 1
-
-
-class OmdEntropyState:
-    """Two-step multiplicative-weights scheme with a secondary iterate.
-
-    The secondary iterate is kept as a cumulative gradient vector, so both
-    outputs come out of the same stable softmax.
+    One closed form serves FTRL-plus (the hint is the realized loss),
+    optimistic FTRL (the previous loss) and two-step mirror descent on the
+    simplex: without a projection step, entropic OMD's secondary iterate is
+    the softmax of the cumulative vector, ``hat``, and that is what an OMD
+    learner shows its opponent.
     """
 
-    def __init__(self, n: int, eta: float):
+    def __init__(self, n: int, eta: float, shows_hat: bool = False):
         self.eta = eta
-        self.cum_hat = np.zeros(n)   # log p_hat up to normalization, / -eta
-        self.t = 0
+        self.cum = np.zeros(n)
+        self.shows_hat = shows_hat
 
     @property
     def hat(self) -> np.ndarray:
-        return softmax_neg(self.eta * self.cum_hat)
+        return softmax_neg(self.eta * self.cum)
 
-    def decide(self, alpha: float, hint_grad: np.ndarray) -> np.ndarray:
-        return softmax_neg(self.eta * (self.cum_hat + alpha * hint_grad))
+    def decide(self, alpha: float, hint: np.ndarray) -> np.ndarray:
+        return softmax_neg(self.eta * (self.cum + alpha * hint))
 
-    def absorb(self, alpha: float, realized_grad: np.ndarray) -> None:
-        self.cum_hat = self.cum_hat + alpha * realized_grad
-        self.t += 1
+    def absorb(self, alpha: float, realized: np.ndarray) -> None:
+        self.cum = self.cum + alpha * realized
 
-
-def entropy_ftrl_plus_step(state: EntropyFtrlPlusState, alpha, loss_vec):
-    return state.step(alpha, loss_vec)
+    def shown(self, p: np.ndarray) -> np.ndarray:
+        return self.hat if self.shows_hat else p
 
 
-def entropy_oftrl_step(state: EntropyOftrlState, alpha, hint_vec):
-    return state.decide(alpha, hint_vec)
+class DualAveragingW:
+    """w from theta = A' (cum_p + alpha * hint), where cum_p is the weighted
+    sum of the absorbed distributions.
 
-
-def omd_simplex_step(state: OmdEntropyState, alpha, hint_grad, realized_grad):
-    p = state.decide(alpha, hint_grad)
-    state.absorb(alpha, realized_grad)
-    return p, state.hat
-
-
-# ---------------------------------------------------------------------------
-# w-side learners (decisions in R^d; the opponent plays distributions)
-
-class OftlWState:
-    """Optimistic FTL against ridge-regularized linear losses.
-
-    Closed form: w_t = A' (sum_{s<t} alpha_s p_s + alpha_t p_{t-1}) / sum_{s<=t} alpha_s.
+    Without eta the losses are ridge-regularized, their own ||w||^2 / 2 is
+    the regularizer, and w = theta / (sum of alphas including this round):
+    optimistic FTL with the previous p as the hint, FTL-plus with the
+    realized p.  With eta and q it is optimistic FTRL with the q-norm
+    regularizer anchored at 0 against bilinear losses, solved through the
+    explicit dual map.
     """
 
-    def __init__(self, a: np.ndarray):
-        self.a = a
-        self.cum_p = np.zeros(a.shape[0])
-        self.cum_alpha = 0.0
-        self.t = 0
-
-    def decide(self, alpha: float, hint_p: np.ndarray) -> np.ndarray:
-        return self.a.T @ (self.cum_p + alpha * hint_p) / (self.cum_alpha + alpha)
-
-    def leader(self) -> np.ndarray:
-        """w-tilde_{t+1}: the exact leader after round t, for regret diagnostics."""
-        return self.a.T @ self.cum_p / self.cum_alpha
-
-    def absorb(self, alpha: float, p: np.ndarray) -> None:
-        self.cum_p = self.cum_p + alpha * p
-        self.cum_alpha += alpha
-        self.t += 1
-
-
-class UnregularizedFtrlWState:
-    """Follow-the-leader including the current round: the weighted average
-    A' p under ridge losses."""
-
-    def __init__(self, a: np.ndarray):
-        self.a = a
-        self.cum_p = np.zeros(a.shape[0])
-        self.cum_alpha = 0.0
-        self.t = 0
-
-    def step(self, alpha: float, p: np.ndarray) -> np.ndarray:
-        self.cum_p = self.cum_p + alpha * p
-        self.cum_alpha += alpha
-        self.t += 1
-        return self.a.T @ self.cum_p / self.cum_alpha
-
-
-class QnormOftrlWState:
-    """Optimistic FTRL with the q-norm regularizer anchored at 0, bilinear
-    losses; solved through the explicit dual map."""
-
-    def __init__(self, a: np.ndarray, eta: float, q: float):
-        _self_test_dual_map(q)
+    def __init__(self, a: np.ndarray, eta: float | None = None, q: float = 2.0):
         self.a = a
         self.eta = eta
         self.q = q
         self.cum_p = np.zeros(a.shape[0])
         self.cum_alpha = 0.0
-        self.t = 0
 
-    def decide(self, alpha: float, hint_p: np.ndarray) -> np.ndarray:
-        theta = self.eta * (self.a.T @ (self.cum_p + alpha * hint_p))
-        return qnorm_dual_map(theta, self.q)
+    def decide(self, alpha: float, hint: np.ndarray) -> np.ndarray:
+        theta = self.a.T @ (self.cum_p + alpha * hint)
+        if self.eta is None:
+            return theta / (self.cum_alpha + alpha)
+        return qnorm_dual_map(self.eta * theta, self.q)
 
-    def absorb(self, alpha: float, p: np.ndarray) -> None:
-        self.cum_p = self.cum_p + alpha * p
+    def absorb(self, alpha: float, realized: np.ndarray) -> None:
+        self.cum_p = self.cum_p + alpha * realized
         self.cum_alpha += alpha
-        self.t += 1
+
+    def shown(self, loss: np.ndarray) -> np.ndarray:
+        return loss
+
+    def comparator_value(self, cum_p: np.ndarray, cum_alpha: float) -> float:
+        """Minimum of the weighted cumulative loss over R^d (ridge losses) or,
+        for bilinear losses, whose unconstrained minimum is -inf, over the
+        unit q-norm ball."""
+        g = self.a.T @ cum_p
+        if self.eta is None:
+            return -0.5 * float(np.dot(g, g)) / cum_alpha
+        return -float(np.linalg.norm(g, ord=self.q / (self.q - 1.0)))
 
 
 class OmdBallState:
-    """Two-step Euclidean scheme on the unit ball."""
+    """Two-step Euclidean mirror descent on the unit ball against bilinear
+    losses, whose gradient at the opponent's distribution p is -(A' p).  The
+    opponent sees the loss vector of the secondary iterate w_hat."""
 
-    def __init__(self, d: int, eta: float):
+    def __init__(self, a: np.ndarray, eta: float):
+        self.a = a
         self.eta = eta
-        self.w_hat = np.zeros(d)
-        self.t = 0
+        self.w_hat = np.zeros(a.shape[1])
 
-    @property
-    def hat(self) -> np.ndarray:
-        return self.w_hat
+    def _step(self, alpha: float, p: np.ndarray) -> np.ndarray:
+        return project_ball(self.w_hat - self.eta * alpha * -(self.a.T @ p))
 
-    def decide(self, alpha: float, hint_grad: np.ndarray) -> np.ndarray:
-        return project_ball(self.w_hat - self.eta * alpha * hint_grad)
+    def decide(self, alpha: float, hint: np.ndarray) -> np.ndarray:
+        return self._step(alpha, hint)
 
-    def absorb(self, alpha: float, realized_grad: np.ndarray) -> None:
-        self.w_hat = project_ball(self.w_hat - self.eta * alpha * realized_grad)
-        self.t += 1
+    def absorb(self, alpha: float, realized: np.ndarray) -> None:
+        self.w_hat = self._step(alpha, realized)
 
+    def shown(self, loss: np.ndarray) -> np.ndarray:
+        return self.a @ self.w_hat
 
-def oftl_w_step(state: OftlWState, alpha, hint_p):
-    return state.decide(alpha, hint_p)
-
-
-def unregularized_ftrl_w_step(state: UnregularizedFtrlWState, alpha, p):
-    return state.step(alpha, p)
-
-
-def qnorm_oftrl_step(state: QnormOftrlWState, alpha, hint_p):
-    return state.decide(alpha, hint_p)
-
-
-def omd_ball_step(state: OmdBallState, alpha, hint_grad, realized_grad):
-    w = state.decide(alpha, hint_grad)
-    state.absorb(alpha, realized_grad)
-    return w, state.hat
+    def comparator_value(self, cum_p: np.ndarray, cum_alpha: float) -> float:
+        """Minimum of the weighted cumulative loss over the unit ball."""
+        return -float(np.linalg.norm(self.a.T @ cum_p))
 
 
 # ---------------------------------------------------------------------------

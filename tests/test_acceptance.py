@@ -9,12 +9,12 @@ from nrp import algorithms as alg
 from nrp.core import GameObjective, margin, normalized_margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import run_dynamics
-from nrp.learners import (EntropyFtrlPlusState, EntropyOftrlState,
-                          OftlWState, OmdBallState, OmdEntropyState,
-                          QnormOftrlWState, UnregularizedFtrlWState,
-                          qnorm_dual_map, qnorm_primal_grad)
+from nrp.learners import (FtrlPlusEntropy, FtrlPlusUnregularized,
+                          OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
+                          OmdEntropy, qnorm_dual_map, qnorm_primal_grad)
 from conftest import exact_margin_dataset
-from test_learners import quadratic_argmin, rel_linf, simplex_argmin
+from test_learners import (plus_step, quadratic_argmin, rel_linf,
+                           simplex_argmin)
 from scipy.optimize import minimize
 
 EQUIV_TOL = 1e-8
@@ -214,17 +214,17 @@ def test_criterion_14_closed_forms_match_numeric_oracles():
 
     # simplex learners
     eta = 0.25
-    st = EntropyFtrlPlusState(4, eta)
+    st = FtrlPlusEntropy(eta=eta).start(a)
     cum = np.zeros(4)
     for t in (1.0, 2.0):
         loss = rng.standard_normal(4)
-        p = st.step(t, loss)
+        p = plus_step(st, t, loss)
         cum += t * loss
         assert rel_linf(p, simplex_argmin(cum, eta)) <= 1e-7
-    st2 = EntropyOftrlState(4, eta)
+    st2 = OftrlEntropyPrev(eta=eta).start(a)
     hint = rng.standard_normal(4)
     assert rel_linf(st2.decide(1.0, hint), simplex_argmin(hint, eta)) <= 1e-7
-    st3 = OmdEntropyState(4, 0.7)
+    st3 = OmdEntropy(eta=0.7).start(a)
     st3.absorb(1.0, rng.standard_normal(4))
     prior = st3.hat.copy()
     g = rng.standard_normal(4)
@@ -232,18 +232,18 @@ def test_criterion_14_closed_forms_match_numeric_oracles():
                     simplex_argmin(g, 0.7, prior=prior)) <= 1e-7
 
     # classifier-side learners
-    st4 = OftlWState(a)
+    st4 = OftlPrevLoss().start(a)
     p0 = rng.dirichlet(np.ones(4))
     st4.absorb(1.0, p0)
     p1 = rng.dirichlet(np.ones(4))
     assert rel_linf(st4.decide(2.0, p1),
                     quadratic_argmin(a, p0 + 2.0 * p1, 3.0)) <= 1e-7
-    st5 = UnregularizedFtrlWState(a)
-    w = st5.step(1.0, p0)
+    st5 = FtrlPlusUnregularized().start(a)
+    w = plus_step(st5, 1.0, p0)
     assert rel_linf(w, quadratic_argmin(a, p0, 1.0)) <= 1e-7
 
     q, eta_w = 1.5, 0.6
-    st6 = QnormOftrlWState(a, eta_w, q)
+    st6 = OftrlQNorm(eta=eta_w, q=q).start(a)
     theta = a.T @ p0
 
     def objective(v):
@@ -255,14 +255,15 @@ def test_criterion_14_closed_forms_match_numeric_oracles():
                    method="BFGS", options={"gtol": 1e-13})
     assert rel_linf(st6.decide(1.0, p0), res.x) <= 1e-7
 
-    st7 = OmdBallState(3, 0.8)
     g = rng.standard_normal(3) * 2.0
+    # one row, -g: the gradient -(A' p) at p = (1,) is g
+    st7 = OmdBall(eta=0.8).start(-g[None, :])
     prox = minimize(lambda z: float(0.8 * g @ z + 0.5 * z @ z),
                     np.zeros(3), method="SLSQP",
                     constraints=[{"type": "ineq",
                                   "fun": lambda z: 1.0 - z @ z}],
                     options={"ftol": 1e-14})
-    assert rel_linf(st7.decide(1.0, g), prox.x) <= 1e-6
+    assert rel_linf(st7.decide(1.0, np.ones(1)), prox.x) <= 1e-6
 
     # dual-map round trip and risk gradient
     for qq in (1.1, 1.5, 2.0):

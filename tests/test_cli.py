@@ -1,9 +1,13 @@
 import csv
+import math
 
 import pytest
 
-from nrp.cli import SUMMARY_HEADER, TRACE_HEADER, main
-from nrp.core import read_dataset
+from nrp.algorithms import (mpfp_config, nag_config, pnorm_config,
+                            smooth_config, vanilla_perceptron)
+from nrp.cli import ALGOS, SUMMARY_HEADER, TRACE_HEADER, main
+from nrp.core import margin, read_dataset
+from nrp.dynamics import run_dynamics
 
 
 def run_cli(capsys, *argv):
@@ -113,8 +117,7 @@ def test_equiv_base_case(capsys):
     assert code == 0
 
 
-def test_sweep_grid_and_ordering(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NRP_THREADS", "2")
+def test_sweep_grid_and_ordering(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", "--algos", "smooth", "nag", "--n",
                          "8", "--gamma", "0.3", "--seed", "0", "1", "2",
@@ -126,13 +129,11 @@ def test_sweep_grid_and_ordering(tmp_path, capsys, monkeypatch):
     assert rows[1][0] == "smooth" and rows[-1][0] == "nag"
 
 
-def test_sweep_deterministic_bytes(tmp_path, capsys, monkeypatch):
+def test_sweep_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", "--algos", "mpfp", "--n", "8", "--gamma", "0.3",
             "--seed", "0", "1", "--T", "15"]
-    monkeypatch.setenv("NRP_THREADS", "4")
     assert run_cli(capsys, *args, "--out", str(a))[0] == 0
-    monkeypatch.setenv("NRP_THREADS", "1")
     assert run_cli(capsys, *args, "--out", str(b))[0] == 0
     # ignore the wallclock column when comparing
     strip = lambda p: [",".join(r.split(",")[:-1]) for r in
@@ -156,3 +157,56 @@ def test_run_reads_dataset_file(tmp_path, capsys):
                            "--n", "0", "--d", "0", "--T", "25")
     assert code == 0
     assert out.strip().splitlines()[-1].split(",")[1] == "8"
+
+
+@pytest.mark.parametrize("algo,horizon", [("mpfp", "5"), ("pnorm", "5"),
+                                          ("smooth", "auto")])
+def test_run_single_row_exit_2(capsys, algo, horizon):
+    # log n = 0 at n = 1: no step size for mpfp and pnorm, no auto horizon
+    code, _, err = run_cli(capsys, "run", "--algo", algo, "--n", "1",
+                           "--d", "3", "--mode", "lower", "--T", horizon)
+    assert code == 2
+    assert algo in err and "n = 1" in err
+
+
+def test_run_auto_nonpositive_margin_exit_2(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    run_cli(capsys, "gen", "--n", "8", "--d", "3", "--gamma", "0.3",
+            "--mode", "lower", "--out", str(data))
+    text = data.read_text().replace("# known_margin=0.29999999999999999",
+                                    "# known_margin=-0.29999999999999999")
+    data.write_text(text)
+    code, _, err = run_cli(capsys, "run", "--algo", "smooth", "--data",
+                           str(data), "--n", "0", "--d", "0", "--T", "auto")
+    assert code == 2 and "known_margin" in err
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_run_auto_horizon_rule_and_output(tmp_path, capsys, algo):
+    # the horizon rules and output vectors documented in README.md
+    data = tmp_path / "d.txt"
+    run_cli(capsys, "gen", "--n", "16", "--d", "4", "--gamma", "0.3",
+            "--mode", "exact", "--seed", "4", "--out", str(data))
+    ds = read_dataset(data)
+    code, out, _ = run_cli(capsys, "run", "--algo", algo, "--data", str(data),
+                           "--n", "0", "--d", "0", "--T", "auto")
+    assert code == 0
+    fields = out.strip().splitlines()[-1].split(",")
+    gamma, logn, p_exp = 0.3, math.log(16), 2.0
+    if algo == "pnorm":
+        horizon = math.ceil(math.sqrt(2.0 * (p_exp - 1.0) * logn) / gamma) + 1
+    elif algo == "vanilla":
+        horizon = math.ceil(1.0 / gamma ** 2)
+    else:
+        horizon = math.ceil(4.0 * math.sqrt(logn) / gamma)
+    assert fields[0] == algo and int(fields[4]) == horizon
+    if algo == "vanilla":
+        final = vanilla_perceptron(ds, horizon)[0]
+    else:
+        config = {"smooth": smooth_config(horizon), "ji": smooth_config(horizon),
+                  "dynamics": smooth_config(horizon), "nag": nag_config(horizon),
+                  "mpfp": mpfp_config(16, horizon),
+                  "pnorm": pnorm_config(16, horizon, p_exp)}[algo]
+        trace = run_dynamics(config, ds)
+        final = 0.25 * trace.w_sum if algo in ("ji", "nag") else trace.w_bar
+    assert float(fields[5]) == margin(ds, final)

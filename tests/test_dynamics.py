@@ -8,6 +8,7 @@ from nrp.dynamics import (DynamicsConfig, PlayOrder, WeightSchedule,
                           gap_bound_check, run_dynamics, weighted_average)
 from nrp.errors import IncompatibleConfig
 from nrp.learners import (FtrlPlusEntropy, OftlPrevLoss, OmdBall, OmdEntropy,
+                          regret_p_from_arrays, regret_w_from_arrays,
                           weighted_regret_p, weighted_regret_w)
 from nrp.algorithms import mpfp_config, nag_config, pnorm_config, smooth_config
 from conftest import exact_margin_dataset, random_dataset
@@ -100,6 +101,26 @@ def test_running_regrets_match_closed_forms(rng):
         rp = weighted_regret_p(trace, ds)
         assert trace.regret_w == pytest.approx(rw, abs=1e-9)
         assert trace.regret_p == pytest.approx(rp, abs=1e-9)
+
+
+def test_running_regrets_match_oracle_every_round(rng):
+    # scaled by sum(alpha), not by the regret itself: nag's w-regret
+    # crosses zero
+    T = 30
+    for _ in range(20):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 8))
+        ds = random_dataset(rng, n, d)
+        a = ds.matrix
+        for config in (smooth_config(T), nag_config(T), mpfp_config(n, T),
+                       pnorm_config(n, T, 4.0)):
+            trace = run_dynamics(config, ds)
+            for t in range(1, T + 1):
+                alphas, ws, ps = trace.alphas[:t], trace.ws[:t], trace.ps[:t]
+                rw, _ = regret_w_from_arrays(a, alphas, ws, ps, trace.w_geometry)
+                rp = regret_p_from_arrays(a, alphas, ws, ps)
+                bound = 1e-12 * float(alphas.sum())
+                assert abs(trace.regret_w_running[t - 1] - rw) <= bound
+                assert abs(trace.regret_p_running[t - 1] - rp) <= bound
 
 
 def test_gap_bound_random_comparators(rng):

@@ -4,14 +4,24 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from nrp.learners import (EntropyFtrlPlusState, EntropyOftrlState,
-                          FtrlPlusEntropy, OftrlQNorm, OmdBallState,
-                          OmdEntropyState, OftlWState, QnormOftrlWState,
-                          UnregularizedFtrlWState, project_ball,
-                          qnorm_dual_map, qnorm_primal_grad,
-                          regret_p_from_arrays, regret_w_from_arrays,
-                          softmax_neg)
+from nrp.learners import (FtrlPlusEntropy, FtrlPlusUnregularized,
+                          OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
+                          OmdEntropy, project_ball, qnorm_dual_map,
+                          qnorm_primal_grad, regret_p_from_arrays,
+                          regret_w_from_arrays, softmax_neg)
 from conftest import random_dataset
+
+
+def rows(n):
+    """A matrix with n rows: all a simplex learner's start reads of it."""
+    return np.zeros((n, 1))
+
+
+def plus_step(state, alpha, realized):
+    """FTRL-plus: decide with the realized play as the hint, then absorb it."""
+    play = state.decide(alpha, realized)
+    state.absorb(alpha, realized)
+    return play
 
 
 def rel_linf(x, y):
@@ -120,24 +130,24 @@ def test_qnorm_dual_map_finite_differences(q, rng):
 # simplex learners vs numeric oracle
 
 def test_entropy_ftrl_plus_uniform_start():
-    state = EntropyFtrlPlusState(4, 0.25)
-    p = state.step(1.0, np.zeros(4))
+    state = FtrlPlusEntropy(eta=0.25).start(rows(4))
+    p = plus_step(state, 1.0, np.zeros(4))
     assert np.allclose(p, 0.25)
 
 
 def test_entropy_ftrl_plus_hand_value():
-    state = EntropyFtrlPlusState(2, 0.25)
-    p = state.step(1.0, np.array([0.0, 4.0]))
+    state = FtrlPlusEntropy(eta=0.25).start(rows(2))
+    p = plus_step(state, 1.0, np.array([0.0, 4.0]))
     assert np.allclose(p, [0.73105857863000490, 0.26894142136999512], atol=1e-12)
 
 
 def test_entropy_ftrl_plus_vs_oracle(rng):
     n, eta = 3, 0.25
-    state = EntropyFtrlPlusState(n, eta)
+    state = FtrlPlusEntropy(eta=eta).start(rows(n))
     cum = np.zeros(n)
     for t in range(1, 4):
         loss = rng.standard_normal(n)
-        p = state.step(float(t), loss)
+        p = plus_step(state, float(t), loss)
         cum += t * loss
         oracle = simplex_argmin(cum, eta)
         assert rel_linf(p, oracle) <= 1e-7
@@ -145,7 +155,7 @@ def test_entropy_ftrl_plus_vs_oracle(rng):
 
 def test_entropy_oftrl_vs_oracle(rng):
     n, eta = 3, 0.25
-    state = EntropyOftrlState(n, eta)
+    state = OftrlEntropyPrev(eta=eta).start(rows(n))
     cum = np.zeros(n)
     hint = np.zeros(n)
     for t in range(1, 4):
@@ -159,17 +169,17 @@ def test_entropy_oftrl_vs_oracle(rng):
 
 
 def test_entropy_oftrl_uniform_at_start():
-    state = EntropyOftrlState(5, 0.25)
+    state = OftrlEntropyPrev(eta=0.25).start(rows(5))
     assert np.allclose(state.decide(1.0, np.zeros(5)), 0.2)
 
 
 def test_oftrl_hint_equals_realized_matches_ftrl_plus(rng):
     n, eta = 4, 0.25
-    a_state = EntropyFtrlPlusState(n, eta)
-    b_state = EntropyOftrlState(n, eta)
+    a_state = FtrlPlusEntropy(eta=eta).start(rows(n))
+    b_state = OftrlEntropyPrev(eta=eta).start(rows(n))
     for t in range(1, 5):
         loss = rng.standard_normal(n)
-        pa = a_state.step(float(t), loss)
+        pa = plus_step(a_state, float(t), loss)
         pb = b_state.decide(float(t), loss)
         b_state.absorb(float(t), loss)
         assert np.array_equal(pa, pb)
@@ -177,7 +187,7 @@ def test_oftrl_hint_equals_realized_matches_ftrl_plus(rng):
 
 def test_omd_entropy_vs_oracle(rng):
     n, eta = 3, 0.7
-    state = OmdEntropyState(n, eta)
+    state = OmdEntropy(eta=eta).start(rows(n))
     for t in range(1, 4):
         hint = rng.standard_normal(n)
         realized = rng.standard_normal(n)
@@ -191,7 +201,7 @@ def test_omd_entropy_vs_oracle(rng):
 
 
 def test_omd_entropy_zero_gradients_fixed_point(rng):
-    state = OmdEntropyState(4, 0.5)
+    state = OmdEntropy(eta=0.5).start(rows(4))
     state.absorb(1.0, rng.standard_normal(4))
     before = state.hat.copy()
     p = state.decide(1.0, np.zeros(4))
@@ -216,7 +226,7 @@ def quadratic_argmin(a, weighted_ps, total_alpha):
 
 def test_oftl_w_start_is_row_mean(rng):
     ds = random_dataset(rng, 5, 3)
-    state = OftlWState(ds.matrix)
+    state = OftlPrevLoss().start(ds.matrix)
     w1 = state.decide(1.0, np.ones(5) / 5)
     assert np.allclose(w1, ds.matrix.sum(axis=0) / 5, atol=1e-15)
 
@@ -224,7 +234,7 @@ def test_oftl_w_start_is_row_mean(rng):
 def test_oftl_w_constant_p_fixed_point(rng):
     ds = random_dataset(rng, 5, 3)
     p = rng.dirichlet(np.ones(5))
-    state = OftlWState(ds.matrix)
+    state = OftlPrevLoss().start(ds.matrix)
     for t in range(1, 5):
         w = state.decide(float(t), p)
         assert np.allclose(w, ds.matrix.T @ p, atol=1e-14)
@@ -233,7 +243,7 @@ def test_oftl_w_constant_p_fixed_point(rng):
 
 def test_oftl_w_vs_oracle(rng):
     ds = random_dataset(rng, 4, 3)
-    state = OftlWState(ds.matrix)
+    state = OftlPrevLoss().start(ds.matrix)
     hist = []
     hint = np.ones(4) / 4
     for t in range(1, 4):
@@ -250,12 +260,12 @@ def test_oftl_w_vs_oracle(rng):
 
 def test_unregularized_ftrl_w_vs_oracle(rng):
     ds = random_dataset(rng, 4, 3)
-    state = UnregularizedFtrlWState(ds.matrix)
+    state = FtrlPlusUnregularized().start(ds.matrix)
     hist = []
     for t in range(1, 4):
         p = rng.dirichlet(np.ones(4))
         hist.append((float(t), p))
-        w = state.step(float(t), p)
+        w = plus_step(state, float(t), p)
         weighted = sum(al * pp for al, pp in hist)
         total = sum(al for al, _ in hist)
         oracle = quadratic_argmin(ds.matrix, weighted, total)
@@ -266,7 +276,7 @@ def test_qnorm_oftrl_vs_oracle(rng):
     q = 1.5
     ds = random_dataset(rng, 4, 3, norm_exponent=q / (q - 1.0))
     eta = 0.6
-    state = QnormOftrlWState(ds.matrix, eta, q)
+    state = OftrlQNorm(eta=eta, q=q).start(ds.matrix)
     hist = []
     hint = np.ones(4) / 4
     for t in range(1, 4):
@@ -292,12 +302,14 @@ def test_qnorm_oftrl_vs_oracle(rng):
 
 def test_omd_ball_vs_oracle(rng):
     d, eta = 3, 0.8
-    state = OmdBallState(d, eta)
-    for _ in range(4):
-        hint = rng.standard_normal(d)
-        realized = rng.standard_normal(d)
-        anchor = state.hat.copy()
-        w = state.decide(1.0, hint)
+    grads = rng.standard_normal((8, d))     # hint, realized for 4 rounds
+    # the gradient -(A' p) at the distribution on row k alone is grads[k]
+    state = OmdBall(eta=eta).start(-grads)
+    on_row = np.eye(8)
+    for k in range(0, 8, 2):
+        hint, realized = grads[k], grads[k + 1]
+        anchor = state.w_hat.copy()
+        w = state.decide(1.0, on_row[k])
 
         def prox(g):
             def objective(z):
@@ -310,16 +322,17 @@ def test_omd_ball_vs_oracle(rng):
             return res.x
 
         assert rel_linf(w, prox(hint)) <= 1e-6
-        state.absorb(1.0, realized)
-        assert rel_linf(state.hat, prox(realized)) <= 1e-6
+        state.absorb(1.0, on_row[k + 1])
+        assert rel_linf(state.w_hat, prox(realized)) <= 1e-6
 
 
 def test_omd_ball_interior_and_boundary(rng):
-    state = OmdBallState(2, 1.0)
-    g = np.array([0.3, 0.0])
-    assert np.allclose(state.decide(1.0, g), [-0.3, 0.0], atol=1e-15)
-    g2 = np.array([2.0, 0.0])
-    w = state.decide(1.0, g2)
+    # row k of A is -g_k, so the distribution on row k has gradient g_k
+    state = OmdBall(eta=1.0).start(np.array([[-0.3, 0.0], [-2.0, 0.0]]))
+    p = np.array([1.0, 0.0])
+    assert np.allclose(state.decide(1.0, p), [-0.3, 0.0], atol=1e-15)
+    p2 = np.array([0.0, 1.0])
+    w = state.decide(1.0, p2)
     assert np.allclose(w, [-1.0, 0.0], atol=1e-15)
 
 
