@@ -14,7 +14,7 @@ import numpy as np
 from .core import Dataset, GameObjective
 from .dynamics import (DynamicsConfig, PlayOrder, Trace, WeightSchedule,
                        run_dynamics)
-from .errors import TooFewRows
+from .errors import BadParameter, TooFewRows
 from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, OftlPrevLoss,
                        OftrlEntropyPrev, OftrlQNorm, OmdBall, OmdEntropy,
                        project_ball, softmax_neg)
@@ -54,6 +54,8 @@ def pnorm_config(n: int, horizon: int, p_exp: float,
                  record_full_trace: bool = True) -> DynamicsConfig:
     if n < 2:
         raise TooFewRows("pnorm", n)
+    if not p_exp >= 2.0:
+        raise BadParameter(f"pnorm needs p_exp >= 2, got {p_exp}")
     q = p_exp / (p_exp - 1.0)
     eta_w = math.sqrt(1.0 / (2.0 * (q - 1.0) * math.log(n)))
     return DynamicsConfig(
@@ -145,15 +147,16 @@ def smooth_perceptron(dataset: Dataset, horizon: int) -> SmoothPerceptronResult:
     n = dataset.n
     mu = 4.0
     v = a.sum(axis=0) / n                       # A' 1 / n
-    q = softmax_neg((a @ v) / mu)
+    q_mu_v = softmax_neg((a @ v) / mu)          # q_mu(v) of the current v and mu
+    q = q_mu_v
     vs = np.empty((horizon, v.size))
     vs[0] = v
     for t in range(1, horizon):
         theta = 2.0 / (t + 2)                   # theta_{t-1}, theta_0 = 2/3
-        q_mu_v = softmax_neg((a @ v) / mu)
         v = (1.0 - theta) * (v + theta * (a.T @ q)) + theta * theta * (a.T @ q_mu_v)
         mu = (1.0 - theta) * mu
-        q = (1.0 - theta) * q + theta * softmax_neg((a @ v) / mu)
+        q_mu_v = softmax_neg((a @ v) / mu)
+        q = (1.0 - theta) * q + theta * q_mu_v
         vs[t] = v
     return SmoothPerceptronResult(v=v, q=q, vs=vs)
 
@@ -178,11 +181,13 @@ def accel_perceptron_ji(dataset: Dataset, horizon: int) -> JiResult:
     vs = np.empty((horizon, d))
     gs = np.empty((horizon, d))
     qs = np.empty((horizon, n))
+    aq = a.T @ q                                # A' q of the current q
     for t in range(1, horizon + 1):
         theta = t / (2.0 * (t + 1))
-        v = v - theta * (g - a.T @ q)
+        v = v - theta * (g - aq)
         q = softmax_neg(a @ v)
-        g = (t / (t + 1.0)) * (g - a.T @ q)
+        aq = a.T @ q
+        g = (t / (t + 1.0)) * (g - aq)
         vs[t - 1] = v
         gs[t - 1] = g
         qs[t - 1] = q
@@ -264,15 +269,17 @@ def mpfp(dataset: Dataset, horizon: int) -> MpfpResult:
     us_p = np.empty((horizon, n))
     hats_w = np.empty((horizon, d))
     hats_p = np.empty((horizon, n))
+    y_hat = softmax_neg(y_hat_cum)
     for t in range(horizon):
-        x = project_ball(x_hat + eta_w * (a.T @ softmax_neg(y_hat_cum)))
+        x = project_ball(x_hat + eta_w * (a.T @ y_hat))
         y = softmax_neg(y_hat_cum + eta_p * (a @ x_hat))
         x_hat = project_ball(x_hat + eta_w * (a.T @ y))
         y_hat_cum = y_hat_cum + eta_p * (a @ x)
+        y_hat = softmax_neg(y_hat_cum)
         us_w[t] = x
         us_p[t] = y
         hats_w[t] = x_hat
-        hats_p[t] = softmax_neg(y_hat_cum)
+        hats_p[t] = y_hat
     return MpfpResult(
         z_w=us_w.mean(axis=0), z_p=us_p.mean(axis=0),
         us_w=us_w, us_p=us_p, hats_w=hats_w, hats_p=hats_p)

@@ -35,6 +35,11 @@ def _mode(text: str) -> GenMode:
             "infeasible": GenMode.INFEASIBLE}[text]
 
 
+def _horizon(text: str):
+    """`--T` of `run`: a whole number of rounds, or 'auto'."""
+    return text if text == "auto" else int(text)
+
+
 def _add_gen_flags(sp, with_out=True):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
@@ -121,9 +126,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    if not args.tol > 0.0:
+        raise NrpError(f"--tol {args.tol} is not positive")
     dataset = _gen_dataset(args)
     which = alg.EquivalencePair(args.which)
-    report = alg.check_equivalence(which, dataset, int(args.T), tol=args.tol,
+    report = alg.check_equivalence(which, dataset, args.T, tol=args.tol,
                                    perturb=args.perturb)
     for name, dev in report.deviations.items():
         print(f"{name}: {dev:.3e}")
@@ -133,6 +140,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if any(horizon < 1 for horizon in args.T):
+        raise NrpError("T must be >= 1")
     grid = list(itertools.product(args.algos, args.n, args.gamma, args.p,
                                   args.seed, args.T))
     header = ("algo,n,d,gamma,p,seed,T,final_margin,final_normalized_margin,"
@@ -177,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--algo", choices=ALGOS, required=True)
     sp.add_argument("--data", help="dataset file (overrides gen flags)")
     _add_gen_flags(sp, with_out=False)
-    sp.add_argument("--T", default="auto", help="horizon, integer or 'auto'")
+    sp.add_argument("--T", default="auto", type=_horizon,
+                    help="horizon, integer or 'auto'")
     sp.add_argument("--p-exp", dest="p_exp", type=float, default=None)
     sp.add_argument("--out", default=None, help="directory for the trace CSV")
     sp.set_defaults(func=cmd_run)
@@ -187,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.add_argument("--data", help="dataset file (overrides gen flags)")
     _add_gen_flags(sp, with_out=False)
-    sp.add_argument("--T", required=True)
+    sp.add_argument("--T", type=int, required=True)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--perturb", type=float, default=0.0,
                     help="negative control: scale the p step by 1 + this")

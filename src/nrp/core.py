@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLabel, NonFinite, RowNormViolation, ZeroVector
+from .errors import (BadDatasetFile, BadLabel, BadParameter, NonFinite,
+                     RowNormViolation, ZeroVector)
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,12 @@ class Dataset:
     def _validate(self):
         a = self.matrix
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError("matrix must be n x d with n, d >= 1")
+            raise BadParameter("matrix must be n x d with n, d >= 1")
         if not np.all(np.isfinite(a)):
             raise NonFinite("data matrix has non-finite entries")
         p = float(self.norm_exponent)
-        if p < 2.0:
-            raise ValueError("norm_exponent must be >= 2")
+        if not p >= 2.0:
+            raise BadParameter("norm_exponent must be >= 2")
         norms = np.linalg.norm(a, ord=p, axis=1)
         bad = np.flatnonzero(norms > 1.0 + TOL.invariant_slack)
         if bad.size:
@@ -90,9 +91,9 @@ class Dataset:
         if self.known_margin is not None and self.w_star is not None:
             q = p / (p - 1.0)
             if np.linalg.norm(self.w_star, ord=q) > 1.0 + TOL.invariant_slack:
-                raise ValueError("w_star dual norm exceeds 1")
+                raise BadParameter("w_star dual norm exceeds 1")
             if float(np.min(a @ self.w_star)) < self.known_margin - TOL.invariant_slack:
-                raise ValueError("w_star does not certify known_margin")
+                raise BadParameter("w_star does not certify known_margin")
 
     @property
     def n(self) -> int:
@@ -115,7 +116,7 @@ def build_dataset(features, labels, norm_exponent: float = 2.0,
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ValueError("features must be n x d and labels length n")
+        raise BadParameter("features must be n x d and labels length n")
     if not np.all(np.isfinite(x)):
         raise NonFinite("features have non-finite entries")
     for i, yi in enumerate(y):
@@ -199,30 +200,83 @@ def write_dataset(dataset: Dataset, path) -> None:
             fh.write("# w_star=" + " ".join(_fmt(v) for v in dataset.w_star) + "\n")
 
 
+def _header(path, no: int, line: str) -> tuple[int, int, float]:
+    try:
+        n, d, p = line.split()
+        n, d, p = int(n), int(d), float(p)
+    except ValueError:
+        n = d = 0
+    if n < 1 or d < 1:
+        raise BadDatasetFile(path, no, f"header {line!r} is not 'n d p' "
+                             "with positive integers n and d")
+    return n, d, p
+
+
+def _metadata(path, no: int, line: str, d: int) -> dict:
+    """{key: value} of a '# key=value' line; empty for an unknown key."""
+    key, _, text = line[1:].strip().partition("=")
+    try:
+        if key == "known_margin":
+            value = float(text)
+            if not value > 0.0:
+                raise BadDatasetFile(path, no, f"known_margin={text} is not positive")
+        elif key == "exact":
+            value = text == "true"
+        elif key == "w_star":
+            value = np.array([float(v) for v in text.split()])
+            if value.size != d:
+                raise BadDatasetFile(path, no, f"w_star has {value.size} entries, "
+                                     f"expected d = {d}")
+        else:
+            return {}
+    except ValueError:
+        raise BadDatasetFile(path, no, f"{key} value {text!r} is not a number") from None
+    return {key: value}
+
+
 def read_dataset(path) -> Dataset:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    n, d, p = lines[0].split()
-    n, d, p = int(n), int(d), float(p)
-    feats = np.empty((n, d))
-    labels = np.empty(n)
-    for i in range(n):
-        parts = lines[1 + i].split()
-        labels[i] = float(parts[0])
-        feats[i] = [float(v) for v in parts[1:]]
-    known_margin = None
-    exact = False
-    w_star = None
-    for ln in lines[1 + n:]:
-        if not ln.startswith("#"):
-            continue
-        body = ln[1:].strip()
-        if body.startswith("known_margin="):
-            known_margin = float(body.split("=", 1)[1])
-        elif body.startswith("exact="):
-            exact = body.split("=", 1)[1] == "true"
-        elif body.startswith("w_star="):
-            w_star = np.array([float(v) for v in body.split("=", 1)[1].split()])
+    """Read the text format; a file that cannot be read or breaks the format
+    raises BadDatasetFile naming the offending line.  Lines are parsed as
+    they stream in, so no copy of the file's text is held."""
+    header_no = None
+    rows = 0
+    meta = {}
+    try:
+        with open(path) as fh:
+            for no, ln in enumerate(fh, 1):
+                ln = ln.strip()
+                if not ln:
+                    continue
+                if header_no is None:
+                    header_no = no
+                    n, d, p = _header(path, no, ln)
+                    feats = np.empty((n, d))
+                    labels = np.empty(n)
+                elif ln.startswith("#"):
+                    meta.update(_metadata(path, no, ln, d))
+                else:
+                    if rows == n:
+                        raise BadDatasetFile(path, no, f"header gives n = {n} rows, "
+                                             "this is one more")
+                    parts = ln.split()
+                    if len(parts) != d + 1:
+                        raise BadDatasetFile(path, no, f"row has {len(parts)} fields, "
+                                             f"expected a label and d = {d} features")
+                    try:
+                        labels[rows] = float(parts[0])
+                        feats[rows] = [float(v) for v in parts[1:]]
+                    except ValueError:
+                        raise BadDatasetFile(path, no, "row has a field that is "
+                                             "not a number") from None
+                    rows += 1
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadDatasetFile(path, None, f"cannot read: {exc}") from None
+    if header_no is None:
+        raise BadDatasetFile(path, None, "empty file")
+    if rows < n:
+        raise BadDatasetFile(path, header_no, f"header gives n = {n} rows, "
+                             f"the file has {rows}")
     return build_dataset(feats, labels, norm_exponent=p,
-                         known_margin=known_margin, exact_margin=exact,
-                         w_star=w_star)
+                         known_margin=meta.get("known_margin"),
+                         exact_margin=meta.get("exact", False),
+                         w_star=meta.get("w_star"))

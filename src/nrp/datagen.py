@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, build_dataset
-from .errors import RejectionBudget
+from .errors import BadParameter, RejectionBudget
 
 
 class GenMode(enum.Enum):
@@ -31,13 +31,19 @@ class GenSpec:
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be positive")
+            raise BadParameter(f"n and d must be positive, got n = {self.n}, d = {self.d}")
         if self.mode is not GenMode.INFEASIBLE and not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
+            raise BadParameter("gamma must lie in (0, 1)")
         if self.mode in (GenMode.EXACT_MARGIN, GenMode.INFEASIBLE) and self.d < 2:
-            raise ValueError("this mode needs d >= 2")
+            raise BadParameter(f"{self.mode.value} mode needs d >= 2")
         if self.norm_exponent < 2.0:
-            raise ValueError("norm_exponent must be >= 2")
+            raise BadParameter("norm_exponent must be >= 2")
+        if self.mode is GenMode.EXACT_MARGIN:
+            # the construction's symmetric pair of rows is Euclidean
+            if self.n < 2:
+                raise BadParameter("exact mode needs n >= 2")
+            if self.norm_exponent != 2.0:
+                raise BadParameter("exact mode is Euclidean only (p = 2)")
 
 
 def _unit_pnorm_vector(rng: np.random.Generator, d: int, p: float) -> np.ndarray:
@@ -66,8 +72,6 @@ def gen_separable(spec: GenSpec) -> Dataset:
     """
     rng = np.random.default_rng(spec.seed)
     if spec.mode is GenMode.EXACT_MARGIN:
-        if spec.norm_exponent != 2.0:
-            raise ValueError("exact-margin construction is Euclidean only")
         gamma = spec.gamma
         beta = math.sqrt(1.0 - gamma * gamma)
         feats = np.zeros((spec.n, spec.d))

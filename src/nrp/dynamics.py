@@ -3,6 +3,12 @@
 Each round the two learners exchange a classifier w_t and a distribution
 p_t over rows; the weighted average of the w_t's approaches the max-min
 point of the configured payoff at the rate set by the players' regrets.
+
+The w-player sees p_t only through g_t = A'p_t, so a round passes over the
+data matrix twice, once for A'p_t and once for A w_t, plus once for each
+secondary iterate an OMD player shows.  The regret comparator reads the
+running sum of the g_t, and the margin of the running average w_bar is the
+minimum of the running sum of the A w_t over the sum of the weights.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, GameObjective, best_response_value, margin
-from .errors import IncompatibleConfig, NonFiniteIterate
+from .core import Dataset, GameObjective, best_response_value
+from .errors import BadParameter, IncompatibleConfig, NonFiniteIterate
 from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, LearnerSpec,
                        OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
                        OmdEntropy)
@@ -41,7 +47,7 @@ class DynamicsConfig:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+            raise BadParameter("horizon must be >= 1")
         _validate(self)
 
 
@@ -127,15 +133,20 @@ def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
     gap_running = np.empty(horizon)
 
     prev_p = np.ones(n) / n        # p_0
-    w_hint = prev_p                # what a first-moving w-player sees of p
+    w_hint = a.T @ prev_p          # what a first-moving w-player sees of p_0
     p_hint = np.zeros(n)           # A w_0 with w_0 = 0, for a first-moving p-player
     w_sum = np.zeros(d)
     p_sum = np.zeros(n)
+    g_sum = np.zeros(d)            # sum alpha_t A' p_t
     cum_alpha = 0.0
     played_w = 0.0                 # sum alpha_t h_t(w_t)
     played_p = 0.0                 # sum alpha_t p_t' A w_t (constants dropped)
     cum_lossvec = np.zeros(n)      # sum alpha_t A w_t
     sum_sq_delta = 0.0
+
+    def dual(shown, p_t, g_t):
+        # A' of what the p-player shows, reusing g_t when it shows its play
+        return g_t if shown is p_t else a.T @ shown
 
     for t in range(1, horizon + 1):
         alpha = alphas[t - 1]
@@ -144,11 +155,13 @@ def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
             w_t = wl.decide(alpha, w_hint)
             loss = a @ w_t
             p_t = pl.decide(alpha, wl.shown(loss))
+            g_t = a.T @ p_t
         else:
             p_t = pl.decide(alpha, p_hint)
-            w_t = wl.decide(alpha, pl.shown(p_t))
+            g_t = a.T @ p_t
+            w_t = wl.decide(alpha, dual(pl.shown(p_t), p_t, g_t))
             loss = a @ w_t
-        wl.absorb(alpha, p_t)
+        wl.absorb(alpha, g_t)
         pl.absorb(alpha, loss)
 
         if not (np.all(np.isfinite(w_t)) and np.all(np.isfinite(p_t))):
@@ -161,19 +174,19 @@ def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
         cum_lossvec += alpha * loss
         w_sum += alpha * w_t
         p_sum += alpha * p_t
+        g_sum += alpha * g_t
         cum_alpha += alpha
         delta = float(np.abs(p_t - prev_p).sum())
         sum_sq_delta += delta * delta
 
-        rw = played_w - wl.comparator_value(p_sum, cum_alpha)
-        rp = played_p - float(np.min(cum_lossvec))
+        worst = float(np.min(cum_lossvec))   # min_i (A w_sum)_i
+        rw = played_w - wl.comparator_value(g_sum, cum_alpha)
+        rp = played_p - worst
 
-        w_bar = w_sum / cum_alpha
         l1_delta[t - 1] = delta
-        margin_avg[t - 1] = margin(dataset, w_bar)
+        margin_avg[t - 1] = worst / cum_alpha
         wnorm = float(np.linalg.norm(w_sum))
-        norm_margin[t - 1] = (margin_avg[t - 1] * cum_alpha / wnorm
-                              if wnorm > 0.0 else np.nan)
+        norm_margin[t - 1] = worst / wnorm if wnorm > 0.0 else np.nan
         rw_running[t - 1] = rw
         rp_running[t - 1] = rp
         gap_running[t - 1] = (rw + rp) / cum_alpha
@@ -183,7 +196,7 @@ def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
 
         prev_p = p_t
         if w_first:
-            w_hint = pl.shown(p_t)
+            w_hint = dual(pl.shown(p_t), p_t, g_t)
         else:
             p_hint = wl.shown(loss)
 

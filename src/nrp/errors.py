@@ -5,6 +5,21 @@ class NrpError(Exception):
     """Base class for all package errors."""
 
 
+class BadParameter(NrpError, ValueError):
+    """A size, step, horizon, exponent or certificate outside its valid range."""
+
+
+class BadDatasetFile(NrpError):
+    """A dataset file cannot be read or breaks the text format; ``line`` is
+    the 1-based number of the offending line, None for the file as a whole."""
+
+    def __init__(self, path, line, problem):
+        self.path = path
+        self.line = line
+        where = f"{path}" if line is None else f"{path}, line {line}"
+        super().__init__(f"{where}: {problem}")
+
+
 class RowNormViolation(NrpError):
     def __init__(self, index, norm, limit):
         self.index = index

@@ -9,16 +9,18 @@ speaks one protocol:
 - ``shown(play)`` is what the opponent sees of this learner as its hint:
   the play itself, or an OMD learner's secondary iterate.
 
-The w-player's hints and realized plays are distributions p over rows; the
-p-player's are loss vectors A w.  A "plus" learner (FTRL that includes the
-current round) is ``decide`` with the realized play as its hint, so it is
-the player that moves second.  The w-side states also give the comparator
-value their regret is measured against.
+The w-player's loss at a distribution p over rows is -p'Aw, plus ||w||^2/2
+in the ridge games, so it sees p only through the d-vector g = A'p: its
+hints and realized plays are such dual vectors.  The p-player's are loss
+vectors A w.  A "plus" learner (FTRL that includes the current round) is
+``decide`` with the realized play as its hint, so it is the player that
+moves second.  The w-side states also give the comparator value their
+regret is measured against.
 
 Simplex learners (entropy geometry) keep the cumulative weighted loss
 vector and output a max-subtracted softmax; nothing multiplicative is
 stored, so underflow cannot compound.  The w-side learners keep the
-weighted sum of the opponent's distributions and apply the appropriate
+weighted sum of the dual vectors they absorbed and apply the appropriate
 mirror/dual map.
 """
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, UnsupportedGeometry
+from .errors import BadParameter, NonFinite, UnsupportedGeometry
 from .core import TOL
 
 
@@ -42,7 +44,7 @@ class OftlPrevLoss:
     geometry = "l2_unconstrained"
 
     def start(self, a: np.ndarray) -> DualAveragingW:
-        return DualAveragingW(a)
+        return DualAveragingW(a.shape[1])
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class FtrlPlusEntropy:
 
     def __post_init__(self):
         if self.eta <= 0:
-            raise ValueError("eta must be positive")
+            raise BadParameter("eta must be positive")
 
     def start(self, a: np.ndarray) -> EntropySimplex:
         return EntropySimplex(a.shape[0], self.eta)
@@ -65,7 +67,7 @@ class OftrlEntropyPrev:
 
     def __post_init__(self):
         if self.eta <= 0:
-            raise ValueError("eta must be positive")
+            raise BadParameter("eta must be positive")
 
     def start(self, a: np.ndarray) -> EntropySimplex:
         return EntropySimplex(a.shape[0], self.eta)
@@ -77,7 +79,7 @@ class FtrlPlusUnregularized:
     geometry = "l2_unconstrained"
 
     def start(self, a: np.ndarray) -> DualAveragingW:
-        return DualAveragingW(a)
+        return DualAveragingW(a.shape[1])
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,9 @@ class OftrlQNorm:
 
     def __post_init__(self):
         if self.eta <= 0:
-            raise ValueError("eta must be positive")
+            raise BadParameter("eta must be positive")
         if not 1.0 < self.q <= 2.0:
-            raise ValueError("q must lie in (1, 2]")
+            raise BadParameter("q must lie in (1, 2]")
 
     @property
     def geometry(self) -> str:
@@ -98,7 +100,7 @@ class OftrlQNorm:
 
     def start(self, a: np.ndarray) -> DualAveragingW:
         _self_test_dual_map(self.q)
-        return DualAveragingW(a, self.eta, self.q)
+        return DualAveragingW(a.shape[1], self.eta, self.q)
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class OmdBall:
 
     def __post_init__(self):
         if self.eta <= 0:
-            raise ValueError("eta must be positive")
+            raise BadParameter("eta must be positive")
 
     def start(self, a: np.ndarray) -> OmdBallState:
         return OmdBallState(a, self.eta)
@@ -122,7 +124,7 @@ class OmdEntropy:
 
     def __post_init__(self):
         if self.eta <= 0:
-            raise ValueError("eta must be positive")
+            raise BadParameter("eta must be positive")
 
     def start(self, a: np.ndarray) -> EntropySimplex:
         return EntropySimplex(a.shape[0], self.eta, shows_hat=True)
@@ -243,59 +245,57 @@ class EntropySimplex:
 
 
 class DualAveragingW:
-    """w from theta = A' (cum_p + alpha * hint), where cum_p is the weighted
-    sum of the absorbed distributions.
+    """w from theta = cum_g + alpha * hint, where cum_g is the weighted sum
+    of the absorbed dual vectors A'p.
 
     Without eta the losses are ridge-regularized, their own ||w||^2 / 2 is
     the regularizer, and w = theta / (sum of alphas including this round):
-    optimistic FTL with the previous p as the hint, FTL-plus with the
-    realized p.  With eta and q it is optimistic FTRL with the q-norm
+    optimistic FTL with the previous A'p as the hint, FTL-plus with the
+    realized one.  With eta and q it is optimistic FTRL with the q-norm
     regularizer anchored at 0 against bilinear losses, solved through the
     explicit dual map.
     """
 
-    def __init__(self, a: np.ndarray, eta: float | None = None, q: float = 2.0):
-        self.a = a
+    def __init__(self, d: int, eta: float | None = None, q: float = 2.0):
         self.eta = eta
         self.q = q
-        self.cum_p = np.zeros(a.shape[0])
+        self.cum_g = np.zeros(d)
         self.cum_alpha = 0.0
 
     def decide(self, alpha: float, hint: np.ndarray) -> np.ndarray:
-        theta = self.a.T @ (self.cum_p + alpha * hint)
+        theta = self.cum_g + alpha * hint
         if self.eta is None:
             return theta / (self.cum_alpha + alpha)
         return qnorm_dual_map(self.eta * theta, self.q)
 
     def absorb(self, alpha: float, realized: np.ndarray) -> None:
-        self.cum_p = self.cum_p + alpha * realized
+        self.cum_g = self.cum_g + alpha * realized
         self.cum_alpha += alpha
 
     def shown(self, loss: np.ndarray) -> np.ndarray:
         return loss
 
-    def comparator_value(self, cum_p: np.ndarray, cum_alpha: float) -> float:
-        """Minimum of the weighted cumulative loss over R^d (ridge losses) or,
-        for bilinear losses, whose unconstrained minimum is -inf, over the
-        unit q-norm ball."""
-        g = self.a.T @ cum_p
+    def comparator_value(self, g_sum: np.ndarray, cum_alpha: float) -> float:
+        """Minimum of the weighted cumulative loss, given g_sum = A' (sum of
+        alpha_t p_t), over R^d (ridge losses) or, for bilinear losses, whose
+        unconstrained minimum is -inf, over the unit q-norm ball."""
         if self.eta is None:
-            return -0.5 * float(np.dot(g, g)) / cum_alpha
-        return -float(np.linalg.norm(g, ord=self.q / (self.q - 1.0)))
+            return -0.5 * float(np.dot(g_sum, g_sum)) / cum_alpha
+        return -float(np.linalg.norm(g_sum, ord=self.q / (self.q - 1.0)))
 
 
 class OmdBallState:
     """Two-step Euclidean mirror descent on the unit ball against bilinear
-    losses, whose gradient at the opponent's distribution p is -(A' p).  The
-    opponent sees the loss vector of the secondary iterate w_hat."""
+    losses, whose gradient at the dual vector g = A'p is -g.  The opponent
+    sees the loss vector A w_hat of the secondary iterate."""
 
     def __init__(self, a: np.ndarray, eta: float):
         self.a = a
         self.eta = eta
         self.w_hat = np.zeros(a.shape[1])
 
-    def _step(self, alpha: float, p: np.ndarray) -> np.ndarray:
-        return project_ball(self.w_hat - self.eta * alpha * -(self.a.T @ p))
+    def _step(self, alpha: float, g: np.ndarray) -> np.ndarray:
+        return project_ball(self.w_hat + self.eta * alpha * g)
 
     def decide(self, alpha: float, hint: np.ndarray) -> np.ndarray:
         return self._step(alpha, hint)
@@ -306,9 +306,9 @@ class OmdBallState:
     def shown(self, loss: np.ndarray) -> np.ndarray:
         return self.a @ self.w_hat
 
-    def comparator_value(self, cum_p: np.ndarray, cum_alpha: float) -> float:
+    def comparator_value(self, g_sum: np.ndarray, cum_alpha: float) -> float:
         """Minimum of the weighted cumulative loss over the unit ball."""
-        return -float(np.linalg.norm(self.a.T @ cum_p))
+        return -float(np.linalg.norm(g_sum))
 
 
 # ---------------------------------------------------------------------------

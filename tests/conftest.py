@@ -14,6 +14,33 @@ def random_dataset(rng, n, d, norm_exponent=2.0):
     return build_dataset(x, y, norm_exponent=norm_exponent)
 
 
+class CountedMatrix(np.ndarray):
+    """View of a data matrix that counts the matmuls taking it, or its
+    transpose, as an operand; row slices and other views do not count."""
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
+        self.full = getattr(obj, "full", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and method == "__call__" and any(
+                isinstance(x, CountedMatrix) and x.shape in (x.full, x.full[::-1])
+                for x in inputs):
+            self.counter[0] += 1
+        plain = [x.view(np.ndarray) if isinstance(x, CountedMatrix) else x
+                 for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def count_matvecs(dataset):
+    """Swap the dataset's matrix for a counting view of the same memory and
+    return the one-element list that accumulates the count."""
+    view = dataset.matrix.view(CountedMatrix)
+    view.counter, view.full = [0], dataset.matrix.shape
+    object.__setattr__(dataset, "matrix", view)
+    return view.counter
+
+
 def exact_margin_dataset(n, d, gamma, seed):
     return generate(GenSpec(n=n, d=d, gamma=gamma,
                             mode=GenMode.EXACT_MARGIN, seed=seed))

@@ -234,12 +234,12 @@ def test_criterion_14_closed_forms_match_numeric_oracles():
     # classifier-side learners
     st4 = OftlPrevLoss().start(a)
     p0 = rng.dirichlet(np.ones(4))
-    st4.absorb(1.0, p0)
+    st4.absorb(1.0, a.T @ p0)
     p1 = rng.dirichlet(np.ones(4))
-    assert rel_linf(st4.decide(2.0, p1),
+    assert rel_linf(st4.decide(2.0, a.T @ p1),
                     quadratic_argmin(a, p0 + 2.0 * p1, 3.0)) <= 1e-7
     st5 = FtrlPlusUnregularized().start(a)
-    w = plus_step(st5, 1.0, p0)
+    w = plus_step(st5, 1.0, a.T @ p0)
     assert rel_linf(w, quadratic_argmin(a, p0, 1.0)) <= 1e-7
 
     q, eta_w = 1.5, 0.6
@@ -253,17 +253,18 @@ def test_criterion_14_closed_forms_match_numeric_oracles():
     res = minimize(objective, np.full(3, 0.1),
                    jac=lambda v: -theta + qnorm_primal_grad(v, q) / eta_w,
                    method="BFGS", options={"gtol": 1e-13})
-    assert rel_linf(st6.decide(1.0, p0), res.x) <= 1e-7
+    assert rel_linf(st6.decide(1.0, theta), res.x) <= 1e-7
 
     g = rng.standard_normal(3) * 2.0
     # one row, -g: the gradient -(A' p) at p = (1,) is g
-    st7 = OmdBall(eta=0.8).start(-g[None, :])
+    a7 = -g[None, :]
+    st7 = OmdBall(eta=0.8).start(a7)
     prox = minimize(lambda z: float(0.8 * g @ z + 0.5 * z @ z),
                     np.zeros(3), method="SLSQP",
                     constraints=[{"type": "ineq",
                                   "fun": lambda z: 1.0 - z @ z}],
                     options={"ftol": 1e-14})
-    assert rel_linf(st7.decide(1.0, np.ones(1)), prox.x) <= 1e-6
+    assert rel_linf(st7.decide(1.0, a7.T @ np.ones(1)), prox.x) <= 1e-6
 
     # dual-map round trip and risk gradient
     for qq in (1.1, 1.5, 2.0):

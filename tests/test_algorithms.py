@@ -8,12 +8,25 @@ from nrp.core import Dataset, margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import run_dynamics
 from nrp.learners import softmax_neg
-from conftest import exact_margin_dataset, random_dataset
+from conftest import count_matvecs, exact_margin_dataset, random_dataset
 
 
 def rel_linf(x, y):
     scale = max(np.max(np.abs(x)), np.max(np.abs(y)), 1e-10)
     return np.max(np.abs(x - y)) / scale
+
+
+@pytest.mark.parametrize("form,expected", [
+    (alg.smooth_perceptron, lambda T: 1 + 3 * (T - 1)),   # A v_0, then T-1 rounds
+    (alg.accel_perceptron_ji, lambda T: 1 + 2 * T),       # A' q_0, then T rounds
+    (alg.nag_margin, lambda T: 2 * T),
+    (alg.mpfp, lambda T: 4 * T)], ids=["smooth", "ji", "nag", "mpfp"])
+def test_standalone_matvecs_per_round(rng, form, expected):
+    T = 12
+    ds = random_dataset(rng, 9, 4)
+    counter = count_matvecs(ds)
+    form(ds, T)
+    assert counter[0] == expected(T)
 
 
 # ---------------------------------------------------------------------------

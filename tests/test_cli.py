@@ -169,6 +169,42 @@ def test_run_single_row_exit_2(capsys, algo, horizon):
     assert algo in err and "n = 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--algo", "smooth", "--n", "0", "--d", "3", "--T", "5"],
+    ["sweep", "--algos", "smooth", "--n", "8", "--T", "0", "--out", "{tmp}/s.csv"],
+    ["run", "--algo", "smooth", "--data", "{tmp}/missing.txt", "--n", "0",
+     "--d", "0", "--T", "5"],
+    ["run", "--algo", "smooth", "--mode", "exact", "--n", "1", "--d", "3",
+     "--T", "5"],
+    ["run", "--algo", "pnorm", "--n", "8", "--d", "3", "--p-exp", "1",
+     "--T", "5"],
+    ["sweep", "--algos", "vanilla", "--n", "8", "--T", "0", "--out",
+     "{tmp}/s.csv"],
+    ["equiv", "--which", "prop1", "--n", "8", "--d", "3", "--T", "5",
+     "--tol", "nan"],
+], ids=["run_n_0", "sweep_T_0", "missing_data_file", "exact_n_1", "p_exp_1",
+        "sweep_vanilla_T_0", "equiv_tol_nan"])
+def test_bad_input_exit_2(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["run", "--algo", "smooth"],
+                                     ["equiv", "--which", "prop1"]])
+def test_non_integer_horizon_exit_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--n", "8", "--d", "3", "--T", "abc"])
+    assert exc.value.code == 2
+
+
+def test_run_truncated_dataset_exit_2(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    data.write_text("4 2 2\n1 0.5 0.5\n")
+    code, _, err = run_cli(capsys, "run", "--algo", "smooth", "--data",
+                           str(data), "--n", "0", "--d", "0", "--T", "5")
+    assert code == 2 and "line 1" in err
+
+
 def test_run_auto_nonpositive_margin_exit_2(tmp_path, capsys):
     data = tmp_path / "d.txt"
     run_cli(capsys, "gen", "--n", "8", "--d", "3", "--gamma", "0.3",

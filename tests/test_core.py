@@ -4,7 +4,8 @@ import pytest
 from nrp.core import (Dataset, GameObjective, best_response_value,
                       build_dataset, game_value, margin, margin_argmin,
                       normalized_margin, read_dataset, write_dataset)
-from nrp.errors import BadLabel, NonFinite, RowNormViolation, ZeroVector
+from nrp.errors import (BadDatasetFile, BadLabel, NonFinite, RowNormViolation,
+                        ZeroVector)
 from conftest import random_dataset
 
 
@@ -148,3 +149,34 @@ def test_serialization_exact_for_doubles(tmp_path, rng):
     write_dataset(ds, p1)
     write_dataset(read_dataset(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("text,line", [
+    ("4 2\n1 0.5 0.5\n", 1),                            # header lacks p
+    ("4 two 2\n1 0.5 0.5\n", 1),                        # d is not an integer
+    ("4 2 2\n1 0.5 0.5\n", 1),                          # fewer rows than n
+    ("1 2 2\n1 0.5 0.5\n\n-1 0.1 0.1\n", 4),            # more rows than n
+    ("2 2 2\n1 0.5 0.5\n1 0.5\n", 3),                  # row lacks a feature
+    ("2 2 2\n1 0.5 0.5\n1 0.5 x\n", 3),                # row field not a number
+    ("1 2 2\n1 0.5 0.5\n# known_margin=-0.3\n", 3),     # margin not positive
+    ("1 2 2\n1 0.5 0.5\n# known_margin=0\n", 3),
+    ("1 2 2\n1 0.5 0.5\n# known_margin=abc\n", 3),
+    ("1 2 2\n1 0.5 0.5\n# known_margin=0.5\n# w_star=1\n", 4),
+])
+def test_read_dataset_rejects_malformed_file(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(BadDatasetFile) as exc:
+        read_dataset(path)
+    assert exc.value.line == line
+    assert f"line {line}" in str(exc.value)
+
+
+def test_read_dataset_missing_or_empty_file(tmp_path):
+    with pytest.raises(BadDatasetFile) as exc:
+        read_dataset(tmp_path / "missing.txt")
+    assert exc.value.line is None
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n")
+    with pytest.raises(BadDatasetFile):
+        read_dataset(empty)

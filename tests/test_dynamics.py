@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nrp.core import GameObjective, best_response_value
+from nrp.core import GameObjective, best_response_value, margin
 from nrp.dynamics import (DynamicsConfig, PlayOrder, WeightSchedule,
                           gap_bound_check, run_dynamics, weighted_average)
 from nrp.errors import IncompatibleConfig
@@ -11,7 +11,7 @@ from nrp.learners import (FtrlPlusEntropy, OftlPrevLoss, OmdBall, OmdEntropy,
                           regret_p_from_arrays, regret_w_from_arrays,
                           weighted_regret_p, weighted_regret_w)
 from nrp.algorithms import mpfp_config, nag_config, pnorm_config, smooth_config
-from conftest import exact_margin_dataset, random_dataset
+from conftest import count_matvecs, exact_margin_dataset, random_dataset
 
 
 def test_horizon_validation():
@@ -121,6 +121,37 @@ def test_running_regrets_match_oracle_every_round(rng):
                 bound = 1e-12 * float(alphas.sum())
                 assert abs(trace.regret_w_running[t - 1] - rw) <= bound
                 assert abs(trace.regret_p_running[t - 1] - rp) <= bound
+
+
+@pytest.mark.parametrize("name,per_round", [("smooth", 2), ("nag", 2),
+                                            ("mpfp", 4), ("pnorm", 2)])
+def test_engine_matvecs_per_round(rng, name, per_round):
+    # one A'p and one A w per round, one more for each secondary iterate an
+    # OMD player shows, and A'(1/n) once for the first w-hint
+    n, T = 30, 25
+    ds = random_dataset(rng, n, 5)
+    config = {"smooth": smooth_config(T), "nag": nag_config(T),
+              "mpfp": mpfp_config(n, T), "pnorm": pnorm_config(n, T, 2.0)}[name]
+    counter = count_matvecs(ds)
+    run_dynamics(config, ds)
+    assert counter[0] <= per_round * T + 1
+
+
+def test_margin_avg_is_margin_of_running_average(rng):
+    T = 30
+    for _ in range(5):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 8))
+        ds = random_dataset(rng, n, d)
+        for config in (smooth_config(T), nag_config(T), mpfp_config(n, T),
+                       pnorm_config(n, T, 4.0)):
+            trace = run_dynamics(config, ds)
+            cum_alpha = np.cumsum(trace.alphas)
+            w_bars = np.cumsum(trace.alphas[:, None] * trace.ws, axis=0)
+            w_bars /= cum_alpha[:, None]
+            for t in range(T):
+                expect = margin(ds, w_bars[t])
+                bound = 1e-12 * max(1.0, float(np.linalg.norm(w_bars[t])))
+                assert abs(trace.margin_avg[t] - expect) <= bound
 
 
 def test_gap_bound_random_comparators(rng):

@@ -227,7 +227,7 @@ def quadratic_argmin(a, weighted_ps, total_alpha):
 def test_oftl_w_start_is_row_mean(rng):
     ds = random_dataset(rng, 5, 3)
     state = OftlPrevLoss().start(ds.matrix)
-    w1 = state.decide(1.0, np.ones(5) / 5)
+    w1 = state.decide(1.0, ds.matrix.T @ (np.ones(5) / 5))
     assert np.allclose(w1, ds.matrix.sum(axis=0) / 5, atol=1e-15)
 
 
@@ -236,9 +236,9 @@ def test_oftl_w_constant_p_fixed_point(rng):
     p = rng.dirichlet(np.ones(5))
     state = OftlPrevLoss().start(ds.matrix)
     for t in range(1, 5):
-        w = state.decide(float(t), p)
+        w = state.decide(float(t), ds.matrix.T @ p)
         assert np.allclose(w, ds.matrix.T @ p, atol=1e-14)
-        state.absorb(float(t), p)
+        state.absorb(float(t), ds.matrix.T @ p)
 
 
 def test_oftl_w_vs_oracle(rng):
@@ -247,13 +247,13 @@ def test_oftl_w_vs_oracle(rng):
     hist = []
     hint = np.ones(4) / 4
     for t in range(1, 4):
-        w = state.decide(float(t), hint)
+        w = state.decide(float(t), ds.matrix.T @ hint)
         weighted = sum(al * p for al, p in hist) + t * hint
         total = sum(al for al, _ in hist) + t
         oracle = quadratic_argmin(ds.matrix, weighted, total)
         assert rel_linf(w, oracle) <= 1e-7
         p = rng.dirichlet(np.ones(4))
-        state.absorb(float(t), p)
+        state.absorb(float(t), ds.matrix.T @ p)
         hist.append((float(t), p))
         hint = p
 
@@ -265,7 +265,7 @@ def test_unregularized_ftrl_w_vs_oracle(rng):
     for t in range(1, 4):
         p = rng.dirichlet(np.ones(4))
         hist.append((float(t), p))
-        w = plus_step(state, float(t), p)
+        w = plus_step(state, float(t), ds.matrix.T @ p)
         weighted = sum(al * pp for al, pp in hist)
         total = sum(al for al, _ in hist)
         oracle = quadratic_argmin(ds.matrix, weighted, total)
@@ -280,7 +280,7 @@ def test_qnorm_oftrl_vs_oracle(rng):
     hist = []
     hint = np.ones(4) / 4
     for t in range(1, 4):
-        w = state.decide(1.0, hint)
+        w = state.decide(1.0, ds.matrix.T @ hint)
         weighted = sum(p for p in hist) + hint
         theta = ds.matrix.T @ weighted
 
@@ -295,7 +295,7 @@ def test_qnorm_oftrl_vs_oracle(rng):
                        method="BFGS", options={"gtol": 1e-13, "maxiter": 5000})
         assert rel_linf(w, res.x) <= 1e-7
         p = rng.dirichlet(np.ones(4))
-        state.absorb(1.0, p)
+        state.absorb(1.0, ds.matrix.T @ p)
         hist.append(p)
         hint = p
 
@@ -304,12 +304,13 @@ def test_omd_ball_vs_oracle(rng):
     d, eta = 3, 0.8
     grads = rng.standard_normal((8, d))     # hint, realized for 4 rounds
     # the gradient -(A' p) at the distribution on row k alone is grads[k]
-    state = OmdBall(eta=eta).start(-grads)
+    a = -grads
+    state = OmdBall(eta=eta).start(a)
     on_row = np.eye(8)
     for k in range(0, 8, 2):
         hint, realized = grads[k], grads[k + 1]
         anchor = state.w_hat.copy()
-        w = state.decide(1.0, on_row[k])
+        w = state.decide(1.0, a.T @ on_row[k])
 
         def prox(g):
             def objective(z):
@@ -322,17 +323,18 @@ def test_omd_ball_vs_oracle(rng):
             return res.x
 
         assert rel_linf(w, prox(hint)) <= 1e-6
-        state.absorb(1.0, on_row[k + 1])
+        state.absorb(1.0, a.T @ on_row[k + 1])
         assert rel_linf(state.w_hat, prox(realized)) <= 1e-6
 
 
 def test_omd_ball_interior_and_boundary(rng):
     # row k of A is -g_k, so the distribution on row k has gradient g_k
-    state = OmdBall(eta=1.0).start(np.array([[-0.3, 0.0], [-2.0, 0.0]]))
+    a = np.array([[-0.3, 0.0], [-2.0, 0.0]])
+    state = OmdBall(eta=1.0).start(a)
     p = np.array([1.0, 0.0])
-    assert np.allclose(state.decide(1.0, p), [-0.3, 0.0], atol=1e-15)
+    assert np.allclose(state.decide(1.0, a.T @ p), [-0.3, 0.0], atol=1e-15)
     p2 = np.array([0.0, 1.0])
-    w = state.decide(1.0, p2)
+    w = state.decide(1.0, a.T @ p2)
     assert np.allclose(w, [-1.0, 0.0], atol=1e-15)
 
 
