@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import Dataset, GameObjective
 from .dynamics import (DynamicsConfig, PlayOrder, Trace, WeightSchedule,
-                       run_dynamics)
+                       run_dynamics, run_dynamics_batch)
 from .errors import BadParameter, TooFewRows
 from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, OftlPrevLoss,
                        OftrlEntropyPrev, OftrlQNorm, OmdBall, OmdEntropy,
@@ -84,12 +84,20 @@ class Algorithm:
         return 0.25 * trace.w_sum if self.quarter_sum else trace.w_bar
 
     def run(self, dataset: Dataset, horizon: int, p_exp: float):
-        """Returns (trace or None, final vector, R^w, R^p)."""
+        """Returns (trace or None, final vector, R^w, R^p); the trace holds
+        the per-round records but not the iterates."""
+        return self.run_batch([dataset], horizon, p_exp)[0]
+
+    def run_batch(self, datasets: list[Dataset], horizon: int, p_exp: float):
+        """`run` on each of several datasets of one shape, played as one
+        batch; each result is bit-identical to its own `run`."""
         if self.config is None:
-            w, _, _ = vanilla_perceptron(dataset, horizon)
-            return None, w, float("nan"), float("nan")
-        trace = run_dynamics(self.config(dataset.n, horizon, p_exp), dataset)
-        return trace, self.output(trace), trace.regret_w, trace.regret_p
+            return [(None, vanilla_perceptron(ds, horizon)[0], float("nan"), float("nan"))
+                    for ds in datasets]
+        config = dataclasses.replace(self.config(datasets[0].n, horizon, p_exp),
+                                     record_full_trace=False)
+        return [(trace, self.output(trace), trace.regret_w, trace.regret_p)
+                for trace in run_dynamics_batch(config, datasets)]
 
 
 # --T auto: the theory horizons at which each method is guaranteed a clean margin

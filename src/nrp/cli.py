@@ -22,6 +22,9 @@ TRACE_HEADER = ("t,alpha,margin_avg,normalized_margin,l1_delta_p,"
 SUMMARY_HEADER = ("algo,n,d,gamma,T,final_margin,final_normalized_margin,"
                   "Rw,Rp,wallclock_ms")
 ALGOS = tuple(alg.ALGORITHMS)
+# `nrp sweep` splits a group of same-shape cells into batches whose stacked
+# data matrices stay under this many bytes
+SWEEP_BATCH_BYTES = 32 << 20
 
 
 def _fmt(x) -> str:
@@ -147,23 +150,33 @@ def cmd_sweep(args) -> int:
     header = ("algo,n,d,gamma,p,seed,T,final_margin,final_normalized_margin,"
               "Rw,Rp,wallclock_ms")
 
-    def cell(item):
-        algo, n, gamma, p, seed, horizon = item
+    # cells that share (algo, n, p, T) play one game on datasets of one
+    # shape, so each group runs as batches; a cell's row does not depend on
+    # the batch it ran in
+    groups: dict[tuple, list[tuple[int, float, int]]] = {}
+    for index, (algo, n, gamma, p, seed, horizon) in enumerate(grid):
+        groups.setdefault((algo, n, p, horizon), []).append((index, gamma, seed))
+    rows: list[str | None] = [None] * len(grid)
+    for (algo, n, p, horizon), cells in groups.items():
         mode = args.mode if p == 2.0 or args.mode == "lower" else "lower"
-        spec = GenSpec(n=n, d=args.d, gamma=gamma, norm_exponent=p,
-                       mode=_mode(mode), seed=seed)
-        dataset = generate(spec)
-        t0 = time.perf_counter()
-        _, final, rw, rp = alg.ALGORITHMS[algo].run(dataset, horizon, p)
-        ms = (time.perf_counter() - t0) * 1000.0
-        fm = margin(dataset, final)
-        fnm = (normalized_margin(dataset, final)
-               if float(np.linalg.norm(final)) > 0 else float("nan"))
-        return ",".join([algo, str(n), str(args.d), _fmt(gamma), _fmt(p),
-                         str(seed), str(horizon), _fmt(fm), _fmt(fnm),
-                         _fmt(rw), _fmt(rp), _fmt(ms)])
+        per_batch = max(1, SWEEP_BATCH_BYTES // max(1, 8 * n * args.d))
+        for start in range(0, len(cells), per_batch):
+            chunk = cells[start:start + per_batch]
+            datasets = [generate(GenSpec(n=n, d=args.d, gamma=gamma, norm_exponent=p,
+                                         mode=_mode(mode), seed=seed))
+                        for _, gamma, seed in chunk]
+            t0 = time.perf_counter()
+            results = alg.ALGORITHMS[algo].run_batch(datasets, horizon, p)
+            ms = (time.perf_counter() - t0) * 1000.0 / len(chunk)
+            for (index, gamma, seed), dataset, (_, final, rw, rp) in zip(
+                    chunk, datasets, results):
+                fm = margin(dataset, final)
+                fnm = (normalized_margin(dataset, final)
+                       if float(np.linalg.norm(final)) > 0 else float("nan"))
+                rows[index] = ",".join([algo, str(n), str(args.d), _fmt(gamma), _fmt(p),
+                                        str(seed), str(horizon), _fmt(fm), _fmt(fnm),
+                                        _fmt(rw), _fmt(rp), _fmt(ms)])
 
-    rows = [cell(item) for item in grid]
     with open(args.out, "w") as fh:
         fh.write(header + "\n")
         for row in rows:

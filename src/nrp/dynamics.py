@@ -9,6 +9,10 @@ data matrix twice, once for A'p_t and once for A w_t, plus once for each
 secondary iterate an OMD player shows.  The regret comparator reads the
 running sum of the g_t, and the margin of the running average w_bar is the
 minimum of the running sum of the A w_t over the sum of the weights.
+
+`run_dynamics_batch` plays one configuration on B datasets of one shape in
+the same loop, over their stacked (B, n, d) matrices; each of its traces is
+bit-identical to the trace `run_dynamics` gives for that dataset alone.
 """
 
 from __future__ import annotations
@@ -113,8 +117,38 @@ def _validate(config: DynamicsConfig) -> None:
 
 def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
     """Execute the dynamics; deterministic given config and dataset."""
-    a = dataset.matrix
-    n, d = a.shape
+    return _play(config, [dataset])[0]
+
+
+def run_dynamics_batch(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
+    """Play one game on several datasets of one shape at once; each trace
+    is bit-identical to ``run_dynamics(config, dataset)`` of its dataset."""
+    return _play(config, datasets)
+
+
+def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x per instance: a is (n, d) or (B, n, d), x is (d,) or (B, d)."""
+    return np.matmul(a, x[..., None])[..., 0]
+
+
+def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
+    # The one engine loop.  Both entry points call it directly, so a profile
+    # of either public function sees the loop as its own time.  A single
+    # game keeps its vectors as (n,) or (d,) and its scalars as numpy
+    # scalars; a batch of B holds them as (B, n), (B, d) and (B,) arrays.
+    # Round 1 of a p-first game starts from a play shared by the batch.
+    if not datasets:
+        raise BadParameter("no datasets to play")
+    shape = datasets[0].matrix.shape
+    if any(ds.matrix.shape != shape for ds in datasets):
+        raise BadParameter("a batch needs datasets of one shape, got "
+                           + ", ".join(sorted({str(ds.matrix.shape) for ds in datasets})))
+    batch = len(datasets)
+    # one dataset multiplies by its own matrix, a batch by a stacked copy
+    a = datasets[0].matrix if batch == 1 else np.stack([ds.matrix for ds in datasets])
+    at = a.swapaxes(-1, -2)
+    lead = a.shape[:-2]            # () or (B,)
+    n, d = shape
     horizon = config.horizon
     alphas = _alphas(config.weight_schedule, horizon)
     ridge = config.objective is GameObjective.L2_REGULARIZED
@@ -123,96 +157,103 @@ def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
     pl = config.p_learner.start(a)
 
     record = config.record_full_trace
-    ws = np.empty((horizon, d)) if record else None
-    ps = np.empty((horizon, n)) if record else None
-    l1_delta = np.empty(horizon)
-    margin_avg = np.empty(horizon)
-    norm_margin = np.empty(horizon)
-    rw_running = np.empty(horizon)
-    rp_running = np.empty(horizon)
-    gap_running = np.empty(horizon)
+    ws = np.empty((batch, horizon, d)) if record else None
+    ps = np.empty((batch, horizon, n)) if record else None
+    # per-round records, one row per instance
+    l1_delta, worst_rec, wsq_rec, rw_rec, rp_rec = (np.empty((batch, horizon))
+                                                    for _ in range(5))
 
     prev_p = np.ones(n) / n        # p_0
-    w_hint = a.T @ prev_p          # what a first-moving w-player sees of p_0
-    p_hint = np.zeros(n)           # A w_0 with w_0 = 0, for a first-moving p-player
-    w_sum = np.zeros(d)
-    p_sum = np.zeros(n)
-    g_sum = np.zeros(d)            # sum alpha_t A' p_t
+    # what a first-moving w-player sees of p_0; a first-moving p-player sees
+    # A w_0 with w_0 = 0
+    w_hint = _times(at, prev_p) if w_first else None
+    p_hint = np.zeros(n)
+    w_sum = np.zeros(lead + (d,))
+    p_sum = np.zeros(lead + (n,))
+    g_sum = np.zeros(lead + (d,))            # sum alpha_t A' p_t
+    cum_lossvec = np.zeros(lead + (n,))      # sum alpha_t A w_t
     cum_alpha = 0.0
     played_w = 0.0                 # sum alpha_t h_t(w_t)
     played_p = 0.0                 # sum alpha_t p_t' A w_t (constants dropped)
-    cum_lossvec = np.zeros(n)      # sum alpha_t A w_t
-    sum_sq_delta = 0.0
 
     def dual(shown, p_t, g_t):
         # A' of what the p-player shows, reusing g_t when it shows its play
-        return g_t if shown is p_t else a.T @ shown
+        return g_t if shown is p_t else _times(at, shown)
 
     for t in range(1, horizon + 1):
         alpha = alphas[t - 1]
         # the second mover's hint is what the first shows of this round's play
         if w_first:
             w_t = wl.decide(alpha, w_hint)
-            loss = a @ w_t
+            loss = _times(a, w_t)
             p_t = pl.decide(alpha, wl.shown(loss))
-            g_t = a.T @ p_t
+            g_t = _times(at, p_t)
         else:
             p_t = pl.decide(alpha, p_hint)
-            g_t = a.T @ p_t
+            g_t = _times(at, p_t)
             w_t = wl.decide(alpha, dual(pl.shown(p_t), p_t, g_t))
-            loss = a @ w_t
+            loss = _times(a, w_t)
         wl.absorb(alpha, g_t)
         pl.absorb(alpha, loss)
 
-        if not (np.all(np.isfinite(w_t)) and np.all(np.isfinite(p_t))):
+        # p_t is a softmax of checked scores, finite by construction
+        if not np.isfinite(w_t).all():
             raise NonFiniteIterate(t)
 
         # accounting
-        bilinear = float(p_t @ loss)
-        played_w += alpha * (-bilinear + (0.5 * float(w_t @ w_t) if ridge else 0.0))
-        played_p += alpha * bilinear
+        bilinear = np.vecdot(p_t, loss)
+        if ridge:
+            played_w = played_w + alpha * (-bilinear + 0.5 * np.vecdot(w_t, w_t))
+        else:
+            played_w = played_w - alpha * bilinear
+        played_p = played_p + alpha * bilinear
         cum_lossvec += alpha * loss
         w_sum += alpha * w_t
         p_sum += alpha * p_t
         g_sum += alpha * g_t
         cum_alpha += alpha
-        delta = float(np.abs(p_t - prev_p).sum())
-        sum_sq_delta += delta * delta
 
-        worst = float(np.min(cum_lossvec))   # min_i (A w_sum)_i
-        rw = played_w - wl.comparator_value(g_sum, cum_alpha)
-        rp = played_p - worst
-
-        l1_delta[t - 1] = delta
-        margin_avg[t - 1] = worst / cum_alpha
-        wnorm = float(np.linalg.norm(w_sum))
-        norm_margin[t - 1] = worst / wnorm if wnorm > 0.0 else np.nan
-        rw_running[t - 1] = rw
-        rp_running[t - 1] = rp
-        gap_running[t - 1] = (rw + rp) / cum_alpha
+        worst = cum_lossvec.min(axis=-1)      # min_i (A w_sum)_i
+        l1_delta[:, t - 1] = np.abs(p_t - prev_p).sum(axis=-1)
+        worst_rec[:, t - 1] = worst
+        wsq_rec[:, t - 1] = np.vecdot(w_sum, w_sum)
+        rw_rec[:, t - 1] = played_w - wl.comparator_value(g_sum, cum_alpha)
+        rp_rec[:, t - 1] = played_p - worst
         if record:
-            ws[t - 1] = w_t
-            ps[t - 1] = p_t
+            ws[:, t - 1] = w_t
+            ps[:, t - 1] = p_t
 
         prev_p = p_t
-        if w_first:
-            w_hint = dual(pl.shown(p_t), p_t, g_t)
-        else:
-            p_hint = wl.shown(loss)
+        if t < horizon:            # the next hint is read only by a next round
+            if w_first:
+                w_hint = dual(pl.shown(p_t), p_t, g_t)
+            else:
+                p_hint = wl.shown(loss)
 
-    return Trace(
-        config=config, alphas=alphas, ws=ws, ps=ps,
-        l1_delta_p=l1_delta, margin_avg=margin_avg,
-        normalized_margin=norm_margin,
-        regret_w_running=rw_running, regret_p_running=rp_running,
-        gap_bound_running=gap_running,
-        w_bar=w_sum / cum_alpha, p_bar=p_sum / cum_alpha, w_sum=w_sum.copy(),
+    cum_alphas = np.cumsum(alphas)           # sum of the alphas after each round
+    wnorm = np.sqrt(wsq_rec)
+    norm_margin = np.full((batch, horizon), np.nan)
+    np.divide(worst_rec, wnorm, out=norm_margin, where=wnorm > 0.0)
+    margin_avg = worst_rec / cum_alphas
+    gap_running = (rw_rec + rp_rec) / cum_alphas
+    # summed in round order, as a running total would; np.sum pairs terms
+    sum_sq_delta = np.cumsum(l1_delta * l1_delta, axis=-1)[:, -1]
+    w_sum = w_sum.reshape(batch, d)
+    p_sum = p_sum.reshape(batch, n)
+    return [Trace(
+        config=config, alphas=alphas.copy(),
+        ws=ws[b] if record else None, ps=ps[b] if record else None,
+        l1_delta_p=l1_delta[b], margin_avg=margin_avg[b],
+        normalized_margin=norm_margin[b],
+        regret_w_running=rw_rec[b], regret_p_running=rp_rec[b],
+        gap_bound_running=gap_running[b],
+        w_bar=w_sum[b] / cum_alpha, p_bar=p_sum[b] / cum_alpha, w_sum=w_sum[b].copy(),
         sum_alpha=cum_alpha,
-        regret_w=float(rw_running[-1]), regret_p=float(rp_running[-1]),
-        gap_bound=float(gap_running[-1]),
+        regret_w=float(rw_rec[b, -1]), regret_p=float(rp_rec[b, -1]),
+        gap_bound=float(gap_running[b, -1]),
         w_geometry=config.w_learner.geometry,
-        sum_sq_l1_delta=sum_sq_delta,
-    )
+        sum_sq_l1_delta=float(sum_sq_delta[b]),
+    ) for b in range(batch)]
 
 
 def weighted_average(trace: Trace) -> np.ndarray:

@@ -22,6 +22,12 @@ vector and output a max-subtracted softmax; nothing multiplicative is
 stored, so underflow cannot compound.  The w-side learners keep the
 weighted sum of the dual vectors they absorbed and apply the appropriate
 mirror/dual map.
+
+The kernels and states act on the last axis, so one state plays B games of
+one shape at once: started from a stack of B matrices, shape (B, n, d), it
+sizes itself from the last two axes and its vectors take the batch axis
+from the first (B, .) hint or play they meet; its comparator values are one
+per game.  Each game gets the same bits as it would alone.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ class OftlPrevLoss:
     geometry = "l2_unconstrained"
 
     def start(self, a: np.ndarray) -> DualAveragingW:
-        return DualAveragingW(a.shape[1])
+        return DualAveragingW(a.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ class FtrlPlusEntropy:
             raise BadParameter("eta must be positive")
 
     def start(self, a: np.ndarray) -> EntropySimplex:
-        return EntropySimplex(a.shape[0], self.eta)
+        return EntropySimplex(a.shape[-2], self.eta)
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ class OftrlEntropyPrev:
             raise BadParameter("eta must be positive")
 
     def start(self, a: np.ndarray) -> EntropySimplex:
-        return EntropySimplex(a.shape[0], self.eta)
+        return EntropySimplex(a.shape[-2], self.eta)
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ class FtrlPlusUnregularized:
     geometry = "l2_unconstrained"
 
     def start(self, a: np.ndarray) -> DualAveragingW:
-        return DualAveragingW(a.shape[1])
+        return DualAveragingW(a.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,7 @@ class OftrlQNorm:
 
     def start(self, a: np.ndarray) -> DualAveragingW:
         _self_test_dual_map(self.q)
-        return DualAveragingW(a.shape[1], self.eta, self.q)
+        return DualAveragingW(a.shape[-1], self.eta, self.q)
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,7 @@ class OmdEntropy:
             raise BadParameter("eta must be positive")
 
     def start(self, a: np.ndarray) -> EntropySimplex:
-        return EntropySimplex(a.shape[0], self.eta, shows_hat=True)
+        return EntropySimplex(a.shape[-2], self.eta, shows_hat=True)
 
 
 LearnerSpec = (OftlPrevLoss | FtrlPlusEntropy | OftrlEntropyPrev
@@ -138,40 +144,53 @@ LearnerSpec = (OftlPrevLoss | FtrlPlusEntropy | OftrlEntropyPrev
 # shared numeric kernels
 
 def softmax_neg(scores: np.ndarray) -> np.ndarray:
-    """Normalized exp(-scores), max-subtracted.  Single implementation shared
-    by every learner and every original-form algorithm so the equivalence
-    checks compare identical roundoff paths."""
+    """Normalized exp(-scores) along the last axis, max-subtracted.  Single
+    implementation shared by every learner and every original-form algorithm
+    so the equivalence checks compare identical roundoff paths; each row of
+    a stack is normalized on its own."""
     s = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise NonFinite("softmax scores are not finite")
-    z = np.exp(-(s - s.min()))
-    z = np.maximum(z, TOL.underflow_floor)
-    return z / z.sum()
+    z = np.exp(s.min(axis=-1, keepdims=True) - s)
+    np.maximum(z, TOL.underflow_floor, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _row_norm(x: np.ndarray, ord: float = 2.0) -> np.ndarray:
+    """||x||_ord along the last axis, which is kept with length 1.  The l2
+    norm goes through the dot product, as np.linalg.norm computes it for a
+    single vector; any other norm takes its root of an array, never of a
+    scalar, whose power can round differently.  Either way a row of a stack
+    gets the same bits as the row on its own."""
+    if ord == 2.0:
+        return np.sqrt(np.vecdot(x, x))[..., None]
+    return np.linalg.norm(x, ord=ord, axis=-1, keepdims=True)
 
 
 def project_ball(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm <= 1.0:
-        return v
-    return v / norm
+    """Projection of each row onto the unit l2 ball; a row already inside
+    is divided by 1, which leaves it unchanged.  sqrt(max(|v|^2, 1)) is
+    max(|v|, 1) exactly, since sqrt is monotone and correctly rounded."""
+    return v / np.sqrt(np.maximum(np.vecdot(v, v), 1.0))[..., None]
 
 
 def qnorm_dual_map(theta: np.ndarray, q: float) -> np.ndarray:
-    """Gradient of the conjugate of ||.||_q^2 / (2(q-1)).
+    """Gradient of the conjugate of ||.||_q^2 / (2(q-1)), row by row.
 
     With 1/p + 1/q = 1 the map is
         w_i = (q-1) sign(theta_i) |theta_i|^(p-1) ||theta||_p^(2-p),
     the identity when q = 2, and 0 at theta = 0.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise NonFinite("dual map input not finite")
     if q == 2.0:
         return theta.copy()
     p = q / (q - 1.0)
-    norm = float(np.linalg.norm(theta, ord=p))
-    if norm == 0.0:
-        return np.zeros_like(theta)
+    norm = _row_norm(theta, p)
+    # a zero row maps to 0 through sign(0) = 0; the 1 only avoids 0 ** (2 - p)
+    norm = np.where(norm == 0.0, 1.0, norm)
     return (q - 1.0) * np.sign(theta) * np.abs(theta) ** (p - 1.0) * norm ** (2.0 - p)
 
 
@@ -275,13 +294,14 @@ class DualAveragingW:
     def shown(self, loss: np.ndarray) -> np.ndarray:
         return loss
 
-    def comparator_value(self, g_sum: np.ndarray, cum_alpha: float) -> float:
+    def comparator_value(self, g_sum: np.ndarray, cum_alpha: float):
         """Minimum of the weighted cumulative loss, given g_sum = A' (sum of
         alpha_t p_t), over R^d (ridge losses) or, for bilinear losses, whose
-        unconstrained minimum is -inf, over the unit q-norm ball."""
+        unconstrained minimum is -inf, over the unit q-norm ball; one value
+        per row of g_sum."""
         if self.eta is None:
-            return -0.5 * float(np.dot(g_sum, g_sum)) / cum_alpha
-        return -float(np.linalg.norm(g_sum, ord=self.q / (self.q - 1.0)))
+            return -0.5 * np.vecdot(g_sum, g_sum) / cum_alpha
+        return -_row_norm(g_sum, self.q / (self.q - 1.0))[..., 0]
 
 
 class OmdBallState:
@@ -292,7 +312,7 @@ class OmdBallState:
     def __init__(self, a: np.ndarray, eta: float):
         self.a = a
         self.eta = eta
-        self.w_hat = np.zeros(a.shape[1])
+        self.w_hat = np.zeros(a.shape[-1])
 
     def _step(self, alpha: float, g: np.ndarray) -> np.ndarray:
         return project_ball(self.w_hat + self.eta * alpha * g)
@@ -304,11 +324,12 @@ class OmdBallState:
         self.w_hat = self._step(alpha, realized)
 
     def shown(self, loss: np.ndarray) -> np.ndarray:
-        return self.a @ self.w_hat
+        return np.matmul(self.a, self.w_hat[..., None])[..., 0]
 
-    def comparator_value(self, g_sum: np.ndarray, cum_alpha: float) -> float:
-        """Minimum of the weighted cumulative loss over the unit ball."""
-        return -float(np.linalg.norm(g_sum))
+    def comparator_value(self, g_sum: np.ndarray, cum_alpha: float):
+        """Minimum of the weighted cumulative loss over the unit ball, one
+        value per row of g_sum."""
+        return -_row_norm(g_sum)[..., 0]
 
 
 # ---------------------------------------------------------------------------

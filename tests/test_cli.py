@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from nrp.algorithms import (mpfp_config, nag_config, pnorm_config,
+from nrp import cli
+from nrp.algorithms import (Algorithm, mpfp_config, nag_config, pnorm_config,
                             smooth_config, vanilla_perceptron)
 from nrp.cli import ALGOS, SUMMARY_HEADER, TRACE_HEADER, main
 from nrp.core import margin, read_dataset
@@ -130,15 +131,45 @@ def test_sweep_grid_and_ordering(tmp_path, capsys):
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["sweep", "--algos", "mpfp", "--n", "8", "--gamma", "0.3",
-            "--seed", "0", "1", "--T", "15"]
-    assert run_cli(capsys, *args, "--out", str(a))[0] == 0
-    assert run_cli(capsys, *args, "--out", str(b))[0] == 0
-    # ignore the wallclock column when comparing
-    strip = lambda p: [",".join(r.split(",")[:-1]) for r in
-                       p.read_text().splitlines()]
-    assert strip(a) == strip(b)
+    # one sweep plays the four seeds of each (algo, n, p, T) group as one
+    # batch; four single-seed sweeps play each alone.  Rows must agree
+    # byte for byte apart from the wallclock column.
+    args = ["sweep", "--algos", "smooth", "nag", "mpfp", "pnorm", "--n", "16",
+            "--gamma", "0.3", "--p", "2", "3", "--T", "15"]
+    batched = tmp_path / "batched.csv"
+    assert run_cli(capsys, *args, "--seed", "0", "1", "2", "3",
+                   "--out", str(batched))[0] == 0
+    singles = []
+    for seed in range(4):
+        single = tmp_path / f"seed{seed}.csv"
+        assert run_cli(capsys, *args, "--seed", str(seed), "--out", str(single))[0] == 0
+        singles.append(single.read_text().splitlines())
+    strip = lambda lines: [line.rsplit(",", 1)[0] for line in lines]
+    rows = strip(batched.read_text().splitlines())
+    assert len(rows) == 1 + 4 * 2 * 4
+    # grid order: with one T, the seed varies fastest
+    assert rows[1:] == [row for cell in zip(*(strip(s)[1:] for s in singles))
+                        for row in cell]
+
+
+def test_sweep_split_batches_give_same_rows(tmp_path, capsys, monkeypatch):
+    args = ["sweep", "--algos", "mpfp", "nag", "--n", "16", "--d", "4",
+            "--seed", "0", "1", "2", "--T", "10"]
+    whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
+    assert run_cli(capsys, *args, "--out", str(whole))[0] == 0
+    sizes = []
+    run_batch = Algorithm.run_batch
+
+    def spy(self, datasets, horizon, p_exp):
+        sizes.append(len(datasets))
+        return run_batch(self, datasets, horizon, p_exp)
+
+    monkeypatch.setattr(Algorithm, "run_batch", spy)
+    monkeypatch.setattr(cli, "SWEEP_BATCH_BYTES", 2 * 8 * 16 * 4)
+    assert run_cli(capsys, *args, "--out", str(split))[0] == 0
+    assert sizes == [2, 1, 2, 1]
+    strip = lambda p: [line.rsplit(",", 1)[0] for line in p.read_text().splitlines()]
+    assert strip(whole) == strip(split)
 
 
 def test_sweep_empty_grid_header_only(tmp_path, capsys):
@@ -187,6 +218,13 @@ def test_run_single_row_exit_2(capsys, algo, horizon):
 def test_bad_input_exit_2(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
     assert code == 2 and err.startswith("error: ")
+
+
+def test_run_nan_norm_exponent_exit_2(capsys):
+    code, _, err = run_cli(capsys, "run", "--n", "8", "--d", "3", "--p", "nan",
+                           "--mode", "lower", "--T", "5", "--algo", "smooth")
+    assert code == 2
+    assert "norm_exponent" in err and "nan" in err
 
 
 @pytest.mark.parametrize("command", [["run", "--algo", "smooth"],

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from nrp.core import GameObjective, best_response_value, margin
+from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import (DynamicsConfig, PlayOrder, WeightSchedule,
-                          gap_bound_check, run_dynamics, weighted_average)
-from nrp.errors import IncompatibleConfig
+                          gap_bound_check, run_dynamics, run_dynamics_batch,
+                          weighted_average)
+from nrp.errors import BadParameter, IncompatibleConfig
 from nrp.learners import (FtrlPlusEntropy, OftlPrevLoss, OmdBall, OmdEntropy,
                           regret_p_from_arrays, regret_w_from_arrays,
                           weighted_regret_p, weighted_regret_w)
@@ -127,14 +130,52 @@ def test_running_regrets_match_oracle_every_round(rng):
                                             ("mpfp", 4), ("pnorm", 2)])
 def test_engine_matvecs_per_round(rng, name, per_round):
     # one A'p and one A w per round, one more for each secondary iterate an
-    # OMD player shows, and A'(1/n) once for the first w-hint
+    # OMD player shows, and A'(1/n) once for the first hint of a w-player
+    # that moves first (all but nag); no hint is formed after the last
+    # round, which saves mpfp the A' of its last secondary iterate
     n, T = 30, 25
     ds = random_dataset(rng, n, 5)
     config = {"smooth": smooth_config(T), "nag": nag_config(T),
               "mpfp": mpfp_config(n, T), "pnorm": pnorm_config(n, T, 2.0)}[name]
+    once = {"smooth": 1, "nag": 0, "mpfp": 0, "pnorm": 1}[name]
     counter = count_matvecs(ds)
     run_dynamics(config, ds)
-    assert counter[0] <= per_round * T + 1
+    assert counter[0] == per_round * T + once
+
+
+@pytest.mark.parametrize("name", ["smooth", "nag", "mpfp", "mpfp_p_first",
+                                  "pnorm2", "pnorm3"])
+def test_batch_instances_match_single_runs(name):
+    # mixed margins and seeds; lower-bound data, the only mode with p = 3 rows
+    n, d, T = 40, 6, 30
+    p_exp = 3.0 if name == "pnorm3" else 2.0
+    datasets = [generate(GenSpec(n=n, d=d, gamma=gamma, norm_exponent=p_exp,
+                                 mode=GenMode.LOWER_BOUND, seed=seed))
+                for gamma, seed in ((0.2, 0), (0.35, 1), (0.2, 5), (0.1, 2))]
+    config = {"smooth": smooth_config(T), "nag": nag_config(T),
+              "mpfp": mpfp_config(n, T),
+              "mpfp_p_first": dataclasses.replace(mpfp_config(n, T),
+                                                  order=PlayOrder.P_FIRST),
+              "pnorm2": pnorm_config(n, T, 2.0),
+              "pnorm3": pnorm_config(n, T, 3.0)}[name]
+    batch = run_dynamics_batch(config, datasets)
+    assert len(batch) == len(datasets)
+    for ds, got in zip(datasets, batch):
+        want = run_dynamics(config, ds)
+        for field in dataclasses.fields(want):
+            x, y = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(y, np.ndarray):
+                assert np.array_equal(x, y, equal_nan=True), field.name
+            else:
+                assert x == y or (x != x and y != y), field.name
+
+
+def test_batch_rejects_mixed_shapes(rng):
+    with pytest.raises(BadParameter):
+        run_dynamics_batch(smooth_config(5), [random_dataset(rng, 6, 3),
+                                              random_dataset(rng, 7, 3)])
+    with pytest.raises(BadParameter):
+        run_dynamics_batch(smooth_config(5), [])
 
 
 def test_margin_avg_is_margin_of_running_average(rng):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from nrp.learners import (FtrlPlusEntropy, FtrlPlusUnregularized,
@@ -89,6 +91,48 @@ def test_softmax_simplex_valid(rng):
     for _ in range(50):
         p = softmax_neg(rng.standard_normal(8) * 100)
         assert np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12
+
+
+def stacks(bound):
+    """(B, n) float64 stacks with finite entries in [-bound, bound], zeros
+    included."""
+    return st.tuples(st.integers(1, 5), st.integers(1, 9)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.one_of(
+            st.just(0.0), st.floats(-bound, bound, allow_nan=False))))
+
+
+@settings(deadline=None)
+@given(stacks(1e300))
+def test_softmax_rows_match_single_calls(s):
+    batched = softmax_neg(s)
+    for row, out in zip(s, batched):
+        assert np.array_equal(out, softmax_neg(row))
+
+
+@settings(deadline=None)
+@given(stacks(1e300))
+def test_softmax_rows_on_simplex_at_extreme_scores(s):
+    p = softmax_neg(s)
+    assert np.all(np.isfinite(p)) and np.all(p > 0.0)
+    assert np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
+
+
+@settings(deadline=None)
+@given(stacks(1e100))
+def test_project_ball_rows_match_single_calls(v):
+    batched = project_ball(v)
+    for row, out in zip(v, batched):
+        assert np.array_equal(out, project_ball(row))
+    assert np.all(np.linalg.norm(batched, axis=-1) <= 1.0 + 1e-15)
+
+
+@settings(deadline=None)
+@given(stacks(1e6), st.floats(1.05, 2.0))
+def test_qnorm_dual_map_rows_match_single_calls(theta, q):
+    batched = qnorm_dual_map(theta, q)
+    for row, out in zip(theta, batched):
+        assert np.array_equal(out, qnorm_dual_map(row, q))
+    assert not batched[~theta.any(axis=-1)].any()     # zero rows map to 0
 
 
 # ---------------------------------------------------------------------------
