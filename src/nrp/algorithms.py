@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, GameObjective
-from .dynamics import (DynamicsConfig, PlayOrder, Trace, WeightSchedule,
-                       run_dynamics, run_dynamics_batch)
+from .core import Dataset
+from .dynamics import DynamicsConfig, Trace, run_dynamics, run_dynamics_batch
 from .errors import BadParameter, TooFewRows
 from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, OftlPrevLoss,
                        OftrlEntropyPrev, OftrlQNorm, OmdBall, OmdEntropy,
@@ -25,16 +24,12 @@ from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, OftlPrevLoss,
 
 def smooth_config(horizon: int, record_full_trace: bool = True) -> DynamicsConfig:
     return DynamicsConfig(
-        objective=GameObjective.L2_REGULARIZED, order=PlayOrder.W_FIRST,
-        weight_schedule=WeightSchedule.LINEAR,
         w_learner=OftlPrevLoss(), p_learner=FtrlPlusEntropy(eta=0.25),
         horizon=horizon, record_full_trace=record_full_trace)
 
 
 def nag_config(horizon: int, record_full_trace: bool = True) -> DynamicsConfig:
     return DynamicsConfig(
-        objective=GameObjective.L2_REGULARIZED, order=PlayOrder.P_FIRST,
-        weight_schedule=WeightSchedule.LINEAR,
         w_learner=FtrlPlusUnregularized(), p_learner=OftrlEntropyPrev(eta=0.25),
         horizon=horizon, record_full_trace=record_full_trace)
 
@@ -44,8 +39,6 @@ def mpfp_config(n: int, horizon: int, record_full_trace: bool = True) -> Dynamic
         raise TooFewRows("mpfp", n)
     root = math.sqrt(math.log(n))
     return DynamicsConfig(
-        objective=GameObjective.BILINEAR, order=PlayOrder.W_FIRST,
-        weight_schedule=WeightSchedule.UNIFORM,
         w_learner=OmdBall(eta=1.0 / root), p_learner=OmdEntropy(eta=root),
         horizon=horizon, record_full_trace=record_full_trace)
 
@@ -59,8 +52,6 @@ def pnorm_config(n: int, horizon: int, p_exp: float,
     q = p_exp / (p_exp - 1.0)
     eta_w = math.sqrt(1.0 / (2.0 * (q - 1.0) * math.log(n)))
     return DynamicsConfig(
-        objective=GameObjective.BILINEAR, order=PlayOrder.W_FIRST,
-        weight_schedule=WeightSchedule.UNIFORM,
         w_learner=OftrlQNorm(eta=eta_w, q=q),
         p_learner=FtrlPlusEntropy(eta=1.0 / eta_w),
         horizon=horizon, record_full_trace=record_full_trace)

@@ -15,7 +15,7 @@ import numpy as np
 from . import algorithms as alg
 from .core import Dataset, margin, normalized_margin, read_dataset, write_dataset
 from .datagen import GenMode, GenSpec, generate
-from .errors import NrpError, TooFewRows
+from .errors import BadOutputPath, BadParameter, NrpError, TooFewRows
 
 TRACE_HEADER = ("t,alpha,margin_avg,normalized_margin,l1_delta_p,"
                 "regret_w_running,regret_p_running,gap_bound")
@@ -43,21 +43,26 @@ def _horizon(text: str):
     return text if text == "auto" else int(text)
 
 
-def _add_gen_flags(sp, with_out=True):
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
+def _add_gen_flags(sp, with_data):
+    """The flags that generate a dataset; with_data adds --data, a dataset
+    file that replaces them, so --n and --d are then required only without
+    it."""
+    if with_data:
+        sp.add_argument("--data", help="dataset file (overrides gen flags)")
+    sp.add_argument("--n", type=int, required=not with_data)
+    sp.add_argument("--d", type=int, required=not with_data)
     sp.add_argument("--gamma", type=float, default=0.3)
     sp.add_argument("--p", type=float, default=2.0, help="row-norm exponent")
     sp.add_argument("--mode", choices=("lower", "exact", "infeasible"),
                     default="exact")
     sp.add_argument("--seed", type=int, default=0)
-    if with_out:
-        sp.add_argument("--out", required=True)
 
 
 def _gen_dataset(args) -> Dataset:
     if getattr(args, "data", None):
         return read_dataset(args.data)
+    if args.n is None or args.d is None:
+        raise BadParameter("--n and --d are required without --data")
     if not (0.0 < args.gamma < 1.0) and args.mode != "infeasible":
         raise NrpError(f"--gamma {args.gamma} outside (0, 1)")
     spec = GenSpec(n=args.n, d=args.d, gamma=args.gamma,
@@ -111,12 +116,15 @@ def cmd_run(args) -> int:
     ms = (time.perf_counter() - t0) * 1000.0
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"trace_{args.algo}.csv")
-        with open(path, "w") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            if trace is not None:
-                fh.write("\n".join(_trace_rows(trace)) + "\n")
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            with open(path, "w") as fh:
+                fh.write(TRACE_HEADER + "\n")
+                if trace is not None:
+                    fh.write("\n".join(_trace_rows(trace)) + "\n")
+        except OSError as exc:
+            raise BadOutputPath(path, exc) from None
     fm = margin(dataset, final)
     fnm = (normalized_margin(dataset, final)
            if float(np.linalg.norm(final)) > 0 else float("nan"))
@@ -177,10 +185,13 @@ def cmd_sweep(args) -> int:
                                         str(seed), str(horizon), _fmt(fm), _fmt(fnm),
                                         _fmt(rw), _fmt(rp), _fmt(ms)])
 
-    with open(args.out, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(row + "\n")
+    except OSError as exc:
+        raise BadOutputPath(args.out, exc) from None
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -192,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen", help="generate a synthetic dataset file")
-    _add_gen_flags(sp)
+    _add_gen_flags(sp, with_data=False)
+    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("run", help="run one algorithm, emit trace + summary")
     sp.add_argument("--algo", choices=ALGOS, required=True)
-    sp.add_argument("--data", help="dataset file (overrides gen flags)")
-    _add_gen_flags(sp, with_out=False)
+    _add_gen_flags(sp, with_data=True)
     sp.add_argument("--T", default="auto", type=_horizon,
                     help="horizon, integer or 'auto'")
     sp.add_argument("--p-exp", dest="p_exp", type=float, default=None)
@@ -208,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("equiv", help="original form vs dynamics form check")
     sp.add_argument("--which", choices=[e.value for e in alg.EquivalencePair],
                     required=True)
-    sp.add_argument("--data", help="dataset file (overrides gen flags)")
-    _add_gen_flags(sp, with_out=False)
+    _add_gen_flags(sp, with_data=True)
     sp.add_argument("--T", type=int, required=True)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--perturb", type=float, default=0.0,

@@ -8,12 +8,13 @@ positive inner product with w.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadDatasetFile, BadLabel, BadParameter, NonFinite,
-                     RowNormViolation, ZeroVector)
+from .errors import (BadDatasetFile, BadLabel, BadOutputPath, BadParameter,
+                     NonFinite, RowNormViolation, ZeroVector)
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,6 @@ class Tolerances:
     invariant_slack: float = 1e-12
     simplex_sum: float = 1e-12
     underflow_floor: float = 1e-300
-    bound_slack: float = 1e-9
 
 
 TOL = Tolerances()
@@ -81,18 +81,20 @@ class Dataset:
         if not np.all(np.isfinite(a)):
             raise NonFinite("data matrix has non-finite entries")
         p = float(self.norm_exponent)
-        if not p >= 2.0:
-            raise BadParameter("norm_exponent must be >= 2")
+        if not 2.0 <= p < math.inf:
+            raise BadParameter(f"norm_exponent must lie in [2, inf), got {p}")
         norms = np.linalg.norm(a, ord=p, axis=1)
         bad = np.flatnonzero(norms > 1.0 + TOL.invariant_slack)
         if bad.size:
             i = int(bad[0])
             raise RowNormViolation(i, float(norms[i]), 1.0 + TOL.invariant_slack)
+        if self.w_star is not None and not np.all(np.isfinite(self.w_star)):
+            raise BadParameter("w_star has non-finite entries")
         if self.known_margin is not None and self.w_star is not None:
             q = p / (p - 1.0)
             if np.linalg.norm(self.w_star, ord=q) > 1.0 + TOL.invariant_slack:
                 raise BadParameter("w_star dual norm exceeds 1")
-            if float(np.min(a @ self.w_star)) < self.known_margin - TOL.invariant_slack:
+            if not float(np.min(a @ self.w_star)) >= self.known_margin - TOL.invariant_slack:
                 raise BadParameter("w_star does not certify known_margin")
 
     @property
@@ -185,19 +187,24 @@ def _fmt(x: float) -> str:
 
 
 def write_dataset(dataset: Dataset, path) -> None:
+    """Write the text format; a path that cannot be written raises
+    BadOutputPath."""
     labels = dataset.labels
     if labels is None:
         labels = np.ones(dataset.n, dtype=np.int64)
-    with open(path, "w") as fh:
-        fh.write(f"{dataset.n} {dataset.d} {_fmt(dataset.norm_exponent)}\n")
-        for i in range(dataset.n):
-            x = dataset.matrix[i] * labels[i]
-            fh.write(f"{int(labels[i])} " + " ".join(_fmt(v) for v in x) + "\n")
-        if dataset.known_margin is not None:
-            fh.write(f"# known_margin={_fmt(dataset.known_margin)}\n")
-            fh.write(f"# exact={'true' if dataset.exact_margin else 'false'}\n")
-        if dataset.w_star is not None:
-            fh.write("# w_star=" + " ".join(_fmt(v) for v in dataset.w_star) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(f"{dataset.n} {dataset.d} {_fmt(dataset.norm_exponent)}\n")
+            for i in range(dataset.n):
+                x = dataset.matrix[i] * labels[i]
+                fh.write(f"{int(labels[i])} " + " ".join(_fmt(v) for v in x) + "\n")
+            if dataset.known_margin is not None:
+                fh.write(f"# known_margin={_fmt(dataset.known_margin)}\n")
+                fh.write(f"# exact={'true' if dataset.exact_margin else 'false'}\n")
+            if dataset.w_star is not None:
+                fh.write("# w_star=" + " ".join(_fmt(v) for v in dataset.w_star) + "\n")
+    except OSError as exc:
+        raise BadOutputPath(path, exc) from None
 
 
 def _header(path, no: int, line: str) -> tuple[int, int, float]:

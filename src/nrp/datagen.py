@@ -36,8 +36,9 @@ class GenSpec:
             raise BadParameter("gamma must lie in (0, 1)")
         if self.mode in (GenMode.EXACT_MARGIN, GenMode.INFEASIBLE) and self.d < 2:
             raise BadParameter(f"{self.mode.value} mode needs d >= 2")
-        if not self.norm_exponent >= 2.0:
-            raise BadParameter(f"norm_exponent must be >= 2, got {self.norm_exponent}")
+        if not 2.0 <= self.norm_exponent < math.inf:
+            raise BadParameter("norm_exponent must lie in [2, inf), "
+                               f"got {self.norm_exponent}")
         if self.mode is GenMode.EXACT_MARGIN:
             # the construction's symmetric pair of rows is Euclidean
             if self.n < 2:

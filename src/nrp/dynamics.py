@@ -26,7 +26,7 @@ from .core import Dataset, GameObjective, best_response_value
 from .errors import BadParameter, IncompatibleConfig, NonFiniteIterate
 from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, LearnerSpec,
                        OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
-                       OmdEntropy)
+                       OmdEntropy, comparator_value)
 
 
 class PlayOrder(enum.Enum):
@@ -39,11 +39,26 @@ class WeightSchedule(enum.Enum):
     UNIFORM = "uniform"   # alpha_t = 1
 
 
+# (w-learner, p-learner) -> (play order, payoff, weights) of the game the
+# pair plays: the pair alone names the accelerated Perceptron
+_GAMES = {
+    (OftlPrevLoss, FtrlPlusEntropy): (PlayOrder.W_FIRST, GameObjective.L2_REGULARIZED,
+                                      WeightSchedule.LINEAR),
+    (OftrlQNorm, FtrlPlusEntropy): (PlayOrder.W_FIRST, GameObjective.BILINEAR,
+                                    WeightSchedule.UNIFORM),
+    (FtrlPlusUnregularized, OftrlEntropyPrev): (PlayOrder.P_FIRST,
+                                                GameObjective.L2_REGULARIZED,
+                                                WeightSchedule.LINEAR),
+    (OmdBall, OmdEntropy): (PlayOrder.W_FIRST, GameObjective.BILINEAR,
+                            WeightSchedule.UNIFORM),
+}
+
+
 @dataclass(frozen=True)
 class DynamicsConfig:
-    objective: GameObjective
-    order: PlayOrder
-    weight_schedule: WeightSchedule
+    """T rounds of the game a pair of learners plays; the pair's types fix
+    the play order, the payoff and the weights (`_GAMES`)."""
+
     w_learner: LearnerSpec
     p_learner: LearnerSpec
     horizon: int
@@ -52,7 +67,18 @@ class DynamicsConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise BadParameter("horizon must be >= 1")
-        _validate(self)
+        pair = _pair(self)
+        if pair not in _GAMES:
+            names = " / ".join(cls.__name__ for cls in pair)
+            raise IncompatibleConfig(f"unsupported learner pair {names}")
+
+    @property
+    def objective(self) -> GameObjective:
+        return _GAMES[_pair(self)][1]
+
+
+def _pair(config: DynamicsConfig) -> tuple[type, type]:
+    return type(config.w_learner), type(config.p_learner)
 
 
 @dataclass
@@ -75,8 +101,6 @@ class Trace:
     sum_alpha: float
     regret_w: float
     regret_p: float
-    gap_bound: float
-    w_geometry: str
     sum_sq_l1_delta: float
 
     @property
@@ -88,31 +112,6 @@ def _alphas(schedule: WeightSchedule, horizon: int) -> np.ndarray:
     if schedule is WeightSchedule.LINEAR:
         return np.arange(1, horizon + 1, dtype=np.float64)
     return np.ones(horizon, dtype=np.float64)
-
-
-# (w-learner, p-learner) -> (play order, payoff) of the game the pair plays.
-# The OMD pair decides from hints alone, so it plays in either order.
-_GAMES = {
-    (OftlPrevLoss, FtrlPlusEntropy): (PlayOrder.W_FIRST, GameObjective.L2_REGULARIZED),
-    (OftrlQNorm, FtrlPlusEntropy): (PlayOrder.W_FIRST, GameObjective.BILINEAR),
-    (FtrlPlusUnregularized, OftrlEntropyPrev): (PlayOrder.P_FIRST,
-                                                GameObjective.L2_REGULARIZED),
-    (OmdBall, OmdEntropy): (None, GameObjective.BILINEAR),
-}
-
-
-def _validate(config: DynamicsConfig) -> None:
-    """Raise IncompatibleConfig unless the learner pair, play order and payoff
-    form one of the supported games."""
-    pair = (type(config.w_learner), type(config.p_learner))
-    names = " / ".join(cls.__name__ for cls in pair)
-    if pair not in _GAMES:
-        raise IncompatibleConfig(f"unsupported learner pair {names}")
-    order, objective = _GAMES[pair]
-    if order is not None and config.order is not order:
-        raise IncompatibleConfig(f"{names} plays {order.value}")
-    if config.objective is not objective:
-        raise IncompatibleConfig(f"{names} requires {objective}")
 
 
 def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
@@ -150,18 +149,25 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     lead = a.shape[:-2]            # () or (B,)
     n, d = shape
     horizon = config.horizon
-    alphas = _alphas(config.weight_schedule, horizon)
-    ridge = config.objective is GameObjective.L2_REGULARIZED
-    w_first = config.order is PlayOrder.W_FIRST
+    order, objective, schedule = _GAMES[_pair(config)]
+    ridge = objective is GameObjective.L2_REGULARIZED
+    w_first = order is PlayOrder.W_FIRST
     wl = config.w_learner.start(a)
     pl = config.p_learner.start(a)
+    ball_norm = config.w_learner.ball_norm
 
     record = config.record_full_trace
-    ws = np.empty((batch, horizon, d)) if record else None
-    ps = np.empty((batch, horizon, n)) if record else None
-    # per-round records, one row per instance
-    l1_delta, worst_rec, wsq_rec, rw_rec, rp_rec = (np.empty((batch, horizon))
-                                                    for _ in range(5))
+    try:
+        alphas = _alphas(schedule, horizon)
+        ws = np.empty((batch, horizon, d)) if record else None
+        ps = np.empty((batch, horizon, n)) if record else None
+        # per-round records, one row per instance
+        l1_delta, worst_rec, wsq_rec, rw_rec, rp_rec = (np.empty((batch, horizon))
+                                                        for _ in range(5))
+    except (ValueError, MemoryError):
+        # numpy refuses a size past its index range or past the memory
+        raise BadParameter(f"horizon T = {horizon} is too large: the trace "
+                           "records cannot be allocated") from None
 
     prev_p = np.ones(n) / n        # p_0
     # what a first-moving w-player sees of p_0; a first-moving p-player sees
@@ -217,7 +223,7 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
         l1_delta[:, t - 1] = np.abs(p_t - prev_p).sum(axis=-1)
         worst_rec[:, t - 1] = worst
         wsq_rec[:, t - 1] = np.vecdot(w_sum, w_sum)
-        rw_rec[:, t - 1] = played_w - wl.comparator_value(g_sum, cum_alpha)
+        rw_rec[:, t - 1] = played_w - comparator_value(ball_norm, g_sum, cum_alpha)
         rp_rec[:, t - 1] = played_p - worst
         if record:
             ws[:, t - 1] = w_t
@@ -250,8 +256,6 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
         w_bar=w_sum[b] / cum_alpha, p_bar=p_sum[b] / cum_alpha, w_sum=w_sum[b].copy(),
         sum_alpha=cum_alpha,
         regret_w=float(rw_rec[b, -1]), regret_p=float(rp_rec[b, -1]),
-        gap_bound=float(gap_running[b, -1]),
-        w_geometry=config.w_learner.geometry,
         sum_sq_l1_delta=float(sum_sq_delta[b]),
     ) for b in range(batch)]
 
@@ -263,12 +267,14 @@ def weighted_average(trace: Trace) -> np.ndarray:
     return trace.alphas @ trace.ws / trace.alphas.sum()
 
 
-def gap_bound_check(trace: Trace, dataset: Dataset, objective: GameObjective,
-                    comparator_w: np.ndarray, slack: float = 1e-9):
-    """Duality-gap guarantee: m(w) - m(w_bar) <= (R^p + R^w) / sum(alpha).
+def gap_bound_check(trace: Trace, dataset: Dataset, comparator_w: np.ndarray,
+                    slack: float = 1e-9):
+    """Duality-gap guarantee: m(w) - m(w_bar) <= (R^p + R^w) / sum(alpha),
+    with m the best response to w under the payoff of the trace's game.
 
     The comparator must lie in the w-player's decision set.
     """
+    objective = trace.config.objective
     lhs = (best_response_value(objective, dataset, comparator_w)
            - best_response_value(objective, dataset, trace.w_bar))
     rhs = (trace.regret_w + trace.regret_p) / trace.sum_alpha

@@ -20,6 +20,14 @@ class BadDatasetFile(NrpError):
         super().__init__(f"{where}: {problem}")
 
 
+class BadOutputPath(NrpError):
+    """An output file or directory cannot be created or written."""
+
+    def __init__(self, path, exc: OSError):
+        self.path = path
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+
+
 class RowNormViolation(NrpError):
     def __init__(self, index, norm, limit):
         self.index = index
@@ -58,11 +66,7 @@ class NonFiniteIterate(NrpError):
 
 
 class IncompatibleConfig(NrpError):
-    """Learner/objective/order combination outside the supported regimes."""
-
-
-class UnsupportedGeometry(NrpError):
-    """No closed-form regret comparator exists for the requested set."""
+    """A learner pair that plays none of the supported games."""
 
 
 class RejectionBudget(NrpError):

@@ -14,10 +14,11 @@ in the ridge games, so it sees p only through the d-vector g = A'p: its
 hints and realized plays are such dual vectors.  The p-player's are loss
 vectors A w.  A "plus" learner (FTRL that includes the current round) is
 ``decide`` with the realized play as its hint, so it is the player that
-moves second.  The w-side states also give the comparator value their
-regret is measured against.
+moves second.  Each w-spec's ``ball_norm`` names its decision set, None
+for R^d and b for the unit b-norm ball, and ``comparator_value`` gives the
+minimum over that set that the w-player's regret is measured against.
 
-Simplex learners (entropy geometry) keep the cumulative weighted loss
+Simplex learners (entropy regularizer) keep the cumulative weighted loss
 vector and output a max-subtracted softmax; nothing multiplicative is
 stored, so underflow cannot compound.  The w-side learners keep the
 weighted sum of the dual vectors they absorbed and apply the appropriate
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, NonFinite, UnsupportedGeometry
+from .errors import BadParameter, NonFinite
 from .core import TOL
 
 
@@ -47,7 +48,7 @@ from .core import TOL
 class OftlPrevLoss:
     """Optimistic FTL over R^d with previous-round hint; ridge-regularized
     losses make it well posed without an explicit regularizer."""
-    geometry = "l2_unconstrained"
+    ball_norm = None
 
     def start(self, a: np.ndarray) -> DualAveragingW:
         return DualAveragingW(a.shape[-1])
@@ -82,7 +83,7 @@ class OftrlEntropyPrev:
 @dataclass(frozen=True)
 class FtrlPlusUnregularized:
     """Unregularized follow-the-leader including the current round (R^d)."""
-    geometry = "l2_unconstrained"
+    ball_norm = None
 
     def start(self, a: np.ndarray) -> DualAveragingW:
         return DualAveragingW(a.shape[-1])
@@ -101,11 +102,10 @@ class OftrlQNorm:
             raise BadParameter("q must lie in (1, 2]")
 
     @property
-    def geometry(self) -> str:
-        return f"qnorm:{self.q}"
+    def ball_norm(self) -> float:
+        return self.q
 
     def start(self, a: np.ndarray) -> DualAveragingW:
-        _self_test_dual_map(self.q)
         return DualAveragingW(a.shape[-1], self.eta, self.q)
 
 
@@ -113,7 +113,7 @@ class OftrlQNorm:
 class OmdBall:
     """Optimistic mirror descent on the unit l2 ball."""
     eta: float
-    geometry = "ball"
+    ball_norm = 2.0
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -203,33 +203,6 @@ def qnorm_primal_grad(w: np.ndarray, q: float) -> np.ndarray:
     return np.sign(w) * np.abs(w) ** (q - 1.0) * norm ** (2.0 - q) / (q - 1.0)
 
 
-_dual_map_checked: set[float] = set()
-
-
-def _self_test_dual_map(q: float) -> None:
-    # One-time validation of the closed form against finite differences of
-    # the primal regularizer; the analytic form is easy to get wrong.
-    if q in _dual_map_checked:
-        return
-    rng = np.random.default_rng(0)
-    # magnitudes bounded away from 0: the regularizer's curvature blows up
-    # near zero coordinates for q close to 1 and finite differences there
-    # would be meaningless
-    theta = rng.choice([-1.0, 1.0], size=5) * rng.uniform(0.8, 1.5, size=5)
-    w = qnorm_dual_map(theta, q)
-    grad = np.empty_like(w)
-    for i in range(w.size):
-        h = 1e-6 * max(1.0, abs(w[i]))
-        e = np.zeros_like(w)
-        e[i] = h
-        rp = np.linalg.norm(w + e, ord=q) ** 2 / (2.0 * (q - 1.0))
-        rm = np.linalg.norm(w - e, ord=q) ** 2 / (2.0 * (q - 1.0))
-        grad[i] = (rp - rm) / (2.0 * h)
-    if not np.allclose(grad, theta, rtol=1e-4, atol=1e-4):
-        raise AssertionError(f"q-norm dual map self-test failed for q={q}")
-    _dual_map_checked.add(q)
-
-
 # ---------------------------------------------------------------------------
 # learner states: decide(alpha, hint), absorb(alpha, realized), shown(play)
 
@@ -294,15 +267,6 @@ class DualAveragingW:
     def shown(self, loss: np.ndarray) -> np.ndarray:
         return loss
 
-    def comparator_value(self, g_sum: np.ndarray, cum_alpha: float):
-        """Minimum of the weighted cumulative loss, given g_sum = A' (sum of
-        alpha_t p_t), over R^d (ridge losses) or, for bilinear losses, whose
-        unconstrained minimum is -inf, over the unit q-norm ball; one value
-        per row of g_sum."""
-        if self.eta is None:
-            return -0.5 * np.vecdot(g_sum, g_sum) / cum_alpha
-        return -_row_norm(g_sum, self.q / (self.q - 1.0))[..., 0]
-
 
 class OmdBallState:
     """Two-step Euclidean mirror descent on the unit ball against bilinear
@@ -326,41 +290,40 @@ class OmdBallState:
     def shown(self, loss: np.ndarray) -> np.ndarray:
         return np.matmul(self.a, self.w_hat[..., None])[..., 0]
 
-    def comparator_value(self, g_sum: np.ndarray, cum_alpha: float):
-        """Minimum of the weighted cumulative loss over the unit ball, one
-        value per row of g_sum."""
-        return -_row_norm(g_sum)[..., 0]
+
+# ---------------------------------------------------------------------------
+# the comparator the engine measures the w-player's running regret against
+
+def comparator_value(ball_norm: float | None, g_sum: np.ndarray, cum_alpha: float):
+    """Minimum of the w-player's weighted cumulative loss over its decision
+    set, given g_sum = A' (sum of alpha_t p_t): over R^d for the ridge losses
+    (ball_norm None), else, for bilinear losses, whose unconstrained minimum
+    is -inf, over the unit ball_norm-ball, where it is minus the dual norm of
+    g_sum; one value per row of g_sum."""
+    if ball_norm is None:
+        return -0.5 * np.vecdot(g_sum, g_sum) / cum_alpha
+    return -_row_norm(g_sum, ball_norm / (ball_norm - 1.0))[..., 0]
 
 
 # ---------------------------------------------------------------------------
 # exact weighted regrets from closed-form comparators
 
-def regret_w_from_arrays(a: np.ndarray, alphas, ws, ps, geometry: str):
+def regret_w_from_arrays(a: np.ndarray, alphas, ws, ps, ball_norm: float | None) -> float:
     """Weighted regret of the w-player against the exact comparator.
 
-    geometry: "l2_unconstrained" (ridge losses over R^d), "ball" (bilinear
-    over the unit l2 ball), or "qnorm:<q>" (bilinear; the unconstrained
-    minimum is -inf, so the comparator is the q-norm unit ball and the
-    result is flagged).  Returns (regret, bounded_comparator_flag).
+    ball_norm None: ridge losses over R^d.  A number b: bilinear losses over
+    the unit b-norm ball, where the comparator's loss is minus the dual norm
+    ||A' sum_t alpha_t p_t||_{b/(b-1)}.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     cum_p = alphas @ ps
     bilinear_played = -float(np.einsum("t,ti,ti->", alphas, ps, ws @ a.T))
-    if geometry == "l2_unconstrained":
+    if ball_norm is None:
         played = bilinear_played + 0.5 * float(alphas @ np.sum(ws * ws, axis=1))
         best = -0.5 * float(np.dot(a.T @ cum_p, a.T @ cum_p)) / float(alphas.sum())
-        return played - best, False
-    if geometry == "ball":
-        best = -float(np.linalg.norm(a.T @ cum_p))
-        return bilinear_played - best, False
-    if geometry.startswith("qnorm:"):
-        q = float(geometry.split(":")[1])
-        if q == 1.0:
-            raise UnsupportedGeometry("q must exceed 1")
-        p_exp = q / (q - 1.0)
-        best = -float(np.linalg.norm(a.T @ cum_p, ord=p_exp))
-        return bilinear_played - best, True
-    raise UnsupportedGeometry(geometry)
+        return played - best
+    best = -float(np.linalg.norm(a.T @ cum_p, ord=ball_norm / (ball_norm - 1.0)))
+    return bilinear_played - best
 
 
 def regret_p_from_arrays(a: np.ndarray, alphas, ws, ps) -> float:
@@ -374,12 +337,12 @@ def regret_p_from_arrays(a: np.ndarray, alphas, ws, ps) -> float:
     return played - best
 
 
-def weighted_regret_w(trace, dataset):
+def weighted_regret_w(trace, dataset) -> float:
     """Regret of the w-player on a completed trace (full trace required)."""
     if trace.ws is None or trace.ps is None:
         raise ValueError("full trace required")
     return regret_w_from_arrays(dataset.matrix, trace.alphas, trace.ws,
-                                trace.ps, trace.w_geometry)
+                                trace.ps, trace.config.w_learner.ball_norm)
 
 
 def weighted_regret_p(trace, dataset) -> float:

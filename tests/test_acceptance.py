@@ -193,13 +193,11 @@ def test_criterion_13_duality_gap_guarantee():
         def m(w):
             return margin(ds, w) - (0.5 * float(w @ w) if ridge else 0.0)
 
+        ball_norm = config.w_learner.ball_norm
         for _ in range(100):
             w = rng.standard_normal(6)
-            if trace.w_geometry == "ball":
-                w /= max(1.0, float(np.linalg.norm(w)))
-            elif trace.w_geometry.startswith("qnorm"):
-                q = float(trace.w_geometry.split(":")[1])
-                w /= max(1.0, float(np.linalg.norm(w, ord=q)))
+            if ball_norm is not None:
+                w /= max(1.0, float(np.linalg.norm(w, ord=ball_norm)))
             assert m(w) - m(trace.w_bar) <= rhs + BOUND_TOL
             checked += 1
     print(f"criterion 13 (duality gap m(w) - m(w_bar) <= (R_w + R_p)/"

@@ -1,5 +1,7 @@
 import csv
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -213,11 +215,63 @@ def test_run_single_row_exit_2(capsys, algo, horizon):
      "{tmp}/s.csv"],
     ["equiv", "--which", "prop1", "--n", "8", "--d", "3", "--T", "5",
      "--tol", "nan"],
+    ["gen", "--n", "8", "--d", "3", "--p", "inf", "--mode", "lower",
+     "--out", "{tmp}/x.txt"],
+    ["run", "--algo", "smooth", "--n", "8", "--d", "3",
+     "--T", "100000000000000000000"],
+    ["gen", "--n", "8", "--d", "3", "--out", "{tmp}/missing_dir/x.txt"],
+    ["run", "--algo", "smooth", "--n", "8", "--d", "3", "--T", "5",
+     "--out", "{tmp}/file/traces"],
+    ["sweep", "--algos", "smooth", "--n", "8", "--T", "5", "--out",
+     "{tmp}/file/s.csv"],
+    ["run", "--algo", "smooth", "--T", "5"],
 ], ids=["run_n_0", "sweep_T_0", "missing_data_file", "exact_n_1", "p_exp_1",
-        "sweep_vanilla_T_0", "equiv_tol_nan"])
+        "sweep_vanilla_T_0", "equiv_tol_nan", "gen_p_inf", "run_T_huge",
+        "gen_out_missing_dir", "run_out_under_file", "sweep_out_under_file",
+        "run_no_data_no_n_d"])
 def test_bad_input_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "file").touch()        # a path under it is not a directory
     code, _, err = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("old,new", [("16 4 2\n", "16 4 inf\n"),
+                                     ("# w_star=1 0 0 0", "# w_star=nan nan nan nan")],
+                         ids=["p_inf", "w_star_nan"])
+def test_run_non_finite_dataset_file_exit_2(tmp_path, capsys, old, new):
+    data = tmp_path / "d.txt"
+    run_cli(capsys, "gen", "--n", "16", "--d", "4", "--mode", "exact",
+            "--out", str(data))
+    text = data.read_text()
+    assert old in text
+    data.write_text(text.replace(old, new))
+    code, _, err = run_cli(capsys, "run", "--algo", "smooth", "--data", str(data),
+                           "--T", "5")
+    assert code == 2 and err.startswith("error: ")
+
+
+def readme_commands():
+    """The commands of README's CLI block, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln) for ln in lines if ln.strip() and not ln.startswith("#")]
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [argv[:2] for argv in commands] == [["nrp", "gen"], ["nrp", "run"],
+                                               ["nrp", "equiv"], ["nrp", "sweep"]]
+    for argv in commands:
+        assert run_cli(capsys, *argv[1:])[0] == 0, argv
+
+
+def test_run_pnorm_large_exponent(capsys):
+    # q = 20/19 lies close to 1, where the closed-form dual map still holds
+    code, out, _ = run_cli(capsys, "run", "--algo", "pnorm", "--n", "16", "--d", "4",
+                           "--mode", "lower", "--T", "20", "--p-exp", "20")
+    assert code == 0 and float(out.splitlines()[-1].split(",")[5]) > 0
 
 
 def test_run_nan_norm_exponent_exit_2(capsys):

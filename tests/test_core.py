@@ -1,11 +1,18 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nrp.core import (Dataset, GameObjective, best_response_value,
                       build_dataset, game_value, margin, margin_argmin,
                       normalized_margin, read_dataset, write_dataset)
-from nrp.errors import (BadDatasetFile, BadLabel, NonFinite, RowNormViolation,
-                        ZeroVector)
+from nrp.datagen import GenMode, GenSpec, generate
+from nrp.errors import (BadDatasetFile, BadLabel, BadParameter, NonFinite,
+                        RowNormViolation, ZeroVector)
 from conftest import random_dataset
 
 
@@ -120,6 +127,53 @@ def test_certificate_invariants_checked():
     with pytest.raises(ValueError):
         build_dataset(feats, np.array([1.0, 1.0]), known_margin=0.7,
                       w_star=np.array([1.0, 0.0]))
+
+
+def test_dataset_rejects_non_finite_exponent_and_certificate():
+    for p in (math.inf, math.nan):
+        with pytest.raises(BadParameter):
+            Dataset(matrix=np.eye(2), norm_exponent=p)
+    with pytest.raises(BadParameter):
+        Dataset(matrix=np.eye(2), known_margin=0.5, w_star=np.array([np.nan, 0.0]))
+
+
+@st.composite
+def generated_datasets(draw):
+    """Both separable generator modes, with every metadata line."""
+    mode = draw(st.sampled_from([GenMode.LOWER_BOUND, GenMode.EXACT_MARGIN]))
+    p = 2.0 if mode is GenMode.EXACT_MARGIN else draw(st.sampled_from([2.0, 3.0]))
+    return generate(GenSpec(n=draw(st.integers(2, 10)), d=draw(st.integers(2, 5)),
+                            gamma=draw(st.floats(0.05, 0.5)), norm_exponent=p,
+                            mode=mode, seed=draw(st.integers(0, 2**16))))
+
+
+@st.composite
+def drawn_datasets(draw):
+    """Entries include +-0.0 and subnormals; rows stay inside the unit ball."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    x = draw(arrays(np.float64, (n, d), elements=st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))))
+    y = draw(arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
+    return build_dataset(x / d, y)
+
+
+@settings(deadline=None)
+@given(st.one_of(generated_datasets(), drawn_datasets()))
+def test_dataset_file_roundtrip_byte_identical(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+        write_dataset(ds, first)
+        back = read_dataset(first)
+        write_dataset(back, second)
+        assert first.read_bytes() == second.read_bytes()
+    # and nothing is lost on the way, not even the sign of a zero
+    assert np.array_equal(back.matrix, ds.matrix)
+    assert np.array_equal(np.signbit(back.matrix), np.signbit(ds.matrix))
+    assert back.known_margin == ds.known_margin
+    assert back.exact_margin == ds.exact_margin
+    assert (back.w_star is None) == (ds.w_star is None)
+    if ds.w_star is not None:
+        assert np.array_equal(back.w_star, ds.w_star)
 
 
 def test_dataset_roundtrip(tmp_path, rng):

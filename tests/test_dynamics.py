@@ -6,12 +6,11 @@ import pytest
 
 from nrp.core import GameObjective, best_response_value, margin
 from nrp.datagen import GenMode, GenSpec, generate
-from nrp.dynamics import (DynamicsConfig, PlayOrder, WeightSchedule,
-                          gap_bound_check, run_dynamics, run_dynamics_batch,
-                          weighted_average)
+from nrp.dynamics import (DynamicsConfig, gap_bound_check, run_dynamics,
+                          run_dynamics_batch, weighted_average)
 from nrp.errors import BadParameter, IncompatibleConfig
-from nrp.learners import (FtrlPlusEntropy, OftlPrevLoss, OmdBall, OmdEntropy,
-                          regret_p_from_arrays, regret_w_from_arrays,
+from nrp.learners import (FtrlPlusEntropy, OftlPrevLoss, OftrlEntropyPrev,
+                          OmdBall, regret_p_from_arrays, regret_w_from_arrays,
                           weighted_regret_p, weighted_regret_w)
 from nrp.algorithms import mpfp_config, nag_config, pnorm_config, smooth_config
 from conftest import count_matvecs, exact_margin_dataset, random_dataset
@@ -23,30 +22,20 @@ def test_horizon_validation():
 
 
 def test_incompatible_pairs_rejected():
-    with pytest.raises(IncompatibleConfig):
-        DynamicsConfig(objective=GameObjective.BILINEAR,
-                       order=PlayOrder.W_FIRST,
-                       weight_schedule=WeightSchedule.LINEAR,
-                       w_learner=OftlPrevLoss(),
-                       p_learner=FtrlPlusEntropy(eta=0.25), horizon=5)
-    with pytest.raises(IncompatibleConfig):
-        DynamicsConfig(objective=GameObjective.L2_REGULARIZED,
-                       order=PlayOrder.P_FIRST,
-                       weight_schedule=WeightSchedule.LINEAR,
-                       w_learner=OftlPrevLoss(),
-                       p_learner=FtrlPlusEntropy(eta=0.25), horizon=5)
-    with pytest.raises(IncompatibleConfig):
-        DynamicsConfig(objective=GameObjective.L2_REGULARIZED,
-                       order=PlayOrder.W_FIRST,
-                       weight_schedule=WeightSchedule.UNIFORM,
-                       w_learner=OmdBall(eta=1.0),
-                       p_learner=OmdEntropy(eta=1.0), horizon=5)
-    with pytest.raises(IncompatibleConfig):
-        DynamicsConfig(objective=GameObjective.L2_REGULARIZED,
-                       order=PlayOrder.W_FIRST,
-                       weight_schedule=WeightSchedule.LINEAR,
-                       w_learner=FtrlPlusEntropy(eta=0.25),
-                       p_learner=FtrlPlusEntropy(eta=0.25), horizon=5)
+    for w_learner, p_learner in ((OftlPrevLoss(), OftrlEntropyPrev(eta=0.25)),
+                                 (OmdBall(eta=1.0), FtrlPlusEntropy(eta=0.25)),
+                                 (FtrlPlusEntropy(eta=0.25), FtrlPlusEntropy(eta=0.25))):
+        with pytest.raises(IncompatibleConfig):
+            DynamicsConfig(w_learner=w_learner, p_learner=p_learner, horizon=5)
+
+
+def test_pair_fixes_the_game():
+    assert [f.name for f in dataclasses.fields(DynamicsConfig)] == [
+        "w_learner", "p_learner", "horizon", "record_full_trace"]
+    assert smooth_config(3).objective is GameObjective.L2_REGULARIZED
+    assert nag_config(3).objective is GameObjective.L2_REGULARIZED
+    assert mpfp_config(4, 3).objective is GameObjective.BILINEAR
+    assert pnorm_config(4, 3, 3.0).objective is GameObjective.BILINEAR
 
 
 def test_w_first_initial_play_is_row_mean(rng):
@@ -100,7 +89,7 @@ def test_running_regrets_match_closed_forms(rng):
     for config in (smooth_config(25), nag_config(25), mpfp_config(7, 25),
                    pnorm_config(7, 25, 4.0)):
         trace = run_dynamics(config, ds)
-        rw, _ = weighted_regret_w(trace, ds)
+        rw = weighted_regret_w(trace, ds)
         rp = weighted_regret_p(trace, ds)
         assert trace.regret_w == pytest.approx(rw, abs=1e-9)
         assert trace.regret_p == pytest.approx(rp, abs=1e-9)
@@ -119,7 +108,8 @@ def test_running_regrets_match_oracle_every_round(rng):
             trace = run_dynamics(config, ds)
             for t in range(1, T + 1):
                 alphas, ws, ps = trace.alphas[:t], trace.ws[:t], trace.ps[:t]
-                rw, _ = regret_w_from_arrays(a, alphas, ws, ps, trace.w_geometry)
+                rw = regret_w_from_arrays(a, alphas, ws, ps,
+                                          config.w_learner.ball_norm)
                 rp = regret_p_from_arrays(a, alphas, ws, ps)
                 bound = 1e-12 * float(alphas.sum())
                 assert abs(trace.regret_w_running[t - 1] - rw) <= bound
@@ -143,8 +133,7 @@ def test_engine_matvecs_per_round(rng, name, per_round):
     assert counter[0] == per_round * T + once
 
 
-@pytest.mark.parametrize("name", ["smooth", "nag", "mpfp", "mpfp_p_first",
-                                  "pnorm2", "pnorm3"])
+@pytest.mark.parametrize("name", ["smooth", "nag", "mpfp", "pnorm2", "pnorm3"])
 def test_batch_instances_match_single_runs(name):
     # mixed margins and seeds; lower-bound data, the only mode with p = 3 rows
     n, d, T = 40, 6, 30
@@ -154,8 +143,6 @@ def test_batch_instances_match_single_runs(name):
                 for gamma, seed in ((0.2, 0), (0.35, 1), (0.2, 5), (0.1, 2))]
     config = {"smooth": smooth_config(T), "nag": nag_config(T),
               "mpfp": mpfp_config(n, T),
-              "mpfp_p_first": dataclasses.replace(mpfp_config(n, T),
-                                                  order=PlayOrder.P_FIRST),
               "pnorm2": pnorm_config(n, T, 2.0),
               "pnorm3": pnorm_config(n, T, 3.0)}[name]
     batch = run_dynamics_batch(config, datasets)
@@ -204,15 +191,14 @@ def test_gap_bound_random_comparators(rng):
             w = rng.standard_normal(4)
             if ball:
                 w /= max(1.0, float(np.linalg.norm(w)))
-            lhs, rhs, ok = gap_bound_check(trace, ds, config.objective, w)
+            lhs, rhs, ok = gap_bound_check(trace, ds, w)
             assert ok, (lhs, rhs)
 
 
 def test_gap_bound_self_comparator(rng):
     ds = random_dataset(rng, 6, 3)
     trace = run_dynamics(smooth_config(15), ds)
-    lhs, rhs, ok = gap_bound_check(trace, ds, GameObjective.L2_REGULARIZED,
-                                   trace.w_bar)
+    lhs, rhs, ok = gap_bound_check(trace, ds, trace.w_bar)
     assert lhs == 0.0 and ok
 
 
@@ -221,8 +207,7 @@ def test_gap_bound_scaled_certificate():
     T = 40
     trace = run_dynamics(smooth_config(T), ds)
     comparator = ds.known_margin * ds.w_star
-    lhs, rhs, ok = gap_bound_check(trace, ds, GameObjective.L2_REGULARIZED,
-                                   comparator)
+    lhs, rhs, ok = gap_bound_check(trace, ds, comparator)
     assert ok
     assert lhs <= 8.0 * math.log(ds.n) / (T * (T + 1)) + 1e-9
 
