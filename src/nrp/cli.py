@@ -22,7 +22,7 @@ TRACE_HEADER = ("t,alpha,margin_avg,normalized_margin,l1_delta_p,"
 SUMMARY_HEADER = ("algo,n,d,gamma,T,final_margin,final_normalized_margin,"
                   "Rw,Rp,wallclock_ms")
 ALGOS = tuple(alg.ALGORITHMS)
-# `nrp sweep` splits a group of same-shape cells into batches whose stacked
+# `nrp sweep` splits the datasets of one (n, p) into chunks whose stacked
 # data matrices stay under this many bytes
 SWEEP_BATCH_BYTES = 32 << 20
 
@@ -158,42 +158,55 @@ def cmd_sweep(args) -> int:
     header = ("algo,n,d,gamma,p,seed,T,final_margin,final_normalized_margin,"
               "Rw,Rp,wallclock_ms")
 
-    # cells that share (algo, n, p, T) play one game on datasets of one
-    # shape, so each group runs as batches; a cell's row does not depend on
-    # the batch it ran in
-    groups: dict[tuple, list[tuple[int, float, int]]] = {}
-    for index, (algo, n, gamma, p, seed, horizon) in enumerate(grid):
-        groups.setdefault((algo, n, p, horizon), []).append((index, gamma, seed))
-    rows: list[str | None] = [None] * len(grid)
-    for (algo, n, p, horizon), cells in groups.items():
-        mode = args.mode if p == 2.0 or args.mode == "lower" else "lower"
+    # a dataset is (n, p, gamma, seed) and a game is an algorithm's config
+    # builder and T, so smooth, ji and dynamics share one.  Each (n, p)
+    # family is generated a chunk at a time, every game plays a chunk as one
+    # batch, and a cell's row does not depend on the batch it ran in
+    games: dict[tuple, list[str]] = {}
+    for algo, horizon in dict.fromkeys(itertools.product(args.algos, args.T)):
+        games.setdefault((alg.ALGORITHMS[algo].config or algo, horizon), []).append(algo)
+    keys = list(dict.fromkeys(itertools.product(args.gamma, args.seed)))
+    rows: dict[tuple, str] = {}
+    for n, p in dict.fromkeys(itertools.product(args.n, args.p)) if games else ():
         per_batch = max(1, SWEEP_BATCH_BYTES // max(1, 8 * n * args.d))
-        for start in range(0, len(cells), per_batch):
-            chunk = cells[start:start + per_batch]
-            datasets = [generate(GenSpec(n=n, d=args.d, gamma=gamma, norm_exponent=p,
-                                         mode=_mode(mode), seed=seed))
-                        for _, gamma, seed in chunk]
-            t0 = time.perf_counter()
-            results = alg.ALGORITHMS[algo].run_batch(datasets, horizon, p)
-            ms = (time.perf_counter() - t0) * 1000.0 / len(chunk)
-            for (index, gamma, seed), dataset, (_, final, rw, rp) in zip(
-                    chunk, datasets, results):
-                fm = margin(dataset, final)
-                fnm = (normalized_margin(dataset, final)
-                       if float(np.linalg.norm(final)) > 0 else float("nan"))
-                rows[index] = ",".join([algo, str(n), str(args.d), _fmt(gamma), _fmt(p),
-                                        str(seed), str(horizon), _fmt(fm), _fmt(fnm),
-                                        _fmt(rw), _fmt(rp), _fmt(ms)])
+        for start in range(0, len(keys), per_batch):
+            rows.update(_sweep_chunk(args, n, p, keys[start:start + per_batch], games))
 
     try:
         with open(args.out, "w") as fh:
             fh.write(header + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+            for cell in grid:
+                fh.write(rows[cell] + "\n")
     except OSError as exc:
         raise BadOutputPath(args.out, exc) from None
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(grid)} rows to {args.out}")
     return 0
+
+
+def _sweep_chunk(args, n, p, chunk, games) -> dict[tuple, str]:
+    """The rows of every cell on the (gamma, seed) datasets of one chunk:
+    each dataset is generated once and each game plays them as one batch.
+    A row's wallclock_ms is the batch's time over the rows it feeds."""
+    mode = _mode(args.mode if p == 2.0 or args.mode == "lower" else "lower")
+    datasets = [generate(GenSpec(n=n, d=args.d, gamma=gamma, norm_exponent=p,
+                                 mode=mode, seed=seed)) for gamma, seed in chunk]
+    rows = {}
+    for (_, horizon), members in games.items():
+        t0 = time.perf_counter()
+        results = alg.ALGORITHMS[members[0]].run_batch(datasets, horizon, p)
+        ms = (time.perf_counter() - t0) * 1000.0 / (len(chunk) * len(members))
+        for algo in members:
+            for (gamma, seed), dataset, (trace, final, rw, rp) in zip(
+                    chunk, datasets, results):
+                if trace is not None:
+                    final = alg.ALGORITHMS[algo].output(trace)
+                fm = margin(dataset, final)
+                fnm = (normalized_margin(dataset, final)
+                       if float(np.linalg.norm(final)) > 0 else float("nan"))
+                rows[algo, n, gamma, p, seed, horizon] = ",".join([
+                    algo, str(n), str(args.d), _fmt(gamma), _fmt(p), str(seed),
+                    str(horizon), _fmt(fm), _fmt(fnm), _fmt(rw), _fmt(rp), _fmt(ms)])
+    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:

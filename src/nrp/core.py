@@ -22,7 +22,6 @@ class Tolerances:
     """Central numeric slack constants."""
 
     invariant_slack: float = 1e-12
-    simplex_sum: float = 1e-12
     underflow_floor: float = 1e-300
 
 
@@ -34,15 +33,6 @@ class GameObjective(enum.Enum):
 
     BILINEAR = "bilinear"          # g(w, p) = p' A w
     L2_REGULARIZED = "l2"          # g(w, p) = p' A w - ||w||^2 / 2
-
-
-def check_simplex(p: np.ndarray, tol: float = TOL.simplex_sum) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise NonFinite("simplex point has non-finite coordinates")
-    if np.any(p < -tol) or abs(p.sum() - 1.0) > tol:
-        raise ValueError("not a simplex point")
-    return p
 
 
 @dataclass(frozen=True)
@@ -142,16 +132,6 @@ def margin(dataset: Dataset, w: np.ndarray) -> float:
     return float(np.min(dataset.matrix @ w))
 
 
-def margin_argmin(dataset: Dataset, w: np.ndarray) -> tuple[float, int]:
-    """Margin plus the achieving row (lowest index on ties), for diagnostics."""
-    w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise NonFinite("classifier has non-finite entries")
-    scores = dataset.matrix @ w
-    i = int(np.argmin(scores))
-    return float(scores[i]), i
-
-
 def normalized_margin(dataset: Dataset, w: np.ndarray) -> float:
     """margin(w) / ||w||_2; scale invariant in w."""
     w = np.asarray(w, dtype=np.float64)
@@ -159,15 +139,6 @@ def normalized_margin(dataset: Dataset, w: np.ndarray) -> float:
     if norm == 0.0:
         raise ZeroVector("normalized margin undefined for the zero vector")
     return margin(dataset, w) / norm
-
-
-def game_value(objective: GameObjective, dataset: Dataset,
-               w: np.ndarray, p: np.ndarray) -> float:
-    p = check_simplex(p)
-    value = float(p @ (dataset.matrix @ w))
-    if objective is GameObjective.L2_REGULARIZED:
-        value -= 0.5 * float(np.dot(w, w))
-    return value
 
 
 def best_response_value(objective: GameObjective, dataset: Dataset,
@@ -216,6 +187,8 @@ def _header(path, no: int, line: str) -> tuple[int, int, float]:
     if n < 1 or d < 1:
         raise BadDatasetFile(path, no, f"header {line!r} is not 'n d p' "
                              "with positive integers n and d")
+    if not math.isfinite(p):
+        raise BadDatasetFile(path, no, f"header exponent p = {p} is not finite")
     return n, d, p
 
 
@@ -225,8 +198,9 @@ def _metadata(path, no: int, line: str, d: int) -> dict:
     try:
         if key == "known_margin":
             value = float(text)
-            if not value > 0.0:
-                raise BadDatasetFile(path, no, f"known_margin={text} is not positive")
+            if not 0.0 < value < math.inf:
+                raise BadDatasetFile(path, no, f"known_margin={text} is not "
+                                     "positive and finite")
         elif key == "exact":
             value = text == "true"
         elif key == "w_star":
@@ -234,6 +208,8 @@ def _metadata(path, no: int, line: str, d: int) -> dict:
             if value.size != d:
                 raise BadDatasetFile(path, no, f"w_star has {value.size} entries, "
                                      f"expected d = {d}")
+            if not np.all(np.isfinite(value)):
+                raise BadDatasetFile(path, no, "w_star has non-finite entries")
         else:
             return {}
     except ValueError:

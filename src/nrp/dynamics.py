@@ -260,13 +260,6 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     ) for b in range(batch)]
 
 
-def weighted_average(trace: Trace) -> np.ndarray:
-    """Post-hoc weighted average from the recorded iterates."""
-    if trace.ws is None:
-        return trace.w_bar.copy()
-    return trace.alphas @ trace.ws / trace.alphas.sum()
-
-
 def gap_bound_check(trace: Trace, dataset: Dataset, comparator_w: np.ndarray,
                     slack: float = 1e-9):
     """Duality-gap guarantee: m(w) - m(w_bar) <= (R^p + R^w) / sum(alpha),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nrp import cli
+from nrp import algorithms as alg, cli
 from nrp.algorithms import (Algorithm, mpfp_config, nag_config, pnorm_config,
                             smooth_config, vanilla_perceptron)
 from nrp.cli import ALGOS, SUMMARY_HEADER, TRACE_HEADER, main
@@ -169,9 +169,64 @@ def test_sweep_split_batches_give_same_rows(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Algorithm, "run_batch", spy)
     monkeypatch.setattr(cli, "SWEEP_BATCH_BYTES", 2 * 8 * 16 * 4)
     assert run_cli(capsys, *args, "--out", str(split))[0] == 0
-    assert sizes == [2, 1, 2, 1]
+    assert sizes == [2, 2, 1, 1]
     strip = lambda p: [line.rsplit(",", 1)[0] for line in p.read_text().splitlines()]
     assert strip(whole) == strip(split)
+
+
+def sweep_rows(capsys, path, *argv):
+    """The CSV lines a sweep writes to path, without the wallclock column."""
+    assert run_cli(capsys, "sweep", *argv, "--out", str(path))[0] == 0
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+def count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_sweep_generates_each_dataset_and_plays_each_game_once(tmp_path, capsys,
+                                                               monkeypatch):
+    # the sweep-small grid: 48 cells on 8 distinct datasets, two n of four
+    # seeds each; smooth and ji play one game, vanilla none, so each n runs
+    # 4 games
+    calls = {"generate": 0, "run_dynamics_batch": 0}
+    count_calls(monkeypatch, cli, "generate", calls)
+    count_calls(monkeypatch, alg, "run_dynamics_batch", calls)
+    rows = sweep_rows(capsys, tmp_path / "s.csv", "--algos", "smooth", "ji", "nag",
+                      "mpfp", "pnorm", "vanilla", "--n", "64", "256", "--d", "8",
+                      "--gamma", "0.3", "--seed", "0", "1", "2", "3", "--T", "200",
+                      "--mode", "exact")
+    assert len(rows) == 1 + 48
+    assert calls == {"generate": 8, "run_dynamics_batch": 8}
+
+
+def test_sweep_shared_game_rows_match_single_algorithm_sweeps(tmp_path, capsys,
+                                                              monkeypatch):
+    grid = ["--n", "16", "24", "--p", "2", "3", "--seed", "0", "1", "--T", "10", "25",
+            "--mode", "lower"]
+    singles = [sweep_rows(capsys, tmp_path / f"{algo}.csv", "--algos", algo, *grid)
+               for algo in ("smooth", "ji", "dynamics")]
+    calls = {"run_dynamics_batch": 0}
+    count_calls(monkeypatch, alg, "run_dynamics_batch", calls)
+    shared = sweep_rows(capsys, tmp_path / "shared.csv", "--algos", "smooth", "ji",
+                        "dynamics", *grid)
+    # one batch per (n, p) family and T, read by all three algorithms
+    assert calls == {"run_dynamics_batch": 2 * 2 * 2}
+    assert shared == singles[0] + singles[1][1:] + singles[2][1:]
+
+
+def test_sweep_duplicate_cells_keep_grid_order(tmp_path, capsys):
+    rows = sweep_rows(capsys, tmp_path / "dup.csv", "--algos", "nag", "nag", "mpfp",
+                      "--n", "16", "--seed", "0", "0", "1", "--T", "10")
+    expected = [sweep_rows(capsys, tmp_path / f"{algo}{seed}.csv", "--algos", algo,
+                           "--n", "16", "--seed", seed, "--T", "10")[1]
+                for algo in ("nag", "nag", "mpfp") for seed in ("0", "0", "1")]
+    assert rows[1:] == expected
 
 
 def test_sweep_empty_grid_header_only(tmp_path, capsys):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nrp.core import (Dataset, GameObjective, best_response_value,
-                      build_dataset, game_value, margin, margin_argmin,
-                      normalized_margin, read_dataset, write_dataset)
+                      build_dataset, margin, normalized_margin, read_dataset,
+                      write_dataset)
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.errors import (BadDatasetFile, BadLabel, BadParameter, NonFinite,
                         RowNormViolation, ZeroVector)
@@ -52,12 +52,6 @@ def test_margin_zero_vector_is_zero(rng):
     assert margin(ds, np.zeros(3)) == 0.0
 
 
-def test_margin_argmin_lowest_index_tie():
-    ds = Dataset(matrix=np.array([[0.5, 0.0], [0.5, 0.0], [0.9, 0.0]]))
-    value, idx = margin_argmin(ds, np.array([1.0, 0.0]))
-    assert value == 0.5 and idx == 0
-
-
 def test_normalized_margin_hand_value():
     ds = Dataset(matrix=np.array([[1.0, 0.0]]))
     assert normalized_margin(ds, np.array([3.0, 4.0])) == pytest.approx(3.0 / 5.0)
@@ -76,6 +70,15 @@ def test_normalized_margin_zero_vector():
     ds = Dataset(matrix=np.eye(2))
     with pytest.raises(ZeroVector):
         normalized_margin(ds, np.zeros(2))
+
+
+def game_value(objective, dataset, w, p):
+    """The payoff g(w, p) of each objective: the reference the best
+    response is checked against."""
+    value = float(p @ (dataset.matrix @ w))
+    if objective is GameObjective.L2_REGULARIZED:
+        value -= 0.5 * float(np.dot(w, w))
+    return value
 
 
 def test_game_value_examples():
@@ -216,6 +219,11 @@ def test_serialization_exact_for_doubles(tmp_path, rng):
     ("1 2 2\n1 0.5 0.5\n# known_margin=0\n", 3),
     ("1 2 2\n1 0.5 0.5\n# known_margin=abc\n", 3),
     ("1 2 2\n1 0.5 0.5\n# known_margin=0.5\n# w_star=1\n", 4),
+    ("1 2 inf\n1 0.5 0.5\n", 1),                        # exponent not finite
+    ("1 2 nan\n1 0.5 0.5\n", 1),
+    ("1 2 2\n1 0.5 0.5\n# known_margin=inf\n", 3),
+    ("1 2 2\n1 0.5 0.5\n# known_margin=0.5\n# w_star=nan 0\n", 4),
+    ("1 2 2\n1 0.5 0.5\n# known_margin=0.5\n# w_star=1 -inf\n", 4),
 ])
 def test_read_dataset_rejects_malformed_file(tmp_path, text, line):
     path = tmp_path / "bad.txt"

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nrp.core import GameObjective, best_response_value, margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import (DynamicsConfig, gap_bound_check, run_dynamics,
-                          run_dynamics_batch, weighted_average)
+                          run_dynamics_batch)
 from nrp.errors import BadParameter, IncompatibleConfig
 from nrp.learners import (FtrlPlusEntropy, OftlPrevLoss, OftrlEntropyPrev,
                           OmdBall, regret_p_from_arrays, regret_w_from_arrays,
@@ -62,6 +63,12 @@ def test_determinism_bit_identical(rng):
         assert t1.regret_w == t2.regret_w and t1.regret_p == t2.regret_p
 
 
+def weighted_average(trace):
+    """Post-hoc weighted average of the recorded iterates: the reference for
+    the engine's running w_bar."""
+    return trace.alphas @ trace.ws / trace.alphas.sum()
+
+
 def test_weighted_average_examples():
     ws = np.array([[1.0, 0.0], [2.0, 0.0]])
 
@@ -114,6 +121,28 @@ def test_running_regrets_match_oracle_every_round(rng):
                 bound = 1e-12 * float(alphas.sum())
                 assert abs(trace.regret_w_running[t - 1] - rw) <= bound
                 assert abs(trace.regret_p_running[t - 1] - rp) <= bound
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@settings(deadline=None)
+@given(n=st.integers(2, 12), d=st.integers(1, 5), gamma=st.floats(0.05, 0.4),
+       seed=st.integers(0, 2**16), horizon=st.integers(1, 20))
+def test_running_regrets_match_oracle_on_drawn_data(p, n, d, gamma, seed, horizon):
+    # separable data with rows in the unit p-norm ball; pnorm plays the
+    # q-norm game of that p
+    ds = generate(GenSpec(n=n, d=d, gamma=gamma, norm_exponent=p,
+                          mode=GenMode.LOWER_BOUND, seed=seed))
+    a = ds.matrix
+    for config in (smooth_config(horizon), nag_config(horizon),
+                   mpfp_config(n, horizon), pnorm_config(n, horizon, p)):
+        trace = run_dynamics(config, ds)
+        for t in range(1, horizon + 1):
+            alphas, ws, ps = trace.alphas[:t], trace.ws[:t], trace.ps[:t]
+            rw = regret_w_from_arrays(a, alphas, ws, ps, config.w_learner.ball_norm)
+            rp = regret_p_from_arrays(a, alphas, ws, ps)
+            bound = 1e-12 * float(alphas.sum())
+            assert abs(trace.regret_w_running[t - 1] - rw) <= bound
+            assert abs(trace.regret_p_running[t - 1] - rp) <= bound
 
 
 @pytest.mark.parametrize("name,per_round", [("smooth", 2), ("nag", 2),
