@@ -1,5 +1,5 @@
-"""Original pseudocode forms of the five accelerated methods, the vanilla
-baseline, and the checkers tying each original form to its dynamics run."""
+"""Original pseudocode forms of the smooth, momentum, NAG and mirror-prox
+Perceptrons, the vanilla baseline, and the checkers tying each to its game."""
 
 from __future__ import annotations
 
@@ -22,29 +22,27 @@ from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, OftlPrevLoss,
 # ---------------------------------------------------------------------------
 # dynamics configurations paired with each original form
 
-def smooth_config(horizon: int, record_full_trace: bool = True) -> DynamicsConfig:
+def smooth_config(horizon: int) -> DynamicsConfig:
     return DynamicsConfig(
-        w_learner=OftlPrevLoss(), p_learner=FtrlPlusEntropy(eta=0.25),
-        horizon=horizon, record_full_trace=record_full_trace)
+        w_learner=OftlPrevLoss(), p_learner=FtrlPlusEntropy(eta=0.25), horizon=horizon)
 
 
-def nag_config(horizon: int, record_full_trace: bool = True) -> DynamicsConfig:
+def nag_config(horizon: int) -> DynamicsConfig:
     return DynamicsConfig(
         w_learner=FtrlPlusUnregularized(), p_learner=OftrlEntropyPrev(eta=0.25),
-        horizon=horizon, record_full_trace=record_full_trace)
+        horizon=horizon)
 
 
-def mpfp_config(n: int, horizon: int, record_full_trace: bool = True) -> DynamicsConfig:
+def mpfp_config(n: int, horizon: int) -> DynamicsConfig:
     if n < 2:
         raise TooFewRows("mpfp", n)
     root = math.sqrt(math.log(n))
     return DynamicsConfig(
         w_learner=OmdBall(eta=1.0 / root), p_learner=OmdEntropy(eta=root),
-        horizon=horizon, record_full_trace=record_full_trace)
+        horizon=horizon)
 
 
-def pnorm_config(n: int, horizon: int, p_exp: float,
-                 record_full_trace: bool = True) -> DynamicsConfig:
+def pnorm_config(n: int, horizon: int, p_exp: float) -> DynamicsConfig:
     if n < 2:
         raise TooFewRows("pnorm", n)
     if not p_exp >= 2.0:
@@ -53,8 +51,7 @@ def pnorm_config(n: int, horizon: int, p_exp: float,
     eta_w = math.sqrt(1.0 / (2.0 * (q - 1.0) * math.log(n)))
     return DynamicsConfig(
         w_learner=OftrlQNorm(eta=eta_w, q=q),
-        p_learner=FtrlPlusEntropy(eta=1.0 / eta_w),
-        horizon=horizon, record_full_trace=record_full_trace)
+        p_learner=FtrlPlusEntropy(eta=1.0 / eta_w), horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +71,10 @@ class Algorithm:
     def output(self, trace: Trace) -> np.ndarray:
         return 0.25 * trace.w_sum if self.quarter_sum else trace.w_bar
 
-    def run(self, dataset: Dataset, horizon: int, p_exp: float):
-        """Returns (trace or None, final vector, R^w, R^p); the trace holds
-        the per-round records but not the iterates."""
-        return self.run_batch([dataset], horizon, p_exp)[0]
-
     def run_batch(self, datasets: list[Dataset], horizon: int, p_exp: float):
-        """`run` on each of several datasets of one shape, played as one
-        batch; each result is bit-identical to its own `run`."""
+        """(trace or None, final vector, R^w, R^p) of each dataset of one
+        shape, played as one batch; a trace holds no iterates.  Each result
+        is bit-identical to that of its dataset alone."""
         if self.config is None:
             return [(None, vanilla_perceptron(ds, horizon)[0], float("nan"), float("nan"))
                     for ds in datasets]
@@ -202,16 +195,6 @@ class NagResult:
     qs: np.ndarray
 
 
-def empirical_risk(dataset: Dataset, v: np.ndarray) -> float:
-    """Mean exponential loss (1/n) sum_i exp(-(A v)_i)."""
-    return float(np.mean(np.exp(-(dataset.matrix @ v))))
-
-
-def empirical_risk_grad(dataset: Dataset, v: np.ndarray) -> np.ndarray:
-    a = dataset.matrix
-    return -(a.T @ np.exp(-(a @ v))) / dataset.n
-
-
 def nag_margin(dataset: Dataset, horizon: int) -> NagResult:
     """Accelerated descent on the exponential empirical risk.
 
@@ -242,12 +225,8 @@ def nag_margin(dataset: Dataset, horizon: int) -> NagResult:
 
 @dataclass
 class MpfpResult:
-    z_w: np.ndarray              # ball component of the averaged iterate
-    z_p: np.ndarray              # simplex component
     us_w: np.ndarray             # u_t ball components, t = 1..T
-    us_p: np.ndarray
-    hats_w: np.ndarray           # v_{t+1} components
-    hats_p: np.ndarray
+    us_p: np.ndarray             # u_t simplex components
 
 
 def mpfp(dataset: Dataset, horizon: int) -> MpfpResult:
@@ -266,8 +245,6 @@ def mpfp(dataset: Dataset, horizon: int) -> MpfpResult:
     y_hat_cum = np.zeros(n)      # cumulative entropic-prox scores from 1/n
     us_w = np.empty((horizon, d))
     us_p = np.empty((horizon, n))
-    hats_w = np.empty((horizon, d))
-    hats_p = np.empty((horizon, n))
     y_hat = softmax_neg(y_hat_cum)
     for t in range(horizon):
         x = project_ball(x_hat + eta_w * (a.T @ y_hat))
@@ -277,27 +254,15 @@ def mpfp(dataset: Dataset, horizon: int) -> MpfpResult:
         y_hat = softmax_neg(y_hat_cum)
         us_w[t] = x
         us_p[t] = y
-        hats_w[t] = x_hat
-        hats_p[t] = y_hat
-    return MpfpResult(
-        z_w=us_w.mean(axis=0), z_p=us_p.mean(axis=0),
-        us_w=us_w, us_p=us_p, hats_w=hats_w, hats_p=hats_p)
+    return MpfpResult(us_w=us_w, us_p=us_p)
 
 
-def pnorm_accelerated(dataset: Dataset, horizon: int, p_exp: float):
-    """Optimistic q-norm dynamics for p-norm-bounded rows; returns the plain
-    average of the w iterates together with the trace."""
-    trace = run_dynamics(pnorm_config(dataset.n, horizon, p_exp), dataset)
-    return trace.w_bar, trace
-
-
-def vanilla_perceptron(dataset: Dataset, max_updates: int,
-                       w0: np.ndarray | None = None):
-    """Classical additive baseline: cycle the rows, add any row the current
-    classifier does not separate, stop after a clean pass.  Returns
-    (w, updates, budget_exhausted)."""
+def vanilla_perceptron(dataset: Dataset, max_updates: int):
+    """Classical additive baseline: from w = 0, cycle the rows, add any row
+    the current classifier does not separate, stop after a clean pass.
+    Returns (w, updates, budget_exhausted)."""
     a = dataset.matrix
-    w = np.zeros(dataset.d) if w0 is None else np.array(w0, dtype=np.float64)
+    w = np.zeros(dataset.d)
     updates = 0
     while updates < max_updates:
         clean = True
@@ -337,14 +302,14 @@ class EquivalenceReport:
     passed: bool
 
 
-def _rel_dev(x: np.ndarray, y: np.ndarray, tol: float, floor: float) -> float:
-    scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))), floor / tol)
+def _rel_dev(x: np.ndarray, y: np.ndarray, tol: float) -> float:
+    # below 1e-10 in absolute terms a deviation always passes
+    scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))), 1e-10 / tol)
     return float(np.max(np.abs(x - y))) / scale
 
 
 def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
-                      tol: float = 1e-8, abs_floor: float = 1e-10,
-                      perturb: float = 0.0) -> EquivalenceReport:
+                      tol: float = 1e-8, perturb: float = 0.0) -> EquivalenceReport:
     """Run an original form and its dynamics side by side and compare the
     quantities the theory claims are equal.
 
@@ -362,19 +327,19 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
     devs: dict[str, float] = {}
     if which is EquivalencePair.PROP1:
         res = smooth_perceptron(dataset, horizon)
-        devs["v_vs_w_bar"] = _rel_dev(res.v, algo.output(trace), tol, abs_floor)
-        devs["q_vs_p_bar"] = _rel_dev(res.q, trace.p_bar, tol, abs_floor)
+        devs["v_vs_w_bar"] = _rel_dev(res.v, algo.output(trace), tol)
+        devs["q_vs_p_bar"] = _rel_dev(res.q, trace.p_bar, tol)
     elif which is EquivalencePair.PROP2:
         res = accel_perceptron_ji(dataset, horizon)
-        devs["v_vs_quarter_w_sum"] = _rel_dev(res.v, algo.output(trace), tol, abs_floor)
-        devs["q_vs_p_final"] = _rel_dev(res.q, trace.ps[-1], tol, abs_floor)
+        devs["v_vs_quarter_w_sum"] = _rel_dev(res.v, algo.output(trace), tol)
+        devs["q_vs_p_final"] = _rel_dev(res.q, trace.ps[-1], tol)
     elif which is EquivalencePair.NAG:
         res = nag_margin(dataset, horizon)
-        devs["s_vs_quarter_w_sum"] = _rel_dev(res.s, algo.output(trace), tol, abs_floor)
+        devs["s_vs_quarter_w_sum"] = _rel_dev(res.s, algo.output(trace), tol)
     else:
         res = mpfp(dataset, horizon)
-        devs["u_w_vs_w"] = _rel_dev(res.us_w, trace.ws, tol, abs_floor)
-        devs["u_p_vs_p"] = _rel_dev(res.us_p, trace.ps, tol, abs_floor)
+        devs["u_w_vs_w"] = _rel_dev(res.us_w, trace.ws, tol)
+        devs["u_p_vs_p"] = _rel_dev(res.us_p, trace.ps, tol)
 
     max_dev = max(devs.values())
     return EquivalenceReport(which=which, deviations=devs,

@@ -63,8 +63,6 @@ def _gen_dataset(args) -> Dataset:
         return read_dataset(args.data)
     if args.n is None or args.d is None:
         raise BadParameter("--n and --d are required without --data")
-    if not (0.0 < args.gamma < 1.0) and args.mode != "infeasible":
-        raise NrpError(f"--gamma {args.gamma} outside (0, 1)")
     spec = GenSpec(n=args.n, d=args.d, gamma=args.gamma,
                    norm_exponent=args.p, mode=_mode(args.mode), seed=args.seed)
     return generate(spec)
@@ -82,6 +80,15 @@ def auto_horizon(algo: str, dataset: Dataset, p_exp: float) -> int:
         raise NrpError(f"--T auto gives horizon {horizon} for {algo} "
                        f"with known_margin {gamma}")
     return horizon
+
+
+def _outcome(dataset: Dataset, final, rw, rp, ms) -> list[str]:
+    """The last five fields of a `run` or `sweep` row: the final margin and
+    normalized margin (nan for the zero vector), R^w, R^p and wallclock_ms."""
+    fm = margin(dataset, final)
+    fnm = (normalized_margin(dataset, final)
+           if float(np.linalg.norm(final)) > 0 else float("nan"))
+    return [_fmt(fm), _fmt(fnm), _fmt(rw), _fmt(rp), _fmt(ms)]
 
 
 def _trace_rows(trace) -> list[str]:
@@ -112,7 +119,7 @@ def cmd_run(args) -> int:
         if horizon < 1:
             raise NrpError("T must be >= 1")
     t0 = time.perf_counter()
-    trace, final, rw, rp = alg.ALGORITHMS[args.algo].run(dataset, horizon, p_exp)
+    trace, final, rw, rp = alg.ALGORITHMS[args.algo].run_batch([dataset], horizon, p_exp)[0]
     ms = (time.perf_counter() - t0) * 1000.0
 
     if args.out:
@@ -125,14 +132,9 @@ def cmd_run(args) -> int:
                     fh.write("\n".join(_trace_rows(trace)) + "\n")
         except OSError as exc:
             raise BadOutputPath(path, exc) from None
-    fm = margin(dataset, final)
-    fnm = (normalized_margin(dataset, final)
-           if float(np.linalg.norm(final)) > 0 else float("nan"))
-    gamma = dataset.known_margin
     print(SUMMARY_HEADER)
-    print(",".join([args.algo, str(dataset.n), str(dataset.d), _fmt(gamma),
-                    str(horizon), _fmt(fm), _fmt(fnm), _fmt(rw), _fmt(rp),
-                    _fmt(ms)]))
+    print(",".join([args.algo, str(dataset.n), str(dataset.d), _fmt(dataset.known_margin),
+                    str(horizon), *_outcome(dataset, final, rw, rp, ms)]))
     return 0
 
 
@@ -200,12 +202,9 @@ def _sweep_chunk(args, n, p, chunk, games) -> dict[tuple, str]:
                     chunk, datasets, results):
                 if trace is not None:
                     final = alg.ALGORITHMS[algo].output(trace)
-                fm = margin(dataset, final)
-                fnm = (normalized_margin(dataset, final)
-                       if float(np.linalg.norm(final)) > 0 else float("nan"))
                 rows[algo, n, gamma, p, seed, horizon] = ",".join([
                     algo, str(n), str(args.d), _fmt(gamma), _fmt(p), str(seed),
-                    str(horizon), _fmt(fm), _fmt(fnm), _fmt(rw), _fmt(rp), _fmt(ms)])
+                    str(horizon), *_outcome(dataset, final, rw, rp, ms)])
     return rows
 
 

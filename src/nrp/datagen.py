@@ -32,6 +32,8 @@ class GenSpec:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise BadParameter(f"n and d must be positive, got n = {self.n}, d = {self.d}")
+        if self.seed < 0:
+            raise BadParameter(f"seed must be non-negative, got {self.seed}")
         if self.mode is not GenMode.INFEASIBLE and not 0.0 < self.gamma < 1.0:
             raise BadParameter("gamma must lie in (0, 1)")
         if self.mode in (GenMode.EXACT_MARGIN, GenMode.INFEASIBLE) and self.d < 2:

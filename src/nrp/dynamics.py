@@ -6,9 +6,10 @@ point of the configured payoff at the rate set by the players' regrets.
 
 The w-player sees p_t only through g_t = A'p_t, so a round passes over the
 data matrix twice, once for A'p_t and once for A w_t, plus once for each
-secondary iterate an OMD player shows.  The regret comparator reads the
-running sum of the g_t, and the margin of the running average w_bar is the
-minimum of the running sum of the A w_t over the sum of the weights.
+secondary iterate an OMD player shows; the engine forms them all.  The
+regret comparator reads the running sum of the g_t, and the margin of the
+running average w_bar is the minimum of the running sum of the A w_t over
+the sum of the weights.
 
 `run_dynamics_batch` plays one configuration on B datasets of one shape in
 the same loop, over their stacked (B, n, d) matrices; each of its traces is
@@ -95,17 +96,37 @@ class Trace:
     regret_w_running: np.ndarray
     regret_p_running: np.ndarray
     gap_bound_running: np.ndarray
-    w_bar: np.ndarray                # weighted average of the w_t
-    p_bar: np.ndarray                # weighted average of the p_t
     w_sum: np.ndarray                # weighted sum of the w_t
-    sum_alpha: float
-    regret_w: float
-    regret_p: float
-    sum_sq_l1_delta: float
+    p_sum: np.ndarray                # weighted sum of the p_t
 
     @property
     def horizon(self) -> int:
         return self.alphas.shape[0]
+
+    @property
+    def sum_alpha(self) -> float:
+        # in round order, as a running total adds; np.sum would pair terms
+        return float(np.cumsum(self.alphas)[-1])
+
+    @property
+    def w_bar(self) -> np.ndarray:
+        return self.w_sum / self.sum_alpha
+
+    @property
+    def p_bar(self) -> np.ndarray:
+        return self.p_sum / self.sum_alpha
+
+    @property
+    def regret_w(self) -> float:
+        return float(self.regret_w_running[-1])
+
+    @property
+    def regret_p(self) -> float:
+        return float(self.regret_p_running[-1])
+
+    @property
+    def sum_sq_l1_delta(self) -> float:       # in round order too
+        return float(np.cumsum(self.l1_delta_p * self.l1_delta_p)[-1])
 
 
 def _alphas(schedule: WeightSchedule, horizon: int) -> np.ndarray:
@@ -126,16 +147,20 @@ def run_dynamics_batch(config: DynamicsConfig, datasets: list[Dataset]) -> list[
 
 
 def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x per instance: a is (n, d) or (B, n, d), x is (d,) or (B, d)."""
+    """A x per instance: a is (n, d) or (B, n, d), x is (B, d)."""
     return np.matmul(a, x[..., None])[..., 0]
+
+
+def _hint(m: np.ndarray, shown: np.ndarray, play: np.ndarray,
+          product: np.ndarray) -> np.ndarray:
+    """m times what a player shows, or the round's product = m play."""
+    return product if shown is play else _times(m, shown)
 
 
 def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     # The one engine loop.  Both entry points call it directly, so a profile
-    # of either public function sees the loop as its own time.  A single
-    # game keeps its vectors as (n,) or (d,) and its scalars as numpy
-    # scalars; a batch of B holds them as (B, n), (B, d) and (B,) arrays.
-    # Round 1 of a p-first game starts from a play shared by the batch.
+    # of either public function sees the loop as its own time.  B games keep
+    # (B, n), (B, d) and (B,) arrays, B = 1 included.
     if not datasets:
         raise BadParameter("no datasets to play")
     shape = datasets[0].matrix.shape
@@ -146,7 +171,6 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     # one dataset multiplies by its own matrix, a batch by a stacked copy
     a = datasets[0].matrix if batch == 1 else np.stack([ds.matrix for ds in datasets])
     at = a.swapaxes(-1, -2)
-    lead = a.shape[:-2]            # () or (B,)
     n, d = shape
     horizon = config.horizon
     order, objective, schedule = _GAMES[_pair(config)]
@@ -159,6 +183,7 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     record = config.record_full_trace
     try:
         alphas = _alphas(schedule, horizon)
+        cum_alphas = np.cumsum(alphas)       # sum of the alphas after each round
         ws = np.empty((batch, horizon, d)) if record else None
         ps = np.empty((batch, horizon, n)) if record else None
         # per-round records, one row per instance
@@ -169,35 +194,29 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
         raise BadParameter(f"horizon T = {horizon} is too large: the trace "
                            "records cannot be allocated") from None
 
-    prev_p = np.ones(n) / n        # p_0
-    # what a first-moving w-player sees of p_0; a first-moving p-player sees
-    # A w_0 with w_0 = 0
-    w_hint = _times(at, prev_p) if w_first else None
-    p_hint = np.zeros(n)
-    w_sum = np.zeros(lead + (d,))
-    p_sum = np.zeros(lead + (n,))
-    g_sum = np.zeros(lead + (d,))            # sum alpha_t A' p_t
-    cum_lossvec = np.zeros(lead + (n,))      # sum alpha_t A w_t
-    cum_alpha = 0.0
+    prev_p = np.full((batch, n), 1.0 / n)    # p_0
+    # the first mover's hint: a first-moving w-player sees A'p_0, a
+    # first-moving p-player A w_0 with w_0 = 0
+    hint = _times(at, prev_p) if w_first else np.zeros((batch, n))
+    w_sum = np.zeros((batch, d))
+    p_sum = np.zeros((batch, n))
+    g_sum = np.zeros((batch, d))             # sum alpha_t A' p_t
+    cum_lossvec = np.zeros((batch, n))       # sum alpha_t A w_t
     played_w = 0.0                 # sum alpha_t h_t(w_t)
     played_p = 0.0                 # sum alpha_t p_t' A w_t (constants dropped)
-
-    def dual(shown, p_t, g_t):
-        # A' of what the p-player shows, reusing g_t when it shows its play
-        return g_t if shown is p_t else _times(at, shown)
 
     for t in range(1, horizon + 1):
         alpha = alphas[t - 1]
         # the second mover's hint is what the first shows of this round's play
         if w_first:
-            w_t = wl.decide(alpha, w_hint)
+            w_t = wl.decide(alpha, hint)
             loss = _times(a, w_t)
-            p_t = pl.decide(alpha, wl.shown(loss))
+            p_t = pl.decide(alpha, _hint(a, wl.shown(w_t), w_t, loss))
             g_t = _times(at, p_t)
         else:
-            p_t = pl.decide(alpha, p_hint)
+            p_t = pl.decide(alpha, hint)
             g_t = _times(at, p_t)
-            w_t = wl.decide(alpha, dual(pl.shown(p_t), p_t, g_t))
+            w_t = wl.decide(alpha, _hint(at, pl.shown(p_t), p_t, g_t))
             loss = _times(a, w_t)
         wl.absorb(alpha, g_t)
         pl.absorb(alpha, loss)
@@ -217,13 +236,12 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
         w_sum += alpha * w_t
         p_sum += alpha * p_t
         g_sum += alpha * g_t
-        cum_alpha += alpha
 
         worst = cum_lossvec.min(axis=-1)      # min_i (A w_sum)_i
         l1_delta[:, t - 1] = np.abs(p_t - prev_p).sum(axis=-1)
         worst_rec[:, t - 1] = worst
         wsq_rec[:, t - 1] = np.vecdot(w_sum, w_sum)
-        rw_rec[:, t - 1] = played_w - comparator_value(ball_norm, g_sum, cum_alpha)
+        rw_rec[:, t - 1] = played_w - comparator_value(ball_norm, g_sum, cum_alphas[t - 1])
         rp_rec[:, t - 1] = played_p - worst
         if record:
             ws[:, t - 1] = w_t
@@ -231,39 +249,27 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
 
         prev_p = p_t
         if t < horizon:            # the next hint is read only by a next round
-            if w_first:
-                w_hint = dual(pl.shown(p_t), p_t, g_t)
-            else:
-                p_hint = wl.shown(loss)
+            hint = (_hint(at, pl.shown(p_t), p_t, g_t) if w_first
+                    else _hint(a, wl.shown(w_t), w_t, loss))
 
-    cum_alphas = np.cumsum(alphas)           # sum of the alphas after each round
     wnorm = np.sqrt(wsq_rec)
     norm_margin = np.full((batch, horizon), np.nan)
     np.divide(worst_rec, wnorm, out=norm_margin, where=wnorm > 0.0)
     margin_avg = worst_rec / cum_alphas
     gap_running = (rw_rec + rp_rec) / cum_alphas
-    # summed in round order, as a running total would; np.sum pairs terms
-    sum_sq_delta = np.cumsum(l1_delta * l1_delta, axis=-1)[:, -1]
-    w_sum = w_sum.reshape(batch, d)
-    p_sum = p_sum.reshape(batch, n)
     return [Trace(
         config=config, alphas=alphas.copy(),
         ws=ws[b] if record else None, ps=ps[b] if record else None,
         l1_delta_p=l1_delta[b], margin_avg=margin_avg[b],
         normalized_margin=norm_margin[b],
         regret_w_running=rw_rec[b], regret_p_running=rp_rec[b],
-        gap_bound_running=gap_running[b],
-        w_bar=w_sum[b] / cum_alpha, p_bar=p_sum[b] / cum_alpha, w_sum=w_sum[b].copy(),
-        sum_alpha=cum_alpha,
-        regret_w=float(rw_rec[b, -1]), regret_p=float(rp_rec[b, -1]),
-        sum_sq_l1_delta=float(sum_sq_delta[b]),
+        gap_bound_running=gap_running[b], w_sum=w_sum[b], p_sum=p_sum[b],
     ) for b in range(batch)]
 
 
-def gap_bound_check(trace: Trace, dataset: Dataset, comparator_w: np.ndarray,
-                    slack: float = 1e-9):
-    """Duality-gap guarantee: m(w) - m(w_bar) <= (R^p + R^w) / sum(alpha),
-    with m the best response to w under the payoff of the trace's game.
+def gap_bound_check(trace: Trace, dataset: Dataset, comparator_w: np.ndarray):
+    """Duality-gap guarantee: m(w) - m(w_bar) <= (R^p + R^w) / sum(alpha)
+    + 1e-9, with m the best response to w under the payoff of the trace's game.
 
     The comparator must lie in the w-player's decision set.
     """
@@ -271,4 +277,4 @@ def gap_bound_check(trace: Trace, dataset: Dataset, comparator_w: np.ndarray,
     lhs = (best_response_value(objective, dataset, comparator_w)
            - best_response_value(objective, dataset, trace.w_bar))
     rhs = (trace.regret_w + trace.regret_p) / trace.sum_alpha
-    return lhs, rhs, lhs <= rhs + slack
+    return lhs, rhs, lhs <= rhs + 1e-9

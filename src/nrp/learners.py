@@ -1,13 +1,13 @@
 """Closed-form online learners over the three geometries the dynamics use.
 
-Each spec makes its learner state with ``spec.start(a)``, and every state
-speaks one protocol:
+Each spec makes its learner state with ``spec.start(a)``, which reads only
+the shape of a, so no state holds the matrix; every state speaks one protocol:
 
 - ``decide(alpha, hint)`` returns the round's play from the absorbed
   history plus the optimistic term ``alpha * hint``;
 - ``absorb(alpha, realized)`` adds the opponent's realized play;
-- ``shown(play)`` is what the opponent sees of this learner as its hint:
-  the play itself, or an OMD learner's secondary iterate.
+- ``shown(play)`` is the iterate the engine forms the opponent's hint
+  from: the play itself, or an OMD learner's secondary iterate.
 
 The w-player's loss at a distribution p over rows is -p'Aw, plus ||w||^2/2
 in the ridge games, so it sees p only through the d-vector g = A'p: its
@@ -25,10 +25,9 @@ weighted sum of the dual vectors they absorbed and apply the appropriate
 mirror/dual map.
 
 The kernels and states act on the last axis, so one state plays B games of
-one shape at once: started from a stack of B matrices, shape (B, n, d), it
-sizes itself from the last two axes and its vectors take the batch axis
-from the first (B, .) hint or play they meet; its comparator values are one
-per game.  Each game gets the same bits as it would alone.
+one shape at once: it sizes itself from the last two axes of a and its
+vectors take the batch axis from the first (B, .) hint or play they meet;
+its comparator values are one per game.  Each game gets the same bits.
 """
 
 from __future__ import annotations
@@ -38,11 +37,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, NonFinite
-from .core import TOL
+from .core import UNDERFLOW_FLOOR
 
 
 # ---------------------------------------------------------------------------
 # learner specs (configuration values, no state)
+
+@dataclass(frozen=True)
+class _Stepped:
+    """A spec with a step size eta, which must be positive (NaN is not)."""
+    eta: float
+
+    def __post_init__(self):
+        if not self.eta > 0:
+            raise BadParameter(f"eta must be positive, got {self.eta}")
+
 
 @dataclass(frozen=True)
 class OftlPrevLoss:
@@ -55,26 +64,16 @@ class OftlPrevLoss:
 
 
 @dataclass(frozen=True)
-class FtrlPlusEntropy:
+class FtrlPlusEntropy(_Stepped):
     """FTRL including the current round, entropy regularizer over the simplex."""
-    eta: float
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise BadParameter("eta must be positive")
 
     def start(self, a: np.ndarray) -> EntropySimplex:
         return EntropySimplex(a.shape[-2], self.eta)
 
 
 @dataclass(frozen=True)
-class OftrlEntropyPrev:
+class OftrlEntropyPrev(_Stepped):
     """Optimistic FTRL over the simplex, previous loss vector as the hint."""
-    eta: float
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise BadParameter("eta must be positive")
 
     def start(self, a: np.ndarray) -> EntropySimplex:
         return EntropySimplex(a.shape[-2], self.eta)
@@ -90,14 +89,12 @@ class FtrlPlusUnregularized:
 
 
 @dataclass(frozen=True)
-class OftrlQNorm:
+class OftrlQNorm(_Stepped):
     """Optimistic FTRL over R^d with the q-norm-squared regularizer."""
-    eta: float
     q: float
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise BadParameter("eta must be positive")
+        super().__post_init__()
         if not 1.0 < self.q <= 2.0:
             raise BadParameter("q must lie in (1, 2]")
 
@@ -110,27 +107,17 @@ class OftrlQNorm:
 
 
 @dataclass(frozen=True)
-class OmdBall:
+class OmdBall(_Stepped):
     """Optimistic mirror descent on the unit l2 ball."""
-    eta: float
     ball_norm = 2.0
 
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise BadParameter("eta must be positive")
-
     def start(self, a: np.ndarray) -> OmdBallState:
-        return OmdBallState(a, self.eta)
+        return OmdBallState(a.shape[-1], self.eta)
 
 
 @dataclass(frozen=True)
-class OmdEntropy:
+class OmdEntropy(_Stepped):
     """Optimistic mirror descent (multiplicative weights) on the simplex."""
-    eta: float
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise BadParameter("eta must be positive")
 
     def start(self, a: np.ndarray) -> EntropySimplex:
         return EntropySimplex(a.shape[-2], self.eta, shows_hat=True)
@@ -152,7 +139,7 @@ def softmax_neg(scores: np.ndarray) -> np.ndarray:
     if not np.isfinite(s).all():
         raise NonFinite("softmax scores are not finite")
     z = np.exp(s.min(axis=-1, keepdims=True) - s)
-    np.maximum(z, TOL.underflow_floor, out=z)
+    np.maximum(z, UNDERFLOW_FLOOR, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
 
@@ -192,15 +179,6 @@ def qnorm_dual_map(theta: np.ndarray, q: float) -> np.ndarray:
     # a zero row maps to 0 through sign(0) = 0; the 1 only avoids 0 ** (2 - p)
     norm = np.where(norm == 0.0, 1.0, norm)
     return (q - 1.0) * np.sign(theta) * np.abs(theta) ** (p - 1.0) * norm ** (2.0 - p)
-
-
-def qnorm_primal_grad(w: np.ndarray, q: float) -> np.ndarray:
-    """Gradient of ||w||_q^2 / (2(q-1)); inverse of qnorm_dual_map."""
-    w = np.asarray(w, dtype=np.float64)
-    norm = float(np.linalg.norm(w, ord=q))
-    if norm == 0.0:
-        return np.zeros_like(w)
-    return np.sign(w) * np.abs(w) ** (q - 1.0) * norm ** (2.0 - q) / (q - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +242,18 @@ class DualAveragingW:
         self.cum_g = self.cum_g + alpha * realized
         self.cum_alpha += alpha
 
-    def shown(self, loss: np.ndarray) -> np.ndarray:
-        return loss
+    def shown(self, w: np.ndarray) -> np.ndarray:
+        return w
 
 
 class OmdBallState:
     """Two-step Euclidean mirror descent on the unit ball against bilinear
-    losses, whose gradient at the dual vector g = A'p is -g.  The opponent
-    sees the loss vector A w_hat of the secondary iterate."""
+    losses, whose gradient at the dual vector g = A'p is -g.  It shows its
+    secondary iterate w_hat."""
 
-    def __init__(self, a: np.ndarray, eta: float):
-        self.a = a
+    def __init__(self, d: int, eta: float):
         self.eta = eta
-        self.w_hat = np.zeros(a.shape[-1])
+        self.w_hat = np.zeros(d)
 
     def _step(self, alpha: float, g: np.ndarray) -> np.ndarray:
         return project_ball(self.w_hat + self.eta * alpha * g)
@@ -287,8 +264,8 @@ class OmdBallState:
     def absorb(self, alpha: float, realized: np.ndarray) -> None:
         self.w_hat = self._step(alpha, realized)
 
-    def shown(self, loss: np.ndarray) -> np.ndarray:
-        return np.matmul(self.a, self.w_hat[..., None])[..., 0]
+    def shown(self, w: np.ndarray) -> np.ndarray:
+        return self.w_hat
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,25 @@ def count_matvecs(dataset):
     return view.counter
 
 
+def qnorm_primal_grad(w, q):
+    """Gradient of ||w||_q^2 / (2(q-1)); inverse of qnorm_dual_map."""
+    w = np.asarray(w, dtype=np.float64)
+    norm = float(np.linalg.norm(w, ord=q))
+    if norm == 0.0:
+        return np.zeros_like(w)
+    return np.sign(w) * np.abs(w) ** (q - 1.0) * norm ** (2.0 - q) / (q - 1.0)
+
+
+def empirical_risk(dataset, v):
+    """Mean exponential loss (1/n) sum_i exp(-(A v)_i)."""
+    return float(np.mean(np.exp(-(dataset.matrix @ v))))
+
+
+def empirical_risk_grad(dataset, v):
+    a = dataset.matrix
+    return -(a.T @ np.exp(-(a @ v))) / dataset.n
+
+
 def exact_margin_dataset(n, d, gamma, seed):
     return generate(GenSpec(n=n, d=d, gamma=gamma,
                             mode=GenMode.EXACT_MARGIN, seed=seed))

@@ -11,8 +11,9 @@ from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import run_dynamics
 from nrp.learners import (FtrlPlusEntropy, FtrlPlusUnregularized,
                           OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
-                          OmdEntropy, qnorm_dual_map, qnorm_primal_grad)
-from conftest import exact_margin_dataset
+                          OmdEntropy, qnorm_dual_map)
+from conftest import (empirical_risk, empirical_risk_grad, exact_margin_dataset,
+                      qnorm_primal_grad)
 from test_learners import (plus_step, quadratic_argmin, rel_linf,
                            simplex_argmin)
 from scipy.optimize import minimize
@@ -127,7 +128,7 @@ def test_criterion_09_pnorm_margin_rate():
                                   mode=GenMode.LOWER_BOUND, seed=seed))
             gamma_cert = margin(ds, ds.w_star)
             slack = math.sqrt(2.0 * (p - 1.0) * math.log(ds.n))
-            _, trace = alg.pnorm_accelerated(ds, 200, p)
+            trace = run_dynamics(alg.pnorm_config(ds.n, 200, p), ds)
             for t in range(1, 201):
                 bound = gamma_cert - slack / t
                 assert trace.margin_avg[t - 1] >= bound - BOUND_TOL, (p, seed, t)
@@ -273,12 +274,12 @@ def test_criterion_14_closed_forms_match_numeric_oracles():
     ds = exact_margin_dataset(8, 4, 0.3, seed=0)
     u = rng.standard_normal(4)
     u *= min(1.0, 2.0 / np.linalg.norm(u))
-    grad = alg.empirical_risk_grad(ds, u)
+    grad = empirical_risk_grad(ds, u)
     for i in range(4):
         e = np.zeros(4)
         e[i] = 1e-6
-        fd = (alg.empirical_risk(ds, u + e)
-              - alg.empirical_risk(ds, u - e)) / 2e-6
+        fd = (empirical_risk(ds, u + e)
+              - empirical_risk(ds, u - e)) / 2e-6
         assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
     print("criterion 14 (closed-form learner steps == numeric minimizers; "
           "dual-map round trip; risk gradient vs differences): PASS")

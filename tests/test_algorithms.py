@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nrp import algorithms as alg
 from nrp.core import Dataset, margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import run_dynamics
 from nrp.learners import softmax_neg
-from conftest import count_matvecs, exact_margin_dataset, random_dataset
+from conftest import (count_matvecs, empirical_risk, empirical_risk_grad,
+                      exact_margin_dataset, random_dataset)
 
 
 def rel_linf(x, y):
@@ -74,13 +76,35 @@ def test_momentum_g_identity(rng):
 
 
 # ---------------------------------------------------------------------------
+# the four equivalence pairs on drawn data
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(n=st.integers(2, 300), d=st.integers(2, 30), horizon=st.integers(2, 400),
+       gamma=st.floats(0.05, 0.3), exact=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_equivalence_pairs_on_drawn_data(n, d, horizon, gamma, exact, seed):
+    # lower-bound rows are drawn with p = 2; T >= 2, since at T = 1 the
+    # perturbed step has not yet acted on nag's and mpfp's compared outputs
+    mode = GenMode.EXACT_MARGIN if exact else GenMode.LOWER_BOUND
+    ds = generate(GenSpec(n=n, d=d, gamma=gamma, mode=mode, seed=seed))
+    for which in alg.EquivalencePair:
+        report = alg.check_equivalence(which, ds, horizon, tol=1e-8)
+        assert report.passed, (which, report.deviations)
+        # the negative control needs a step the plays respond to: with n <= 4
+        # rows, p can stay uniform (exact mode's mirrored pair at n = 2) or
+        # settle on one row, so the perturbed game matches the original too
+        if n >= 5:
+            perturbed = alg.check_equivalence(which, ds, horizon, tol=1e-8, perturb=1e-3)
+            assert not perturbed.passed, (which, perturbed.deviations)
+
+
+# ---------------------------------------------------------------------------
 # accelerated descent on the exponential risk
 
 def test_risk_and_gradient_hand_values():
     ds = Dataset(matrix=np.array([[1.0, 0.0]]))
     v = np.array([2.0, 0.0])
-    assert alg.empirical_risk(ds, v) == pytest.approx(math.exp(-2.0))
-    assert np.allclose(alg.empirical_risk_grad(ds, v),
+    assert empirical_risk(ds, v) == pytest.approx(math.exp(-2.0))
+    assert np.allclose(empirical_risk_grad(ds, v),
                        [-math.exp(-2.0), 0.0])
 
 
@@ -89,13 +113,13 @@ def test_risk_gradient_vs_central_differences(rng):
     for _ in range(10):
         u = rng.standard_normal(4)
         u *= min(1.0, 2.0 / np.linalg.norm(u))
-        grad = alg.empirical_risk_grad(ds, u)
+        grad = empirical_risk_grad(ds, u)
         h = 1e-6
         for i in range(4):
             e = np.zeros(4)
             e[i] = h
-            fd = (alg.empirical_risk(ds, u + e)
-                  - alg.empirical_risk(ds, u - e)) / (2 * h)
+            fd = (empirical_risk(ds, u + e)
+                  - empirical_risk(ds, u - e)) / (2 * h)
             assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
 
 
@@ -105,8 +129,8 @@ def test_nag_normalized_gradient_identity(rng):
     res = alg.nag_margin(ds, 30)
     for t in range(1, 31):
         u = res.us[t - 1]
-        risk = alg.empirical_risk(ds, u)
-        direct = -(t / risk) * alg.empirical_risk_grad(ds, u)
+        risk = empirical_risk(ds, u)
+        direct = -(t / risk) * empirical_risk_grad(ds, u)
         stable = t * (ds.matrix.T @ res.qs[t - 1])
         assert rel_linf(direct, stable) <= 1e-9
 
@@ -120,13 +144,6 @@ def test_nag_first_round(rng):
 
 # ---------------------------------------------------------------------------
 # mirror-prox
-
-def test_mpfp_average_is_running_mean(rng):
-    ds = random_dataset(rng, 6, 3)
-    res = alg.mpfp(ds, 25)
-    assert np.allclose(res.z_w, res.us_w.mean(axis=0), atol=1e-15)
-    assert np.allclose(res.z_p, res.us_p.mean(axis=0), atol=1e-15)
-
 
 def test_infeasibility_antipodal_pair():
     a = np.array([0.7, 0.2])
@@ -160,7 +177,7 @@ def test_pnorm_reduces_to_euclidean_bound():
                           mode=GenMode.LOWER_BOUND, seed=1))
     gcert = margin(ds, ds.w_star)
     T = 150
-    w_bar, _ = alg.pnorm_accelerated(ds, T, 2.0)
+    w_bar = run_dynamics(alg.pnorm_config(ds.n, T, 2.0), ds).w_bar
     assert margin(ds, w_bar) >= gcert - math.sqrt(2 * math.log(16)) / T - 1e-9
 
 
@@ -170,7 +187,7 @@ def test_pnorm_positive_margin_past_threshold():
                           mode=GenMode.LOWER_BOUND, seed=2))
     gcert = margin(ds, ds.w_star)
     T = int(math.ceil(math.sqrt(2 * (p - 1) * math.log(16)) / gcert)) + 1
-    w_bar, _ = alg.pnorm_accelerated(ds, T, p)
+    w_bar = run_dynamics(alg.pnorm_config(ds.n, T, p), ds).w_bar
     assert margin(ds, w_bar) >= 0.0
 
 
@@ -182,14 +199,6 @@ def test_vanilla_single_point():
     w, updates, exhausted = alg.vanilla_perceptron(ds, 10)
     assert updates == 1 and not exhausted
     assert np.array_equal(w, [1.0, 0.0])
-
-
-def test_vanilla_separating_start_no_updates(rng):
-    ds = exact_margin_dataset(8, 4, 0.3, seed=0)
-    w0 = 5.0 * ds.w_star
-    w, updates, exhausted = alg.vanilla_perceptron(ds, 10, w0=w0)
-    assert updates == 0 and not exhausted
-    assert np.array_equal(w, w0)
 
 
 def test_vanilla_budget_flag():

@@ -280,10 +280,13 @@ def test_run_single_row_exit_2(capsys, algo, horizon):
     ["sweep", "--algos", "smooth", "--n", "8", "--T", "5", "--out",
      "{tmp}/file/s.csv"],
     ["run", "--algo", "smooth", "--T", "5"],
+    ["gen", "--n", "8", "--d", "3", "--seed", "-1", "--out", "{tmp}/x.txt"],
+    ["sweep", "--algos", "smooth", "--n", "8", "--T", "5", "--seed", "-1",
+     "--out", "{tmp}/s.csv"],
 ], ids=["run_n_0", "sweep_T_0", "missing_data_file", "exact_n_1", "p_exp_1",
         "sweep_vanilla_T_0", "equiv_tol_nan", "gen_p_inf", "run_T_huge",
         "gen_out_missing_dir", "run_out_under_file", "sweep_out_under_file",
-        "run_no_data_no_n_d"])
+        "run_no_data_no_n_d", "gen_seed_negative", "sweep_seed_negative"])
 def test_bad_input_exit_2(tmp_path, capsys, argv):
     (tmp_path / "file").touch()        # a path under it is not a directory
     code, _, err = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])

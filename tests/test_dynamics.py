@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nrp.core import GameObjective, best_response_value, margin
 from nrp.datagen import GenMode, GenSpec, generate
-from nrp.dynamics import (DynamicsConfig, gap_bound_check, run_dynamics,
+from nrp.dynamics import (DynamicsConfig, Trace, gap_bound_check, run_dynamics,
                           run_dynamics_batch)
 from nrp.errors import BadParameter, IncompatibleConfig
 from nrp.learners import (FtrlPlusEntropy, OftlPrevLoss, OftrlEntropyPrev,
@@ -37,6 +37,43 @@ def test_pair_fixes_the_game():
     assert nag_config(3).objective is GameObjective.L2_REGULARIZED
     assert mpfp_config(4, 3).objective is GameObjective.BILINEAR
     assert pnorm_config(4, 3, 3.0).objective is GameObjective.BILINEAR
+
+
+def test_trace_stores_records_only():
+    # sum_alpha, w_bar, p_bar, regret_w, regret_p and sum_sq_l1_delta are
+    # derived from these
+    assert [f.name for f in dataclasses.fields(Trace)] == [
+        "config", "alphas", "ws", "ps", "l1_delta_p", "margin_avg",
+        "normalized_margin", "regret_w_running", "regret_p_running",
+        "gap_bound_running", "w_sum", "p_sum"]
+
+
+@pytest.mark.parametrize("name", ["smooth", "nag", "mpfp", "pnorm"])
+def test_trace_totals_add_in_round_order(rng, name):
+    # a running total adds in round order, and bit-identity with one rests
+    # on that order; np.sum pairs terms and can round differently
+    ds = random_dataset(rng, 9, 4)
+    T = 300
+    config = {"smooth": smooth_config(T), "nag": nag_config(T),
+              "mpfp": mpfp_config(9, T), "pnorm": pnorm_config(9, T, 3.0)}[name]
+    trace = run_dynamics(config, ds)
+    sum_sq = sum_alpha = 0.0
+    for delta, alpha in zip(trace.l1_delta_p.tolist(), trace.alphas.tolist()):
+        sum_sq += delta * delta
+        sum_alpha += alpha
+    assert trace.sum_sq_l1_delta == sum_sq
+    assert trace.sum_alpha == sum_alpha
+
+
+def test_learner_states_hold_no_matrix(rng):
+    # the engine forms every product with A; a state sees only A's shape
+    ds = random_dataset(rng, 7, 3)
+    for config in (smooth_config(3), nag_config(3), mpfp_config(7, 3),
+                   pnorm_config(7, 3, 3.0)):
+        for spec in (config.w_learner, config.p_learner):
+            state = spec.start(ds.matrix)
+            assert not any(isinstance(v, np.ndarray) and np.shares_memory(v, ds.matrix)
+                           for v in vars(state).values()), type(state).__name__
 
 
 def test_w_first_initial_play_is_row_mean(rng):
@@ -271,7 +308,8 @@ def test_uniform_schedule_alphas(rng):
 def test_light_trace_matches_full(rng):
     ds = random_dataset(rng, 6, 3)
     full = run_dynamics(smooth_config(20), ds)
-    light = run_dynamics(smooth_config(20, record_full_trace=False), ds)
+    light = run_dynamics(dataclasses.replace(smooth_config(20), record_full_trace=False),
+                         ds)
     assert light.ws is None and light.ps is None
     assert np.array_equal(light.w_bar, full.w_bar)
     assert light.regret_w == full.regret_w

@@ -6,12 +6,13 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
+from nrp.errors import BadParameter
 from nrp.learners import (FtrlPlusEntropy, FtrlPlusUnregularized,
                           OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
                           OmdEntropy, project_ball, qnorm_dual_map,
-                          qnorm_primal_grad, regret_p_from_arrays,
-                          regret_w_from_arrays, softmax_neg)
-from conftest import random_dataset
+                          regret_p_from_arrays, regret_w_from_arrays,
+                          softmax_neg)
+from conftest import qnorm_primal_grad, random_dataset
 
 
 def rows(n):
@@ -470,6 +471,17 @@ def test_norm_inequalities_l2_rows(rng):
         w = rng.standard_normal(4)
         assert np.linalg.norm(a.T @ p) <= np.abs(p).sum() + 1e-12
         assert np.max(np.abs(a @ w)) <= np.linalg.norm(w) + 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("spec", [FtrlPlusEntropy, OftrlEntropyPrev, OmdEntropy, OmdBall,
+                                  lambda eta: OftrlQNorm(eta=eta, q=1.5)],
+                         ids=["FtrlPlusEntropy", "OftrlEntropyPrev", "OmdEntropy",
+                              "OmdBall", "OftrlQNorm"])
+def test_step_size_must_be_positive(spec, eta):
+    # NaN fails `eta <= 0` too, so only `not eta > 0` rejects it
+    with pytest.raises(BadParameter, match="eta must be positive"):
+        spec(eta=eta)
 
 
 def test_learner_spec_validation():
