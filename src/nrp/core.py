@@ -61,7 +61,7 @@ class Dataset:
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise BadParameter("matrix must be n x d with n, d >= 1")
         if not np.all(np.isfinite(a)):
-            raise NonFinite("data matrix has non-finite entries")
+            raise NonFinite("data matrix")
         p = float(self.norm_exponent)
         if not 2.0 <= p < math.inf:
             raise BadParameter(f"norm_exponent must lie in [2, inf), got {p}")
@@ -114,7 +114,7 @@ def margin(dataset: Dataset, w: np.ndarray) -> float:
     """min_i A_(i,:) . w  (equivalently min over the simplex of p'Aw)."""
     w = np.asarray(w, dtype=np.float64)
     if not np.all(np.isfinite(w)):
-        raise NonFinite("classifier has non-finite entries")
+        raise NonFinite("classifier")
     return float(np.min(dataset.matrix @ w))
 
 
@@ -245,7 +245,20 @@ def read_dataset(path) -> Dataset:
     if rows < n:
         raise BadDatasetFile(path, header_no, f"header gives n = {n} rows, "
                              f"the file has {rows}")
-    return build_dataset(feats, labels, norm_exponent=p,
-                         known_margin=meta.get("known_margin"),
-                         exact_margin=meta.get("exact", False),
-                         w_star=meta.get("w_star"))
+    try:
+        return build_dataset(feats, labels, norm_exponent=p,
+                             known_margin=meta.get("known_margin"),
+                             exact_margin=meta.get("exact", False),
+                             w_star=meta.get("w_star"))
+    except BadLabel as exc:
+        raise BadDatasetFile(path, _row_line(path, exc.index), f"label is "
+                             f"{exc.value!r}, expected +1 or -1") from None
+
+
+def _row_line(path, index: int) -> int:
+    """The number of the line that holds data row ``index`` (0-based): the
+    rows are the non-blank lines after the header that are not comments.
+    Only an error path reads the file a second time."""
+    with open(path) as fh:
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    return [no for no, ln in lines[1:] if not ln.startswith("#")][index]

@@ -80,10 +80,15 @@ def gen_separable(spec: GenSpec) -> Dataset:
         feats = np.zeros((spec.n, spec.d))
         feats[0, :2] = (gamma, beta)
         feats[1, :2] = (gamma, -beta)
+        # per row: rng.uniform(lo, hi) as its own formula lo + (hi - lo) *
+        # rng.random(), and np.linalg.norm of a vector as its own
+        # sqrt(x.dot(x)), without the calls' argument handling; the stream
+        # and the bits are those of the calls
         for i in range(2, spec.n):
-            c = gamma + (1.0 - gamma) * rng.uniform(0.1, 0.9)
+            c = gamma + (1.0 - gamma) * (0.1 + (0.9 - 0.1) * rng.random())
             rest = rng.standard_normal(spec.d - 1)
-            rest *= rng.uniform(0.2, 0.95) * math.sqrt(1.0 - c * c) / np.linalg.norm(rest)
+            norm = math.sqrt(rest.dot(rest))
+            rest *= (0.2 + (0.95 - 0.2) * rng.random()) * math.sqrt(1.0 - c * c) / norm
             feats[i, 0] = c
             feats[i, 1:] = rest
         w_star = np.zeros(spec.d)

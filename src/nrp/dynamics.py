@@ -7,9 +7,15 @@ point of the configured payoff at the rate set by the players' regrets.
 The w-player sees p_t only through g_t = A'p_t, so a round passes over the
 data matrix twice, once for A'p_t and once for A w_t, plus once for each
 secondary iterate an OMD player shows; the engine forms them all.  The
-regret comparator reads the running sum of the g_t, and the margin of the
-running average w_bar is the minimum of the running sum of the A w_t over
-the sum of the weights.
+margin of the running average w_bar is the minimum of the running sum of
+the A w_t over the sum of the weights.
+
+The loop keeps only the work on n-vectors.  It records each round's w_t,
+g_t and p_t'A w_t; after it, the sums of the alpha_t w_t and alpha_t g_t,
+the played losses and the regret comparator, which reads the sums of the
+g_t, come from in-order cumulative sums of those records, so they carry
+the bits of running totals.  A step that goes non-finite raises
+`NonFiniteIterate` naming the round, the player and the quantity.
 
 `run_dynamics_batch` plays one configuration on B datasets of one shape in
 the same loop, over their stacked (B, n, d) matrices; each of its traces is
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, GameObjective, best_response_value
-from .errors import BadParameter, IncompatibleConfig, NonFiniteIterate
+from .errors import BadParameter, IncompatibleConfig, NonFinite, NonFiniteIterate
 from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, LearnerSpec,
                        OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
                        OmdEntropy, comparator_value)
@@ -157,6 +163,21 @@ def _hint(m: np.ndarray, shown: np.ndarray, play: np.ndarray,
     return product if shown is play else _times(m, shown)
 
 
+def _running(terms: np.ndarray) -> np.ndarray:
+    """Running totals of per-round terms along axis 1, in place and in round
+    order, with the bits of ``total = total + term`` from ``total = 0.0``:
+    adding 0.0 first turns a -0.0 first term into +0.0, as the sum does."""
+    terms[:, 0] += 0.0
+    return np.cumsum(terms, axis=1, out=terms)
+
+
+def _first_bad_round(ws: np.ndarray) -> int | None:
+    """The first round, 1-based, of a (B, rounds, d) w record in which some
+    instance's w_t is not finite; None if there is none."""
+    bad = ~np.isfinite(ws).all(axis=(0, 2))
+    return int(bad.argmax()) + 1 if bad.any() else None
+
+
 def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     # The one engine loop.  Both entry points call it directly, so a profile
     # of either public function sees the loop as its own time.  B games keep
@@ -174,89 +195,99 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     n, d = shape
     horizon = config.horizon
     order, objective, schedule = _GAMES[_pair(config)]
-    ridge = objective is GameObjective.L2_REGULARIZED
     w_first = order is PlayOrder.W_FIRST
     wl = config.w_learner.start(a)
     pl = config.p_learner.start(a)
-    ball_norm = config.w_learner.ball_norm
 
     record = config.record_full_trace
     try:
         alphas = _alphas(schedule, horizon)
         cum_alphas = np.cumsum(alphas)       # sum of the alphas after each round
-        ws = np.empty((batch, horizon, d)) if record else None
+        # the w_t and g_t = A'p_t of every round; ws is also the trace's
+        ws, gs = np.empty((batch, horizon, d)), np.empty((batch, horizon, d))
         ps = np.empty((batch, horizon, n)) if record else None
         # per-round records, one row per instance
-        l1_delta, worst_rec, wsq_rec, rw_rec, rp_rec = (np.empty((batch, horizon))
-                                                        for _ in range(5))
+        l1_delta, worst_rec, bilinear = (np.empty((batch, horizon)) for _ in range(3))
     except (ValueError, MemoryError):
         # numpy refuses a size past its index range or past the memory
         raise BadParameter(f"horizon T = {horizon} is too large: the trace "
                            "records cannot be allocated") from None
 
     prev_p = np.full((batch, n), 1.0 / n)    # p_0
+    w_t = np.zeros((batch, d))               # w_0
     # the first mover's hint: a first-moving w-player sees A'p_0, a
     # first-moving p-player A w_0 with w_0 = 0
     hint = _times(at, prev_p) if w_first else np.zeros((batch, n))
-    w_sum = np.zeros((batch, d))
     p_sum = np.zeros((batch, n))
-    g_sum = np.zeros((batch, d))             # sum alpha_t A' p_t
     cum_lossvec = np.zeros((batch, n))       # sum alpha_t A w_t
-    played_w = 0.0                 # sum alpha_t h_t(w_t)
-    played_p = 0.0                 # sum alpha_t p_t' A w_t (constants dropped)
 
-    for t in range(1, horizon + 1):
-        alpha = alphas[t - 1]
-        # the second mover's hint is what the first shows of this round's play
-        if w_first:
-            w_t = wl.decide(alpha, hint)
-            loss = _times(a, w_t)
-            p_t = pl.decide(alpha, _hint(a, wl.shown(w_t), w_t, loss))
-            g_t = _times(at, p_t)
-        else:
-            p_t = pl.decide(alpha, hint)
-            g_t = _times(at, p_t)
-            w_t = wl.decide(alpha, _hint(at, pl.shown(p_t), p_t, g_t))
-            loss = _times(a, w_t)
-        wl.absorb(alpha, g_t)
-        pl.absorb(alpha, loss)
+    try:
+        for t in range(1, horizon + 1):
+            alpha = alphas[t - 1]
+            # the second mover's hint is what the first shows of this round's play
+            if w_first:
+                w_t = wl.decide(alpha, hint)
+                loss = _times(a, w_t)
+                p_t = pl.decide(alpha, _hint(a, wl.shown(w_t), w_t, loss))
+                g_t = _times(at, p_t)
+            else:
+                p_t = pl.decide(alpha, hint)
+                g_t = _times(at, p_t)
+                w_t = wl.decide(alpha, _hint(at, pl.shown(p_t), p_t, g_t))
+                loss = _times(a, w_t)
+            wl.absorb(alpha, g_t)
+            pl.absorb(alpha, loss)
 
-        # p_t is a softmax of checked scores, finite by construction
-        if not np.isfinite(w_t).all():
-            raise NonFiniteIterate(t)
-
-        # accounting
-        bilinear = np.vecdot(p_t, loss)
-        if ridge:
-            played_w = played_w + alpha * (-bilinear + 0.5 * np.vecdot(w_t, w_t))
-        else:
-            played_w = played_w - alpha * bilinear
-        played_p = played_p + alpha * bilinear
-        cum_lossvec += alpha * loss
-        w_sum += alpha * w_t
-        p_sum += alpha * p_t
-        g_sum += alpha * g_t
-
-        worst = cum_lossvec.min(axis=-1)      # min_i (A w_sum)_i
-        l1_delta[:, t - 1] = np.abs(p_t - prev_p).sum(axis=-1)
-        worst_rec[:, t - 1] = worst
-        wsq_rec[:, t - 1] = np.vecdot(w_sum, w_sum)
-        rw_rec[:, t - 1] = played_w - comparator_value(ball_norm, g_sum, cum_alphas[t - 1])
-        rp_rec[:, t - 1] = played_p - worst
-        if record:
             ws[:, t - 1] = w_t
-            ps[:, t - 1] = p_t
+            gs[:, t - 1] = g_t
+            bilinear[:, t - 1] = np.vecdot(p_t, loss)
+            cum_lossvec += alpha * loss
+            p_sum += alpha * p_t
+            worst_rec[:, t - 1] = cum_lossvec.min(axis=-1)   # min_i (A w_sum)_i
+            l1_delta[:, t - 1] = np.abs(p_t - prev_p).sum(axis=-1)
+            if record:
+                ps[:, t - 1] = p_t
 
-        prev_p = p_t
-        if t < horizon:            # the next hint is read only by a next round
-            hint = (_hint(at, pl.shown(p_t), p_t, g_t) if w_first
-                    else _hint(a, wl.shown(w_t), w_t, loss))
+            prev_p = p_t
+            if t < horizon:            # the next hint is read only by a next round
+                hint = (_hint(at, pl.shown(p_t), p_t, g_t) if w_first
+                        else _hint(a, wl.shown(w_t), w_t, loss))
+    except NonFinite as exc:
+        # A non-finite w_t first shows where the p-player's softmax raises,
+        # in w_t's round or the next.  The rows before round t are stored,
+        # and w_t is round t's play or the last stored one.
+        bad = _first_bad_round(ws[:, :t - 1])
+        if bad is None and not np.isfinite(w_t).all():
+            bad = t
+        if bad is not None:
+            raise NonFiniteIterate(bad, "w", "w_t") from exc
+        # else the step that raised is a method of the learner in the frame below
+        raiser = exc.__traceback__.tb_next.tb_frame.f_locals.get("self")
+        raise NonFiniteIterate(t, "w" if raiser is wl else "p", exc.quantity) from exc
+    # a bad w_T of a p-first game reaches no softmax
+    bad = _first_bad_round(ws)
+    if bad is not None:
+        raise NonFiniteIterate(bad, "w", "w_t")
 
-    wnorm = np.sqrt(wsq_rec)
+    # the w-player's and the p-player's weighted played losses
+    played_p = alphas * bilinear              # alpha_t p_t' A w_t (constants dropped)
+    if objective is GameObjective.L2_REGULARIZED:
+        played_w = alphas * (-bilinear + 0.5 * np.vecdot(ws, ws))
+    else:
+        played_w = -played_p
+    played_w, played_p = _running(played_w), _running(played_p)
+    # sum alpha_t w_t after each round: in place unless ws is the trace's
+    w_sums = _running(np.multiply(ws, alphas[:, None], out=None if record else ws))
+    g_sums = _running(np.multiply(gs, alphas[:, None], out=gs))  # sum alpha_t A'p_t
+    rw_rec = played_w - comparator_value(config.w_learner.ball_norm, g_sums, cum_alphas)
+    rp_rec = played_p - worst_rec
+
+    wnorm = np.sqrt(np.vecdot(w_sums, w_sums))
     norm_margin = np.full((batch, horizon), np.nan)
     np.divide(worst_rec, wnorm, out=norm_margin, where=wnorm > 0.0)
     margin_avg = worst_rec / cum_alphas
     gap_running = (rw_rec + rp_rec) / cum_alphas
+    w_sum = w_sums[:, -1].copy()              # frees a light trace's records
     return [Trace(
         config=config, alphas=alphas.copy(),
         ws=ws[b] if record else None, ps=ps[b] if record else None,

@@ -38,7 +38,8 @@ class RowNormViolation(NrpError):
 class BadLabel(NrpError):
     def __init__(self, index, value):
         self.index = index
-        super().__init__(f"label at row {index} is {value!r}, expected +1 or -1")
+        self.value = float(value)
+        super().__init__(f"label at row {index} is {self.value!r}, expected +1 or -1")
 
 
 class ZeroVector(NrpError):
@@ -46,7 +47,11 @@ class ZeroVector(NrpError):
 
 
 class NonFinite(NrpError):
-    """A vector contains NaN or infinite entries."""
+    """A vector contains NaN or infinite entries; ``quantity`` names it."""
+
+    def __init__(self, quantity):
+        self.quantity = quantity
+        super().__init__(f"non-finite entries in {quantity}")
 
 
 class TooFewRows(NrpError):
@@ -60,9 +65,15 @@ class TooFewRows(NrpError):
 
 
 class NonFiniteIterate(NrpError):
-    def __init__(self, round_index):
+    """A game went non-finite: ``player`` ('w' or 'p') formed a non-finite
+    ``quantity`` in round ``round_index`` (1-based)."""
+
+    def __init__(self, round_index, player, quantity):
         self.round_index = round_index
-        super().__init__(f"non-finite iterate at round {round_index}")
+        self.player = player
+        self.quantity = quantity
+        super().__init__(f"non-finite {quantity} at round {round_index}, "
+                         f"in the {player}-player's step")
 
 
 class IncompatibleConfig(NrpError):

@@ -136,11 +136,13 @@ def softmax_neg(scores: np.ndarray) -> np.ndarray:
     so the equivalence checks compare identical roundoff paths; each row of
     a stack is normalized on its own."""
     s = np.asarray(scores, dtype=np.float64)
-    if not np.isfinite(s).all():
-        raise NonFinite("softmax scores are not finite")
-    z = np.exp(s.min(axis=-1, keepdims=True) - s)
+    # the ufuncs' reductions, which the ndarray methods wrap in a Python
+    # call each: at small n a round makes several softmaxes
+    if not np.logical_and.reduce(np.isfinite(s), axis=None):
+        raise NonFinite("softmax scores")
+    z = np.exp(np.minimum.reduce(s, axis=-1, keepdims=True) - s)
     np.maximum(z, UNDERFLOW_FLOOR, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -171,7 +173,7 @@ def qnorm_dual_map(theta: np.ndarray, q: float) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=np.float64)
     if not np.isfinite(theta).all():
-        raise NonFinite("dual map input not finite")
+        raise NonFinite("dual map input")
     if q == 2.0:
         return theta.copy()
     p = q / (q - 1.0)
@@ -271,12 +273,13 @@ class OmdBallState:
 # ---------------------------------------------------------------------------
 # the comparator the engine measures the w-player's running regret against
 
-def comparator_value(ball_norm: float | None, g_sum: np.ndarray, cum_alpha: float):
+def comparator_value(ball_norm: float | None, g_sum: np.ndarray, cum_alpha):
     """Minimum of the w-player's weighted cumulative loss over its decision
     set, given g_sum = A' (sum of alpha_t p_t): over R^d for the ridge losses
     (ball_norm None), else, for bilinear losses, whose unconstrained minimum
     is -inf, over the unit ball_norm-ball, where it is minus the dual norm of
-    g_sum; one value per row of g_sum."""
+    g_sum; one value per row of g_sum.  cum_alpha, the sum of the alpha_t,
+    is a number or an array that broadcasts against those values."""
     if ball_norm is None:
         return -0.5 * np.vecdot(g_sum, g_sum) / cum_alpha
     return -_row_norm(g_sum, ball_norm / (ball_norm - 1.0))[..., 0]

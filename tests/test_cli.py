@@ -3,6 +3,7 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nrp import algorithms as alg, cli
@@ -330,6 +331,16 @@ def test_run_pnorm_large_exponent(capsys):
     code, out, _ = run_cli(capsys, "run", "--algo", "pnorm", "--n", "16", "--d", "4",
                            "--mode", "lower", "--T", "20", "--p-exp", "20")
     assert code == 0 and float(out.splitlines()[-1].split(",")[5]) > 0
+
+
+def test_run_pnorm_overflow_names_round_and_player(capsys):
+    # at p_exp 200 the dual map overflows into a NaN w_19; the error names
+    # the round and the player, not the softmax that met it
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run_cli(capsys, "run", "--algo", "pnorm", "--n", "16", "--d", "4",
+                               "--mode", "lower", "--T", "20", "--p-exp", "200")
+    assert code == 2
+    assert "round 19" in err and "w-player" in err
 
 
 def test_run_nan_norm_exponent_exit_2(capsys):

@@ -224,6 +224,8 @@ def test_serialization_exact_for_doubles(tmp_path, rng):
     ("1 2 2\n1 0.5 0.5\n# known_margin=inf\n", 3),
     ("1 2 2\n1 0.5 0.5\n# known_margin=0.5\n# w_star=nan 0\n", 4),
     ("1 2 2\n1 0.5 0.5\n# known_margin=0.5\n# w_star=1 -inf\n", 4),
+    ("2 2 2\n1 0.5 0.5\n0 0.1 0.1\n", 3),                # label not +-1
+    ("2 2 2\n\n# exact=true\n1 0.5 0.5\n\n2 0.1 0.1\n", 6),
 ])
 def test_read_dataset_rejects_malformed_file(tmp_path, text, line):
     path = tmp_path / "bad.txt"
@@ -232,6 +234,7 @@ def test_read_dataset_rejects_malformed_file(tmp_path, text, line):
         read_dataset(path)
     assert exc.value.line == line
     assert f"line {line}" in str(exc.value)
+    assert "np." not in str(exc.value)
 
 
 def test_read_dataset_missing_or_empty_file(tmp_path):

@@ -76,6 +76,32 @@ def test_exact_margin_sweep_finds_nothing_better():
         assert sweep_max_margin(ds) <= 0.3 + 1e-6
 
 
+def exact_margin_reference(spec):
+    """The exact-margin construction with a np.linalg.norm call per row:
+    the generator must keep its random stream and bits."""
+    rng = np.random.default_rng(spec.seed)
+    gamma = spec.gamma
+    beta = math.sqrt(1.0 - gamma * gamma)
+    feats = np.zeros((spec.n, spec.d))
+    feats[0, :2] = (gamma, beta)
+    feats[1, :2] = (gamma, -beta)
+    for i in range(2, spec.n):
+        c = gamma + (1.0 - gamma) * rng.uniform(0.1, 0.9)
+        rest = rng.standard_normal(spec.d - 1)
+        rest *= rng.uniform(0.2, 0.95) * math.sqrt(1.0 - c * c) / np.linalg.norm(rest)
+        feats[i, 0] = c
+        feats[i, 1:] = rest
+    return feats
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (16, 2), (64, 8), (300, 50)])
+def test_exact_margin_rows_match_reference(n, d):
+    for seed in range(50):
+        spec = GenSpec(n=n, d=d, gamma=0.1 + 0.01 * seed, mode=GenMode.EXACT_MARGIN,
+                       seed=seed)
+        assert generate(spec).matrix.tobytes() == exact_margin_reference(spec).tobytes()
+
+
 def test_exact_margin_rejects_non_euclidean():
     with pytest.raises(ValueError):
         gen_separable(GenSpec(n=4, d=3, gamma=0.3, norm_exponent=4.0,

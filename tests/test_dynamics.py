@@ -9,10 +9,10 @@ from nrp.core import GameObjective, best_response_value, margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import (DynamicsConfig, Trace, gap_bound_check, run_dynamics,
                           run_dynamics_batch)
-from nrp.errors import BadParameter, IncompatibleConfig
-from nrp.learners import (FtrlPlusEntropy, OftlPrevLoss, OftrlEntropyPrev,
-                          OmdBall, regret_p_from_arrays, regret_w_from_arrays,
-                          weighted_regret_p, weighted_regret_w)
+from nrp.errors import BadParameter, IncompatibleConfig, NonFiniteIterate
+from nrp.learners import (DualAveragingW, FtrlPlusEntropy, OftlPrevLoss,
+                          OftrlEntropyPrev, OmdBall, regret_p_from_arrays,
+                          regret_w_from_arrays, weighted_regret_p, weighted_regret_w)
 from nrp.algorithms import mpfp_config, nag_config, pnorm_config, smooth_config
 from conftest import count_matvecs, exact_margin_dataset, random_dataset
 
@@ -63,6 +63,59 @@ def test_trace_totals_add_in_round_order(rng, name):
         sum_alpha += alpha
     assert trace.sum_sq_l1_delta == sum_sq
     assert trace.sum_alpha == sum_alpha
+    # the engine forms w_sum after its loop from a cumulative sum of the
+    # recorded alpha_t w_t; it must carry the running total's bits
+    w_sum = np.zeros(4)
+    for alpha, w in zip(trace.alphas, trace.ws):
+        w_sum = w_sum + alpha * w
+    assert trace.w_sum.tobytes() == w_sum.tobytes()
+
+
+def test_non_finite_w_names_round_and_player():
+    # the q-norm dual map of p_exp 200 overflows into a NaN w_19, which
+    # surfaces in the p-player's softmax of the same round
+    ds = generate(GenSpec(n=16, d=4, gamma=0.1, mode=GenMode.LOWER_BOUND, seed=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteIterate) as exc:
+            run_dynamics(pnorm_config(16, 20, 200.0), ds)
+        assert (exc.value.round_index, exc.value.player, exc.value.quantity) == (
+            19, "w", "w_t")
+        assert "round 19" in str(exc.value) and "w-player" in str(exc.value)
+        run_dynamics(pnorm_config(16, 18, 200.0), ds)
+
+
+def test_non_finite_step_names_the_player_that_raised():
+    # a huge p step overflows the softmax scores while every w_t is finite;
+    # the round named is the first that fails
+    ds = generate(GenSpec(n=16, d=4, gamma=0.1, mode=GenMode.LOWER_BOUND, seed=0))
+    config = dataclasses.replace(smooth_config(40), p_learner=FtrlPlusEntropy(eta=1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteIterate) as exc:
+            run_dynamics(config, ds)
+        failed = exc.value.round_index
+        assert (exc.value.player, exc.value.quantity) == ("p", "softmax scores")
+        run_dynamics(dataclasses.replace(config, horizon=failed - 1), ds)
+
+
+@pytest.mark.parametrize("bad_round", [3, 8])
+def test_non_finite_w_of_p_first_game(monkeypatch, rng, bad_round):
+    # nag moves p first: a NaN w_3 surfaces in round 4's softmax, and a NaN
+    # w_T, which reaches no softmax, in the check after the loop
+    decide = DualAveragingW.decide
+    calls = []
+
+    def nan_at_bad_round(self, alpha, hint):
+        calls.append(alpha)
+        w = decide(self, alpha, hint)
+        return w * np.nan if len(calls) == bad_round else w
+
+    monkeypatch.setattr(DualAveragingW, "decide", nan_at_bad_round)
+    datasets = [random_dataset(rng, 6, 3) for _ in range(2)]
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteIterate) as exc:
+            run_dynamics_batch(nag_config(8), datasets)
+    assert (exc.value.round_index, exc.value.player, exc.value.quantity) == (
+        bad_round, "w", "w_t")
 
 
 def test_learner_states_hold_no_matrix(rng):

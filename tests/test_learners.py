@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
-from nrp.errors import BadParameter
+from nrp.errors import BadParameter, NonFinite
 from nrp.learners import (FtrlPlusEntropy, FtrlPlusUnregularized,
                           OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
                           OmdEntropy, project_ball, qnorm_dual_map,
@@ -92,6 +92,19 @@ def test_softmax_simplex_valid(rng):
     for _ in range(50):
         p = softmax_neg(rng.standard_normal(8) * 100)
         assert np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_kernel_input_names_the_quantity(bad):
+    # one bad entry in one row of a stack is enough
+    s = np.zeros((3, 4))
+    s[1, 2] = bad
+    for kernel, quantity in ((softmax_neg, "softmax scores"),
+                             (lambda x: qnorm_dual_map(x, 1.5), "dual map input")):
+        for x in (s, s[1]):
+            with pytest.raises(NonFinite) as exc:
+                kernel(x)
+            assert exc.value.quantity == quantity
 
 
 def stacks(bound):
