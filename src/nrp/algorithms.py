@@ -314,7 +314,9 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
     quantities the theory claims are equal.
 
     perturb != 0 scales the p-learner's step by (1 + perturb); a negative
-    control that must break the match.
+    control that must break the match.  With n <= 4 rows it may not: p can
+    stay uniform or settle on one row, and the perturbed game then plays
+    as the original does.
     """
     algo = ALGORITHMS[_PAIR_ALGORITHM[which]]
     config = algo.config(dataset.n, horizon, 2.0)   # p_exp matters to pnorm only

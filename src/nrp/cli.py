@@ -235,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T", type=int, required=True)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--perturb", type=float, default=0.0,
-                    help="negative control: scale the p step by 1 + this")
+                    help="negative control: scale the p step by 1 + this; "
+                         "meaningful only for n >= 5, as with n <= 4 rows the "
+                         "perturbed game can match the original")
     sp.set_defaults(func=cmd_equiv)
 
     sp = sub.add_parser("sweep", help="cartesian grid of runs into one CSV")

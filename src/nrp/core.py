@@ -149,12 +149,14 @@ def write_dataset(dataset: Dataset, path) -> None:
     labels = dataset.labels
     if labels is None:
         labels = np.ones(dataset.n, dtype=np.int64)
+    # "%.17g" % v is format(v, ".17g"); one row is one formatting call, and
+    # rows go to Python floats one at a time, never the whole matrix at once
+    row_text = "%d" + " %.17g" * dataset.d + "\n"
     try:
         with open(path, "w") as fh:
             fh.write(f"{dataset.n} {dataset.d} {_fmt(dataset.norm_exponent)}\n")
-            for i in range(dataset.n):
-                x = dataset.matrix[i] * labels[i]
-                fh.write(f"{int(labels[i])} " + " ".join(_fmt(v) for v in x) + "\n")
+            for row, label in zip(dataset.matrix, labels):
+                fh.write(row_text % (label, *(row * label).tolist()))
             if dataset.known_margin is not None:
                 fh.write(f"# known_margin={_fmt(dataset.known_margin)}\n")
                 fh.write(f"# exact={'true' if dataset.exact_margin else 'false'}\n")

@@ -50,15 +50,26 @@ class GenSpec:
 
 
 def _unit_pnorm_vector(rng: np.random.Generator, d: int, p: float) -> np.ndarray:
-    """Random direction on the unit p-norm sphere (generalized-normal trick)."""
+    """Random direction on the unit p-norm sphere (generalized-normal trick).
+
+    The calls are those of ``rng.choice([-1.0, 1.0], size=d)`` and
+    ``np.linalg.norm(v, ord=p)`` without their argument handling: choice
+    draws its indices with ``rng.integers(0, 2, size=d)``, and norm takes
+    these steps for a 1-D vector.  A seed keeps its stream and its bits.
+    """
     g = rng.gamma(1.0 / p, 1.0, size=d) ** (1.0 / p)
-    v = rng.choice([-1.0, 1.0], size=d) * g
-    return v / np.linalg.norm(v, ord=p)
+    v = (rng.integers(0, 2, size=d) * 2.0 - 1.0) * g
+    if p == 2.0:
+        return v / math.sqrt(v.dot(v))
+    powers = abs(v)
+    powers **= p
+    return v / np.add.reduce(powers) ** (1.0 / p)
 
 
 def _uniform_pnorm_ball(rng: np.random.Generator, d: int, p: float) -> np.ndarray:
+    # rng.random() is rng.uniform() without the 0 + 1 * u it computes
     direction = _unit_pnorm_vector(rng, d, p)
-    return direction * rng.uniform() ** (1.0 / d)
+    return direction * rng.random() ** (1.0 / d)
 
 
 def gen_separable(spec: GenSpec) -> Dataset:

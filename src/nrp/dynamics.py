@@ -219,7 +219,6 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     # first-moving p-player A w_0 with w_0 = 0
     hint = _times(at, prev_p) if w_first else np.zeros((batch, n))
     p_sum = np.zeros((batch, n))
-    cum_lossvec = np.zeros((batch, n))       # sum alpha_t A w_t
 
     try:
         for t in range(1, horizon + 1):
@@ -241,9 +240,9 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
             ws[:, t - 1] = w_t
             gs[:, t - 1] = g_t
             bilinear[:, t - 1] = np.vecdot(p_t, loss)
-            cum_lossvec += alpha * loss
             p_sum += alpha * p_t
-            worst_rec[:, t - 1] = cum_lossvec.min(axis=-1)   # min_i (A w_sum)_i
+            # every p-learner is an EntropySimplex, whose cum is sum alpha_t A w_t
+            worst_rec[:, t - 1] = pl.cum.min(axis=-1)   # min_i (A w_sum)_i
             l1_delta[:, t - 1] = np.abs(p_t - prev_p).sum(axis=-1)
             if record:
                 ps[:, t - 1] = p_t

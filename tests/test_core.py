@@ -179,6 +179,46 @@ def test_dataset_file_roundtrip_byte_identical(ds):
         assert np.array_equal(back.w_star, ds.w_star)
 
 
+def reference_write(dataset) -> str:
+    """The text format written one format(v, ".17g") call per value."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    labels = dataset.labels
+    if labels is None:
+        labels = np.ones(dataset.n, dtype=np.int64)
+    text = f"{dataset.n} {dataset.d} {fmt(dataset.norm_exponent)}\n"
+    for i in range(dataset.n):
+        x = dataset.matrix[i] * labels[i]
+        text += f"{int(labels[i])} " + " ".join(fmt(v) for v in x) + "\n"
+    if dataset.known_margin is not None:
+        text += f"# known_margin={fmt(dataset.known_margin)}\n"
+        text += f"# exact={'true' if dataset.exact_margin else 'false'}\n"
+    if dataset.w_star is not None:
+        text += "# w_star=" + " ".join(fmt(v) for v in dataset.w_star) + "\n"
+    return text
+
+
+def test_write_dataset_matches_reference_writer(tmp_path, rng):
+    edge = np.array([[0.0, -0.0, 5e-324], [-5e-324, 0.25, -0.0],
+                     [1.0 / 3.0, -2.0 / 3.0, 1e-300], [0.0, 0.0, 0.0]])
+    datasets = [
+        build_dataset(edge, np.array([1.0, -1.0, -1.0, 1.0]), norm_exponent=3.0),
+        build_dataset(edge[:1], np.array([-1.0]), known_margin=5e-324,
+                      exact_margin=True, w_star=np.array([-0.0, 1.0, 5e-324])),
+        Dataset(matrix=edge / 2.0),                 # no labels
+        random_dataset(rng, 9, 5),
+    ]
+    datasets += [generate(GenSpec(n=12, d=d, gamma=0.05, norm_exponent=p, seed=seed))
+                 for seed in range(5) for d, p in ((1, 2.0), (4, 3.0), (7, 5.5))]
+    datasets += [generate(GenSpec(n=6, d=3, gamma=0.2, mode=mode, seed=1))
+                 for mode in (GenMode.EXACT_MARGIN, GenMode.INFEASIBLE)]
+    path = tmp_path / "ds.txt"
+    for ds in datasets:
+        write_dataset(ds, path)
+        assert path.read_bytes() == reference_write(ds).encode()
+
+
 def test_dataset_roundtrip(tmp_path, rng):
     ds = random_dataset(rng, 9, 5)
     path = tmp_path / "ds.txt"

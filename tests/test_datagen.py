@@ -102,6 +102,47 @@ def test_exact_margin_rows_match_reference(n, d):
         assert generate(spec).matrix.tobytes() == exact_margin_reference(spec).tobytes()
 
 
+def lower_bound_reference(spec):
+    """The lower-bound sampler with rng.choice, np.linalg.norm and
+    rng.uniform calls per candidate: the generator must keep its random
+    stream and bits."""
+    def direction(rng, d, p):
+        g = rng.gamma(1.0 / p, 1.0, size=d) ** (1.0 / p)
+        v = rng.choice([-1.0, 1.0], size=d) * g
+        return v / np.linalg.norm(v, ord=p)
+
+    rng = np.random.default_rng(spec.seed)
+    p = spec.norm_exponent
+    w_star = direction(rng, spec.d, p / (p - 1.0))
+    feats, labels = np.empty((spec.n, spec.d)), np.empty(spec.n)
+    budget, accepted = 10000 * spec.n, 0
+    while accepted < spec.n:
+        if budget <= 0:
+            raise RejectionBudget("budget spent")
+        budget -= 1
+        x = direction(rng, spec.d, p) * rng.uniform() ** (1.0 / spec.d)
+        proj = float(w_star @ x)
+        if abs(proj) < spec.gamma:
+            continue
+        feats[accepted] = x
+        labels[accepted] = 1.0 if proj > 0 else -1.0
+        accepted += 1
+    return labels[:, None] * feats, labels.astype(np.int64), w_star
+
+
+@pytest.mark.parametrize("n,d,gamma,p", [(3, 1, 0.2, 2.0), (6, 1, 0.1, 5.5),
+                                         (10, 2, 0.05, 2.0), (12, 5, 0.1, 3.0),
+                                         (20, 7, 0.02, 5.5), (8, 40, 0.05, 3.0)])
+def test_lower_bound_rows_match_reference(n, d, gamma, p):
+    for seed in range(50):
+        spec = GenSpec(n=n, d=d, gamma=gamma, norm_exponent=p, seed=seed)
+        ds = generate(spec)
+        matrix, labels, w_star = lower_bound_reference(spec)
+        assert ds.matrix.tobytes() == matrix.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+        assert ds.w_star.tobytes() == w_star.tobytes()
+
+
 def test_exact_margin_rejects_non_euclidean():
     with pytest.raises(ValueError):
         gen_separable(GenSpec(n=4, d=3, gamma=0.3, norm_exponent=4.0,
@@ -116,8 +157,12 @@ def test_lower_bound_single_point():
 
 
 def test_rejection_budget_error():
+    # the old sampler spends its budget on this spec too
+    spec = GenSpec(n=4, d=2, gamma=0.999999, seed=0)
     with pytest.raises(RejectionBudget):
-        gen_separable(GenSpec(n=4, d=2, gamma=0.999999, seed=0))
+        gen_separable(spec)
+    with pytest.raises(RejectionBudget):
+        lower_bound_reference(spec)
 
 
 def test_infeasible_canonical_triangle_sweep():
