@@ -45,13 +45,23 @@ def mpfp_config(n: int, horizon: int) -> DynamicsConfig:
 def pnorm_config(n: int, horizon: int, p_exp: float) -> DynamicsConfig:
     if n < 2:
         raise TooFewRows("pnorm", n)
-    if not p_exp >= 2.0:
-        raise BadParameter(f"pnorm needs p_exp >= 2, got {p_exp}")
-    q = p_exp / (p_exp - 1.0)
+    q = _dual_exponent(p_exp)
     eta_w = math.sqrt(1.0 / (2.0 * (q - 1.0) * math.log(n)))
     return DynamicsConfig(
         w_learner=OftrlQNorm(eta=eta_w, q=q),
         p_learner=FtrlPlusEntropy(eta=1.0 / eta_w), horizon=horizon)
+
+
+def _dual_exponent(p_exp: float) -> float:
+    """q = p / (p - 1) of the p-norm Perceptron's exponent p in [2, inf).
+    Past p = 1e16 or so, q rounds to 1, where the w-step would divide by 0."""
+    if not 2.0 <= p_exp < math.inf:
+        raise BadParameter(f"pnorm needs p_exp in [2, inf), got {p_exp}")
+    q = p_exp / (p_exp - 1.0)
+    if not q > 1.0:
+        raise BadParameter(f"pnorm needs p_exp whose dual exponent p/(p-1) "
+                           f"exceeds 1, got p_exp = {p_exp}")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +101,7 @@ def _accelerated_horizon(gamma, logn, p_exp):
 
 
 def _pnorm_horizon(gamma, logn, p_exp):
+    _dual_exponent(p_exp)
     return int(math.ceil(math.sqrt(2.0 * (p_exp - 1.0) * logn) / gamma)) + 1
 
 

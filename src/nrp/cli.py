@@ -92,14 +92,12 @@ def _outcome(dataset: Dataset, final, rw, rp, ms) -> list[str]:
 
 
 def _trace_rows(trace) -> list[str]:
-    rows = []
-    for t in range(trace.horizon):
-        rows.append(",".join([
-            str(t + 1), _fmt(trace.alphas[t]), _fmt(trace.margin_avg[t]),
-            _fmt(trace.normalized_margin[t]), _fmt(trace.l1_delta_p[t]),
-            _fmt(trace.regret_w_running[t]), _fmt(trace.regret_p_running[t]),
-            _fmt(trace.gap_bound_running[t])]))
-    return rows
+    # each column is read once: gap_bound_running is computed on every read
+    columns = (trace.alphas, trace.margin_avg, trace.normalized_margin,
+               trace.l1_delta_p, trace.regret_w_running, trace.regret_p_running,
+               trace.gap_bound_running)
+    return [",".join([str(t), *map(_fmt, row)])
+            for t, row in enumerate(zip(*columns), 1)]
 
 
 def cmd_gen(args) -> int:

@@ -234,11 +234,15 @@ def read_dataset(path) -> Dataset:
                         raise BadDatasetFile(path, no, f"row has {len(parts)} fields, "
                                              f"expected a label and d = {d} features")
                     try:
-                        labels[rows] = float(parts[0])
+                        label = float(parts[0])
                         feats[rows] = [float(v) for v in parts[1:]]
                     except ValueError:
                         raise BadDatasetFile(path, no, "row has a field that is "
                                              "not a number") from None
+                    if label != 1.0 and label != -1.0:
+                        raise BadDatasetFile(path, no, f"label is {label!r}, "
+                                             "expected +1 or -1")
+                    labels[rows] = label
                     rows += 1
     except (OSError, UnicodeDecodeError) as exc:
         raise BadDatasetFile(path, None, f"cannot read: {exc}") from None
@@ -247,20 +251,7 @@ def read_dataset(path) -> Dataset:
     if rows < n:
         raise BadDatasetFile(path, header_no, f"header gives n = {n} rows, "
                              f"the file has {rows}")
-    try:
-        return build_dataset(feats, labels, norm_exponent=p,
-                             known_margin=meta.get("known_margin"),
-                             exact_margin=meta.get("exact", False),
-                             w_star=meta.get("w_star"))
-    except BadLabel as exc:
-        raise BadDatasetFile(path, _row_line(path, exc.index), f"label is "
-                             f"{exc.value!r}, expected +1 or -1") from None
-
-
-def _row_line(path, index: int) -> int:
-    """The number of the line that holds data row ``index`` (0-based): the
-    rows are the non-blank lines after the header that are not comments.
-    Only an error path reads the file a second time."""
-    with open(path) as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
-    return [no for no, ln in lines[1:] if not ln.startswith("#")][index]
+    return build_dataset(feats, labels, norm_exponent=p,
+                         known_margin=meta.get("known_margin"),
+                         exact_margin=meta.get("exact", False),
+                         w_star=meta.get("w_star"))

@@ -60,10 +60,16 @@ def _unit_pnorm_vector(rng: np.random.Generator, d: int, p: float) -> np.ndarray
     g = rng.gamma(1.0 / p, 1.0, size=d) ** (1.0 / p)
     v = (rng.integers(0, 2, size=d) * 2.0 - 1.0) * g
     if p == 2.0:
-        return v / math.sqrt(v.dot(v))
-    powers = abs(v)
-    powers **= p
-    return v / np.add.reduce(powers) ** (1.0 / p)
+        norm = math.sqrt(v.dot(v))
+    else:
+        powers = abs(v)
+        powers **= p
+        norm = np.add.reduce(powers) ** (1.0 / p)
+    # at a large p a Gamma(1/p) draw underflows to 0, and so can the norm
+    if not norm > 0.0:
+        raise BadParameter(f"norm exponent p = {p} is too large to sample: a "
+                           "random direction's p-norm underflows to 0")
+    return v / norm
 
 
 def _uniform_pnorm_ball(rng: np.random.Generator, d: int, p: float) -> np.ndarray:

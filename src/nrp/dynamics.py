@@ -24,7 +24,6 @@ bit-identical to the trace `run_dynamics` gives for that dataset alone.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,35 +35,23 @@ from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, LearnerSpec,
                        OmdEntropy, comparator_value)
 
 
-class PlayOrder(enum.Enum):
-    W_FIRST = "w_first"
-    P_FIRST = "p_first"
-
-
-class WeightSchedule(enum.Enum):
-    LINEAR = "linear"     # alpha_t = t
-    UNIFORM = "uniform"   # alpha_t = 1
-
-
-# (w-learner, p-learner) -> (play order, payoff, weights) of the game the
-# pair plays: the pair alone names the accelerated Perceptron
+# the four supported (w-learner, p-learner) pairs, each mapped to whether
+# its p-player moves first; the w-player's decision set fixes the rest:
+# over R^d the game is ridge-regularized with weights alpha_t = t, over a
+# unit ball it is bilinear with alpha_t = 1
 _GAMES = {
-    (OftlPrevLoss, FtrlPlusEntropy): (PlayOrder.W_FIRST, GameObjective.L2_REGULARIZED,
-                                      WeightSchedule.LINEAR),
-    (OftrlQNorm, FtrlPlusEntropy): (PlayOrder.W_FIRST, GameObjective.BILINEAR,
-                                    WeightSchedule.UNIFORM),
-    (FtrlPlusUnregularized, OftrlEntropyPrev): (PlayOrder.P_FIRST,
-                                                GameObjective.L2_REGULARIZED,
-                                                WeightSchedule.LINEAR),
-    (OmdBall, OmdEntropy): (PlayOrder.W_FIRST, GameObjective.BILINEAR,
-                            WeightSchedule.UNIFORM),
+    (OftlPrevLoss, FtrlPlusEntropy): False,
+    (OftrlQNorm, FtrlPlusEntropy): False,
+    (FtrlPlusUnregularized, OftrlEntropyPrev): True,
+    (OmdBall, OmdEntropy): False,
 }
 
 
 @dataclass(frozen=True)
 class DynamicsConfig:
     """T rounds of the game a pair of learners plays; the pair's types fix
-    the play order, the payoff and the weights (`_GAMES`)."""
+    the play order (`_GAMES`), the w-learner's ``ball_norm`` the payoff and
+    the weights."""
 
     w_learner: LearnerSpec
     p_learner: LearnerSpec
@@ -81,7 +68,9 @@ class DynamicsConfig:
 
     @property
     def objective(self) -> GameObjective:
-        return _GAMES[_pair(self)][1]
+        if self.w_learner.ball_norm is None:
+            return GameObjective.L2_REGULARIZED
+        return GameObjective.BILINEAR
 
 
 def _pair(config: DynamicsConfig) -> tuple[type, type]:
@@ -101,7 +90,6 @@ class Trace:
     normalized_margin: np.ndarray    # of the running weighted sum
     regret_w_running: np.ndarray
     regret_p_running: np.ndarray
-    gap_bound_running: np.ndarray
     w_sum: np.ndarray                # weighted sum of the w_t
     p_sum: np.ndarray                # weighted sum of the p_t
 
@@ -123,6 +111,11 @@ class Trace:
         return self.p_sum / self.sum_alpha
 
     @property
+    def gap_bound_running(self) -> np.ndarray:
+        # the duality-gap bound (R^w + R^p) / sum(alpha) after each round
+        return (self.regret_w_running + self.regret_p_running) / np.cumsum(self.alphas)
+
+    @property
     def regret_w(self) -> float:
         return float(self.regret_w_running[-1])
 
@@ -133,12 +126,6 @@ class Trace:
     @property
     def sum_sq_l1_delta(self) -> float:       # in round order too
         return float(np.cumsum(self.l1_delta_p * self.l1_delta_p)[-1])
-
-
-def _alphas(schedule: WeightSchedule, horizon: int) -> np.ndarray:
-    if schedule is WeightSchedule.LINEAR:
-        return np.arange(1, horizon + 1, dtype=np.float64)
-    return np.ones(horizon, dtype=np.float64)
 
 
 def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
@@ -194,14 +181,15 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     at = a.swapaxes(-1, -2)
     n, d = shape
     horizon = config.horizon
-    order, objective, schedule = _GAMES[_pair(config)]
-    w_first = order is PlayOrder.W_FIRST
+    w_first = not _GAMES[_pair(config)]
+    ridge = config.objective is GameObjective.L2_REGULARIZED
     wl = config.w_learner.start(a)
     pl = config.p_learner.start(a)
 
     record = config.record_full_trace
     try:
-        alphas = _alphas(schedule, horizon)
+        alphas = (np.arange(1, horizon + 1, dtype=np.float64) if ridge
+                  else np.ones(horizon, dtype=np.float64))
         cum_alphas = np.cumsum(alphas)       # sum of the alphas after each round
         # the w_t and g_t = A'p_t of every round; ws is also the trace's
         ws, gs = np.empty((batch, horizon, d)), np.empty((batch, horizon, d))
@@ -260,9 +248,10 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
             bad = t
         if bad is not None:
             raise NonFiniteIterate(bad, "w", "w_t") from exc
-        # else the step that raised is a method of the learner in the frame below
-        raiser = exc.__traceback__.tb_next.tb_frame.f_locals.get("self")
-        raise NonFiniteIterate(t, "w" if raiser is wl else "p", exc.quantity) from exc
+        # else the step that raised names its quantity, and of the learners
+        # only the p-player's EntropySimplex takes a softmax
+        player = "p" if exc.quantity == "softmax scores" else "w"
+        raise NonFiniteIterate(t, player, exc.quantity) from exc
     # a bad w_T of a p-first game reaches no softmax
     bad = _first_bad_round(ws)
     if bad is not None:
@@ -270,7 +259,7 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
 
     # the w-player's and the p-player's weighted played losses
     played_p = alphas * bilinear              # alpha_t p_t' A w_t (constants dropped)
-    if objective is GameObjective.L2_REGULARIZED:
+    if ridge:
         played_w = alphas * (-bilinear + 0.5 * np.vecdot(ws, ws))
     else:
         played_w = -played_p
@@ -285,7 +274,6 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     norm_margin = np.full((batch, horizon), np.nan)
     np.divide(worst_rec, wnorm, out=norm_margin, where=wnorm > 0.0)
     margin_avg = worst_rec / cum_alphas
-    gap_running = (rw_rec + rp_rec) / cum_alphas
     w_sum = w_sums[:, -1].copy()              # frees a light trace's records
     return [Trace(
         config=config, alphas=alphas.copy(),
@@ -293,7 +281,7 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
         l1_delta_p=l1_delta[b], margin_avg=margin_avg[b],
         normalized_margin=norm_margin[b],
         regret_w_running=rw_rec[b], regret_p_running=rp_rec[b],
-        gap_bound_running=gap_running[b], w_sum=w_sum[b], p_sum=p_sum[b],
+        w_sum=w_sum[b], p_sum=p_sum[b],
     ) for b in range(batch)]
 
 

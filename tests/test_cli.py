@@ -284,10 +284,21 @@ def test_run_single_row_exit_2(capsys, algo, horizon):
     ["gen", "--n", "8", "--d", "3", "--seed", "-1", "--out", "{tmp}/x.txt"],
     ["sweep", "--algos", "smooth", "--n", "8", "--T", "5", "--seed", "-1",
      "--out", "{tmp}/s.csv"],
+    ["run", "--algo", "pnorm", "--n", "16", "--d", "4", "--p-exp", "inf",
+     "--T", "5"],
+    ["run", "--algo", "pnorm", "--n", "16", "--d", "4", "--p-exp", "1e300",
+     "--T", "5"],
+    ["run", "--algo", "pnorm", "--n", "16", "--d", "4", "--p-exp", "inf"],
+    ["run", "--algo", "pnorm", "--n", "16", "--d", "4", "--p-exp", "nan"],
+    # Gamma(1/1000) draws underflow to 0, and so can a direction's norm
+    ["gen", "--n", "5", "--d", "3", "--p", "1000", "--mode", "lower",
+     "--out", "{tmp}/x.txt"],
 ], ids=["run_n_0", "sweep_T_0", "missing_data_file", "exact_n_1", "p_exp_1",
         "sweep_vanilla_T_0", "equiv_tol_nan", "gen_p_inf", "run_T_huge",
         "gen_out_missing_dir", "run_out_under_file", "sweep_out_under_file",
-        "run_no_data_no_n_d", "gen_seed_negative", "sweep_seed_negative"])
+        "run_no_data_no_n_d", "gen_seed_negative", "sweep_seed_negative",
+        "p_exp_inf", "p_exp_1e300", "p_exp_inf_T_auto", "p_exp_nan_T_auto",
+        "gen_p_1000_lower"])
 def test_bad_input_exit_2(tmp_path, capsys, argv):
     (tmp_path / "file").touch()        # a path under it is not a directory
     code, _, err = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])

@@ -9,7 +9,8 @@ from nrp.core import GameObjective, best_response_value, margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import (DynamicsConfig, Trace, gap_bound_check, run_dynamics,
                           run_dynamics_batch)
-from nrp.errors import BadParameter, IncompatibleConfig, NonFiniteIterate
+from nrp import learners
+from nrp.errors import BadParameter, IncompatibleConfig, NonFinite, NonFiniteIterate
 from nrp.learners import (DualAveragingW, FtrlPlusEntropy, OftlPrevLoss,
                           OftrlEntropyPrev, OmdBall, regret_p_from_arrays,
                           regret_w_from_arrays, weighted_regret_p, weighted_regret_w)
@@ -40,12 +41,12 @@ def test_pair_fixes_the_game():
 
 
 def test_trace_stores_records_only():
-    # sum_alpha, w_bar, p_bar, regret_w, regret_p and sum_sq_l1_delta are
-    # derived from these
+    # sum_alpha, w_bar, p_bar, gap_bound_running, regret_w, regret_p and
+    # sum_sq_l1_delta are derived from these
     assert [f.name for f in dataclasses.fields(Trace)] == [
         "config", "alphas", "ws", "ps", "l1_delta_p", "margin_avg",
         "normalized_margin", "regret_w_running", "regret_p_running",
-        "gap_bound_running", "w_sum", "p_sum"]
+        "w_sum", "p_sum"]
 
 
 @pytest.mark.parametrize("name", ["smooth", "nag", "mpfp", "pnorm"])
@@ -95,6 +96,27 @@ def test_non_finite_step_names_the_player_that_raised():
         failed = exc.value.round_index
         assert (exc.value.player, exc.value.quantity) == ("p", "softmax scores")
         run_dynamics(dataclasses.replace(config, horizon=failed - 1), ds)
+
+
+@pytest.mark.parametrize("bad_round", [1, 6])
+def test_non_finite_w_step_names_the_w_player(monkeypatch, bad_round):
+    # the q-norm dual map is the w-player's: a step of it that raises in
+    # round k names round k, the w-player and the map's input
+    dual_map = learners.qnorm_dual_map
+    calls = []
+
+    def raise_at_bad_round(theta, q):
+        calls.append(q)
+        if len(calls) == bad_round:
+            raise NonFinite("dual map input")
+        return dual_map(theta, q)
+
+    monkeypatch.setattr(learners, "qnorm_dual_map", raise_at_bad_round)
+    ds = generate(GenSpec(n=16, d=4, gamma=0.1, mode=GenMode.LOWER_BOUND, seed=0))
+    with pytest.raises(NonFiniteIterate) as exc:
+        run_dynamics(pnorm_config(16, 10, 3.0), ds)
+    assert (exc.value.round_index, exc.value.player, exc.value.quantity) == (
+        bad_round, "w", "dual map input")
 
 
 @pytest.mark.parametrize("bad_round", [3, 8])
