@@ -73,7 +73,11 @@ def auto_horizon(algo: str, dataset: Dataset, p_exp: float) -> int:
     gamma = dataset.known_margin
     if gamma is None:
         raise NrpError("--T auto needs known_margin metadata")
-    horizon = alg.ALGORITHMS[algo].horizon_rule(gamma, math.log(dataset.n), p_exp)
+    try:
+        horizon = alg.ALGORITHMS[algo].horizon_rule(gamma, math.log(dataset.n), p_exp)
+    except ArithmeticError as exc:
+        raise NrpError(f"--T auto has no horizon for {algo} with known_margin "
+                       f"{gamma}: {exc}") from None
     if horizon < 1:
         if dataset.n < 2:
             raise TooFewRows(algo, dataset.n)
@@ -187,7 +191,8 @@ def _sweep_chunk(args, n, p, chunk, games) -> dict[tuple, str]:
     """The rows of every cell on the (gamma, seed) datasets of one chunk:
     each dataset is generated once and each game plays them as one batch.
     A row's wallclock_ms is the batch's time over the rows it feeds."""
-    mode = _mode(args.mode if p == 2.0 or args.mode == "lower" else "lower")
+    # exact margins exist only at p = 2: other cells use lower-bound data
+    mode = _mode(args.mode if p == 2.0 else "lower")
     datasets = [generate(GenSpec(n=n, d=args.d, gamma=gamma, norm_exponent=p,
                                  mode=mode, seed=seed)) for gamma, seed in chunk]
     rows = {}
@@ -246,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", nargs="*", type=float, default=[2.0])
     sp.add_argument("--seed", nargs="*", type=int, default=[0])
     sp.add_argument("--T", nargs="*", type=int, default=[])
-    sp.add_argument("--mode", choices=("lower", "exact"), default="exact")
+    sp.add_argument("--mode", choices=("lower", "exact"), default="exact",
+                    help="data mode of the p = 2 cells; exact margins exist only "
+                         "at p = 2, so every p != 2 cell uses lower-bound data")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_sweep)
     return parser

@@ -1,4 +1,4 @@
-"""Dataset representation, game objectives, and margin/payoff evaluation.
+"""Dataset representation, margins, and the dataset text format.
 
 The data matrix stores one label-signed example per row: row i equals
 ``y_i * x_i``.  A classifier w separates the data iff every row has a
@@ -7,7 +7,6 @@ positive inner product with w.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -17,14 +16,6 @@ from .errors import (BadDatasetFile, BadLabel, BadOutputPath, BadParameter,
                      NonFinite, RowNormViolation, ZeroVector)
 
 INVARIANT_SLACK = 1e-12     # on the unit row-norm bound and the margin certificate
-UNDERFLOW_FLOOR = 1e-300    # least softmax weight: no probability underflows to 0
-
-
-class GameObjective(enum.Enum):
-    """Which concave-convex payoff g(w, p) the dynamics optimize."""
-
-    BILINEAR = "bilinear"          # g(w, p) = p' A w
-    L2_REGULARIZED = "l2"          # g(w, p) = p' A w - ||w||^2 / 2
 
 
 @dataclass(frozen=True)
@@ -127,15 +118,6 @@ def normalized_margin(dataset: Dataset, w: np.ndarray) -> float:
     return margin(dataset, w) / norm
 
 
-def best_response_value(objective: GameObjective, dataset: Dataset,
-                        w: np.ndarray) -> float:
-    """m(w) = min over the simplex of g(w, .); attained at a vertex."""
-    value = margin(dataset, w)
-    if objective is GameObjective.L2_REGULARIZED:
-        value -= 0.5 * float(np.dot(w, w))
-    return value
-
-
 # --- text format: line 1 "n d p", then "y x_1 ... x_d" per row, then
 # optional "# key=value" metadata comment lines ---
 
@@ -186,9 +168,10 @@ def _metadata(path, no: int, line: str, d: int) -> dict:
     try:
         if key == "known_margin":
             value = float(text)
-            if not 0.0 < value < math.inf:
+            # rows of p-norm <= 1 and a w of dual norm <= 1 have margin <= 1
+            if not 0.0 < value <= 1.0:
                 raise BadDatasetFile(path, no, f"known_margin={text} is not "
-                                     "positive and finite")
+                                     "in (0, 1]")
         elif key == "exact":
             value = text == "true"
         elif key == "w_star":

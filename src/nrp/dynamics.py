@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, GameObjective, best_response_value
+from .core import Dataset, margin
 from .errors import BadParameter, IncompatibleConfig, NonFinite, NonFiniteIterate
 from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, LearnerSpec,
                        OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
@@ -66,12 +66,6 @@ class DynamicsConfig:
             names = " / ".join(cls.__name__ for cls in pair)
             raise IncompatibleConfig(f"unsupported learner pair {names}")
 
-    @property
-    def objective(self) -> GameObjective:
-        if self.w_learner.ball_norm is None:
-            return GameObjective.L2_REGULARIZED
-        return GameObjective.BILINEAR
-
 
 def _pair(config: DynamicsConfig) -> tuple[type, type]:
     return type(config.w_learner), type(config.p_learner)
@@ -92,10 +86,6 @@ class Trace:
     regret_p_running: np.ndarray
     w_sum: np.ndarray                # weighted sum of the w_t
     p_sum: np.ndarray                # weighted sum of the p_t
-
-    @property
-    def horizon(self) -> int:
-        return self.alphas.shape[0]
 
     @property
     def sum_alpha(self) -> float:
@@ -182,7 +172,7 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     n, d = shape
     horizon = config.horizon
     w_first = not _GAMES[_pair(config)]
-    ridge = config.objective is GameObjective.L2_REGULARIZED
+    ridge = config.w_learner.ball_norm is None
     wl = config.w_learner.start(a)
     pl = config.p_learner.start(a)
 
@@ -285,14 +275,24 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     ) for b in range(batch)]
 
 
+def best_response_value(ball_norm: float | None, dataset: Dataset,
+                        w: np.ndarray) -> float:
+    """m(w) = min over the simplex of the payoff at w, attained at a vertex:
+    the margin of w, less ||w||^2 / 2 in the ridge games (ball_norm None)."""
+    value = margin(dataset, w)
+    if ball_norm is None:
+        value -= 0.5 * float(np.dot(w, w))
+    return value
+
+
 def gap_bound_check(trace: Trace, dataset: Dataset, comparator_w: np.ndarray):
     """Duality-gap guarantee: m(w) - m(w_bar) <= (R^p + R^w) / sum(alpha)
     + 1e-9, with m the best response to w under the payoff of the trace's game.
 
     The comparator must lie in the w-player's decision set.
     """
-    objective = trace.config.objective
-    lhs = (best_response_value(objective, dataset, comparator_w)
-           - best_response_value(objective, dataset, trace.w_bar))
+    ball_norm = trace.config.w_learner.ball_norm
+    lhs = (best_response_value(ball_norm, dataset, comparator_w)
+           - best_response_value(ball_norm, dataset, trace.w_bar))
     rhs = (trace.regret_w + trace.regret_p) / trace.sum_alpha
     return lhs, rhs, lhs <= rhs + 1e-9

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, NonFinite
-from .core import UNDERFLOW_FLOOR
+
+UNDERFLOW_FLOOR = 1e-300    # least softmax weight: no probability underflows to 0
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +148,17 @@ def softmax_neg(scores: np.ndarray) -> np.ndarray:
 
 
 def _row_norm(x: np.ndarray, ord: float = 2.0) -> np.ndarray:
-    """||x||_ord along the last axis, which is kept with length 1.  The l2
-    norm goes through the dot product, as np.linalg.norm computes it for a
-    single vector; any other norm takes its root of an array, never of a
-    scalar, whose power can round differently.  Either way a row of a stack
-    gets the same bits as the row on its own."""
+    """||x||_ord along the last axis, which is kept with length 1, with the
+    same bits for a row of a stack as for the row on its own.  The l2 norm
+    goes through the dot product, as np.linalg.norm computes it for a single
+    vector.  Any other norm is taken of the row over its largest |entry|
+    and multiplied back, so no |entry|^ord overflows, and takes its root of
+    an array, never of a scalar, whose power can round differently."""
     if ord == 2.0:
         return np.sqrt(np.vecdot(x, x))[..., None]
-    return np.linalg.norm(x, ord=ord, axis=-1, keepdims=True)
+    scale = np.abs(x).max(axis=-1, keepdims=True)
+    scale[scale == 0.0] = 1.0            # a zero row has norm 0 either way
+    return np.linalg.norm(x / scale, ord=ord, axis=-1, keepdims=True) * scale
 
 
 def project_ball(v: np.ndarray) -> np.ndarray:
@@ -169,7 +173,9 @@ def qnorm_dual_map(theta: np.ndarray, q: float) -> np.ndarray:
 
     With 1/p + 1/q = 1 the map is
         w_i = (q-1) sign(theta_i) |theta_i|^(p-1) ||theta||_p^(2-p),
-    the identity when q = 2, and 0 at theta = 0.
+    the identity when q = 2, and 0 at theta = 0.  It is formed as
+    (q-1) sign(u_i) |u_i|^(p-1) ||theta||_p with u = theta / ||theta||_p,
+    whose powers of |u_i| <= 1 do not overflow at a large p.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if not np.isfinite(theta).all():
@@ -178,9 +184,10 @@ def qnorm_dual_map(theta: np.ndarray, q: float) -> np.ndarray:
         return theta.copy()
     p = q / (q - 1.0)
     norm = _row_norm(theta, p)
-    # a zero row maps to 0 through sign(0) = 0; the 1 only avoids 0 ** (2 - p)
-    norm = np.where(norm == 0.0, 1.0, norm)
-    return (q - 1.0) * np.sign(theta) * np.abs(theta) ** (p - 1.0) * norm ** (2.0 - p)
+    # a zero row maps to 0 through u = 0; the 1 only avoids 0 / 0
+    norm[norm == 0.0] = 1.0
+    u = theta / norm
+    return (q - 1.0) * np.sign(u) * np.abs(u) ** (p - 1.0) * norm
 
 
 # ---------------------------------------------------------------------------

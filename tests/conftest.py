@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nrp import learners
 from nrp.core import build_dataset
 from nrp.datagen import GenMode, GenSpec, generate
 
@@ -48,6 +49,21 @@ def qnorm_primal_grad(w, q):
     if norm == 0.0:
         return np.zeros_like(w)
     return np.sign(w) * np.abs(w) ** (q - 1.0) * norm ** (2.0 - q) / (q - 1.0)
+
+
+def nan_dual_map_from(monkeypatch, bad_round):
+    """Make the q-norm dual map return NaN from its bad_round-th call on,
+    as a map that overflows would; returns the list of calls so far."""
+    dual_map = learners.qnorm_dual_map
+    calls = []
+
+    def nan_from_bad_round(theta, q):
+        calls.append(q)
+        w = dual_map(theta, q)
+        return w * np.nan if len(calls) >= bad_round else w
+
+    monkeypatch.setattr(learners, "qnorm_dual_map", nan_from_bad_round)
+    return calls
 
 
 def empirical_risk(dataset, v):

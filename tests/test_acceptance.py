@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from nrp import algorithms as alg
-from nrp.core import GameObjective, margin, normalized_margin
+from nrp.core import margin, normalized_margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import run_dynamics
 from nrp.learners import (FtrlPlusEntropy, FtrlPlusUnregularized,
@@ -189,12 +189,11 @@ def test_criterion_13_duality_gap_guarantee():
     for config in configs:
         trace = run_dynamics(config, ds)
         rhs = (trace.regret_w + trace.regret_p) / trace.sum_alpha
-        ridge = config.objective is GameObjective.L2_REGULARIZED
+        ball_norm = config.w_learner.ball_norm
 
         def m(w):
-            return margin(ds, w) - (0.5 * float(w @ w) if ridge else 0.0)
+            return margin(ds, w) - (0.5 * float(w @ w) if ball_norm is None else 0.0)
 
-        ball_norm = config.w_learner.ball_norm
         for _ in range(100):
             w = rng.standard_normal(6)
             if ball_norm is not None:

@@ -12,6 +12,7 @@ from nrp.algorithms import (Algorithm, mpfp_config, nag_config, pnorm_config,
 from nrp.cli import ALGOS, SUMMARY_HEADER, TRACE_HEADER, main
 from nrp.core import margin, read_dataset
 from nrp.dynamics import run_dynamics
+from conftest import nan_dual_map_from
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +231,17 @@ def test_sweep_duplicate_cells_keep_grid_order(tmp_path, capsys):
     assert rows[1:] == expected
 
 
+def test_sweep_exact_mode_uses_lower_bound_data_off_p_2(tmp_path, capsys):
+    # exact margins exist only at p = 2: an exact sweep's p = 3 cells are
+    # played on the lower-bound data, and its p = 2 cells are not
+    grid = ["--algos", "smooth", "pnorm", "--n", "16", "--seed", "0", "1", "--T", "10"]
+    exact3, lower3, exact2, lower2 = (
+        sweep_rows(capsys, tmp_path / f"{mode}{p}.csv", *grid, "--p", p, "--mode", mode)
+        for p in ("3", "2") for mode in ("exact", "lower"))
+    assert exact3 == lower3 and len(exact3) == 1 + 2 * 2
+    assert exact2[1:] != lower2[1:]
+
+
 def test_sweep_empty_grid_header_only(tmp_path, capsys):
     out = tmp_path / "empty.csv"
     code, _, _ = run_cli(capsys, "sweep", "--out", str(out))
@@ -293,16 +305,29 @@ def test_run_single_row_exit_2(capsys, algo, horizon):
     # Gamma(1/1000) draws underflow to 0, and so can a direction's norm
     ["gen", "--n", "5", "--d", "3", "--p", "1000", "--mode", "lower",
      "--out", "{tmp}/x.txt"],
+    # 1 / gamma^2 divides by 0 at gamma = 1e-200 and overflows at 1e-160;
+    # a margin above 1 is not read
+    ["run", "--algo", "vanilla", "--data", "{tmp}/margin_1e-200.txt"],
+    ["run", "--algo", "vanilla", "--data", "{tmp}/margin_1e-160.txt"],
+    ["run", "--algo", "vanilla", "--data", "{tmp}/margin_1e200.txt"],
+    # infeasible data has no known_margin for --T auto
+    ["run", "--algo", "smooth", "--n", "8", "--d", "3", "--mode", "infeasible"],
+    ["run", "--algo", "smooth", "--data", "{tmp}/w_star_2.txt", "--T", "5"],
 ], ids=["run_n_0", "sweep_T_0", "missing_data_file", "exact_n_1", "p_exp_1",
         "sweep_vanilla_T_0", "equiv_tol_nan", "gen_p_inf", "run_T_huge",
         "gen_out_missing_dir", "run_out_under_file", "sweep_out_under_file",
         "run_no_data_no_n_d", "gen_seed_negative", "sweep_seed_negative",
         "p_exp_inf", "p_exp_1e300", "p_exp_inf_T_auto", "p_exp_nan_T_auto",
-        "gen_p_1000_lower"])
+        "gen_p_1000_lower", "auto_margin_1e-200", "auto_margin_1e-160",
+        "margin_1e200", "infeasible_T_auto", "w_star_dual_norm_2"])
 def test_bad_input_exit_2(tmp_path, capsys, argv):
     (tmp_path / "file").touch()        # a path under it is not a directory
+    rows = "3 2 2\n1 0.5 0.5\n1 0.5 -0.25\n-1 -0.5 0.25\n"
+    for gamma in ("1e-200", "1e-160", "1e200"):
+        (tmp_path / f"margin_{gamma}.txt").write_text(rows + f"# known_margin={gamma}\n")
+    (tmp_path / "w_star_2.txt").write_text(rows + "# known_margin=0.1\n# w_star=2 0\n")
     code, _, err = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
-    assert code == 2 and err.startswith("error: ")
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("old,new", [("16 4 2\n", "16 4 inf\n"),
@@ -344,14 +369,24 @@ def test_run_pnorm_large_exponent(capsys):
     assert code == 0 and float(out.splitlines()[-1].split(",")[5]) > 0
 
 
-def test_run_pnorm_overflow_names_round_and_player(capsys):
-    # at p_exp 200 the dual map overflows into a NaN w_19; the error names
-    # the round and the player, not the softmax that met it
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, _, err = run_cli(capsys, "run", "--algo", "pnorm", "--n", "16", "--d", "4",
-                               "--mode", "lower", "--T", "20", "--p-exp", "200")
+def test_run_pnorm_overflow_names_round_and_player(capsys, monkeypatch):
+    # a dual map that overflows into a NaN w_19: the error names the round
+    # and the player, not the softmax that met it
+    nan_dual_map_from(monkeypatch, 19)
+    code, _, err = run_cli(capsys, "run", "--algo", "pnorm", "--n", "16", "--d", "4",
+                           "--mode", "lower", "--T", "20", "--p-exp", "200")
     assert code == 2
     assert "round 19" in err and "w-player" in err
+
+
+@pytest.mark.parametrize("p_exp", ["200", "1e6", "1e15"])
+def test_run_pnorm_large_p_exp(capsys, p_exp):
+    # the p-norms and the dual map are taken of rows scaled to entries of
+    # at most 1, so no power overflows; a RuntimeWarning fails the test
+    code, out, err = run_cli(capsys, "run", "--algo", "pnorm", "--n", "16", "--d", "4",
+                             "--mode", "lower", "--T", "20", "--p-exp", p_exp)
+    assert code == 0 and err == ""
+    assert math.isfinite(float(out.splitlines()[-1].split(",")[5]))
 
 
 def test_run_nan_norm_exponent_exit_2(capsys):

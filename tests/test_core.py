@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nrp.core import (Dataset, GameObjective, best_response_value,
-                      build_dataset, margin, normalized_margin, read_dataset,
-                      write_dataset)
+from nrp.core import (Dataset, build_dataset, margin, normalized_margin,
+                      read_dataset, write_dataset)
 from nrp.datagen import GenMode, GenSpec, generate
+from nrp.dynamics import best_response_value
 from nrp.errors import (BadDatasetFile, BadLabel, BadParameter, NonFinite,
                         RowNormViolation, ZeroVector)
 from conftest import random_dataset
@@ -42,6 +42,14 @@ def test_build_rejects_nonfinite():
         build_dataset(np.array([[np.nan, 0.0]]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("matrix", [np.ones(2) / 2, np.ones((1, 2, 2)) / 2,
+                                    np.empty((0, 2)), np.empty((2, 0))],
+                         ids=["1d", "3d", "no_rows", "no_columns"])
+def test_dataset_rejects_non_matrix(matrix):
+    with pytest.raises(BadParameter):
+        Dataset(matrix=matrix)
+
+
 def test_margin_identity_matrix():
     ds = Dataset(matrix=np.eye(2))
     assert margin(ds, np.array([1.0, 1.0])) == 1.0
@@ -50,6 +58,13 @@ def test_margin_identity_matrix():
 def test_margin_zero_vector_is_zero(rng):
     ds = random_dataset(rng, 6, 3)
     assert margin(ds, np.zeros(3)) == 0.0
+
+
+def test_margin_rejects_non_finite_classifier(rng):
+    ds = random_dataset(rng, 6, 3)
+    with pytest.raises(NonFinite) as exc:
+        margin(ds, np.array([0.5, np.nan, 0.0]))
+    assert exc.value.quantity == "classifier"
 
 
 def test_normalized_margin_hand_value():
@@ -72,11 +87,12 @@ def test_normalized_margin_zero_vector():
         normalized_margin(ds, np.zeros(2))
 
 
-def game_value(objective, dataset, w, p):
-    """The payoff g(w, p) of each objective: the reference the best
-    response is checked against."""
+def game_value(ball_norm, dataset, w, p):
+    """The payoff g(w, p) of the game whose w-player plays over R^d
+    (ball_norm None, ridge-regularized) or a unit ball (bilinear): the
+    reference the best response is checked against."""
     value = float(p @ (dataset.matrix @ w))
-    if objective is GameObjective.L2_REGULARIZED:
+    if ball_norm is None:
         value -= 0.5 * float(np.dot(w, w))
     return value
 
@@ -85,15 +101,15 @@ def test_game_value_examples():
     ds = Dataset(matrix=np.array([[1.0, 0.0]]))
     w = np.array([0.5, 0.0])
     p = np.array([1.0])
-    assert game_value(GameObjective.L2_REGULARIZED, ds, w, p) == pytest.approx(0.375)
-    assert game_value(GameObjective.L2_REGULARIZED, ds, np.zeros(2), p) == 0.0
+    assert game_value(None, ds, w, p) == pytest.approx(0.375)
+    assert game_value(None, ds, np.zeros(2), p) == 0.0
 
 
 def test_game_value_bilinear_uniform_is_mean(rng):
     ds = random_dataset(rng, 7, 3)
     w = rng.standard_normal(3)
     p = np.ones(7) / 7
-    assert game_value(GameObjective.BILINEAR, ds, w, p) == pytest.approx(
+    assert game_value(2.0, ds, w, p) == pytest.approx(
         float(np.mean(ds.matrix @ w)))
 
 
@@ -102,24 +118,24 @@ def test_objectives_differ_by_ridge(rng):
     for _ in range(10):
         w = rng.standard_normal(3)
         p = rng.dirichlet(np.ones(5))
-        lhs = game_value(GameObjective.L2_REGULARIZED, ds, w, p)
-        rhs = game_value(GameObjective.BILINEAR, ds, w, p) - 0.5 * float(w @ w)
+        lhs = game_value(None, ds, w, p)
+        rhs = game_value(2.0, ds, w, p) - 0.5 * float(w @ w)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_best_response_vertex_enumeration(rng):
     ds = random_dataset(rng, 6, 3)
-    for obj in GameObjective:
+    for ball_norm in (None, 2.0):
         for _ in range(10):
             w = rng.standard_normal(3)
-            vals = [game_value(obj, ds, w, np.eye(6)[i]) for i in range(6)]
-            assert best_response_value(obj, ds, w) == pytest.approx(min(vals))
+            vals = [game_value(ball_norm, ds, w, np.eye(6)[i]) for i in range(6)]
+            assert best_response_value(ball_norm, ds, w) == pytest.approx(min(vals))
 
 
 def test_best_response_bilinear_equals_margin(rng):
     ds = random_dataset(rng, 6, 3)
     w = rng.standard_normal(3)
-    assert best_response_value(GameObjective.BILINEAR, ds, w) == margin(ds, w)
+    assert best_response_value(2.0, ds, w) == margin(ds, w)
 
 
 def test_certificate_invariants_checked():
@@ -266,6 +282,8 @@ def test_serialization_exact_for_doubles(tmp_path, rng):
     ("1 2 2\n1 0.5 0.5\n# known_margin=0.5\n# w_star=1 -inf\n", 4),
     ("2 2 2\n1 0.5 0.5\n0 0.1 0.1\n", 3),                # label not +-1
     ("2 2 2\n\n# exact=true\n1 0.5 0.5\n\n2 0.1 0.1\n", 6),
+    ("1 2 2\n1 0.5 0.5\n# known_margin=1.5\n", 3),      # margin above 1
+    ("1 2 2\n1 0.5 0.5\n# known_margin=1e200\n", 3),
 ])
 def test_read_dataset_rejects_malformed_file(tmp_path, text, line):
     path = tmp_path / "bad.txt"

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nrp.core import GameObjective, best_response_value, margin
+from nrp.core import margin
 from nrp.datagen import GenMode, GenSpec, generate
-from nrp.dynamics import (DynamicsConfig, Trace, gap_bound_check, run_dynamics,
-                          run_dynamics_batch)
+from nrp.dynamics import (DynamicsConfig, Trace, best_response_value,
+                          gap_bound_check, run_dynamics, run_dynamics_batch)
 from nrp import learners
 from nrp.errors import BadParameter, IncompatibleConfig, NonFinite, NonFiniteIterate
 from nrp.learners import (DualAveragingW, FtrlPlusEntropy, OftlPrevLoss,
                           OftrlEntropyPrev, OmdBall, regret_p_from_arrays,
                           regret_w_from_arrays, weighted_regret_p, weighted_regret_w)
 from nrp.algorithms import mpfp_config, nag_config, pnorm_config, smooth_config
-from conftest import count_matvecs, exact_margin_dataset, random_dataset
+from conftest import (count_matvecs, exact_margin_dataset, nan_dual_map_from,
+                      random_dataset)
 
 
 def test_horizon_validation():
@@ -31,13 +32,16 @@ def test_incompatible_pairs_rejected():
             DynamicsConfig(w_learner=w_learner, p_learner=p_learner, horizon=5)
 
 
-def test_pair_fixes_the_game():
+def test_pair_fixes_the_game(rng):
     assert [f.name for f in dataclasses.fields(DynamicsConfig)] == [
         "w_learner", "p_learner", "horizon", "record_full_trace"]
-    assert smooth_config(3).objective is GameObjective.L2_REGULARIZED
-    assert nag_config(3).objective is GameObjective.L2_REGULARIZED
-    assert mpfp_config(4, 3).objective is GameObjective.BILINEAR
-    assert pnorm_config(4, 3, 3.0).objective is GameObjective.BILINEAR
+    # the ridge games over R^d weigh round t by t, the ball games by 1
+    ds = random_dataset(rng, 4, 3)
+    for config, alphas in ((smooth_config(3), [1.0, 2.0, 3.0]),
+                           (nag_config(3), [1.0, 2.0, 3.0]),
+                           (mpfp_config(4, 3), [1.0, 1.0, 1.0]),
+                           (pnorm_config(4, 3, 3.0), [1.0, 1.0, 1.0])):
+        assert run_dynamics(config, ds).alphas.tolist() == alphas
 
 
 def test_trace_stores_records_only():
@@ -72,17 +76,17 @@ def test_trace_totals_add_in_round_order(rng, name):
     assert trace.w_sum.tobytes() == w_sum.tobytes()
 
 
-def test_non_finite_w_names_round_and_player():
-    # the q-norm dual map of p_exp 200 overflows into a NaN w_19, which
-    # surfaces in the p-player's softmax of the same round
+def test_non_finite_w_names_round_and_player(monkeypatch):
+    # a NaN w_19 surfaces in the p-player's softmax of the same round
     ds = generate(GenSpec(n=16, d=4, gamma=0.1, mode=GenMode.LOWER_BOUND, seed=0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteIterate) as exc:
-            run_dynamics(pnorm_config(16, 20, 200.0), ds)
-        assert (exc.value.round_index, exc.value.player, exc.value.quantity) == (
-            19, "w", "w_t")
-        assert "round 19" in str(exc.value) and "w-player" in str(exc.value)
-        run_dynamics(pnorm_config(16, 18, 200.0), ds)
+    calls = nan_dual_map_from(monkeypatch, 19)
+    with pytest.raises(NonFiniteIterate) as exc:
+        run_dynamics(pnorm_config(16, 20, 200.0), ds)
+    assert (exc.value.round_index, exc.value.player, exc.value.quantity) == (
+        19, "w", "w_t")
+    assert "round 19" in str(exc.value) and "w-player" in str(exc.value)
+    calls.clear()
+    run_dynamics(pnorm_config(16, 18, 200.0), ds)
 
 
 def test_non_finite_step_names_the_player_that_raised():
@@ -327,7 +331,7 @@ def test_gap_bound_random_comparators(rng):
     ds = random_dataset(rng, 8, 4)
     for config in (smooth_config(30), nag_config(30), mpfp_config(8, 30)):
         trace = run_dynamics(config, ds)
-        ball = config.objective is GameObjective.BILINEAR
+        ball = config.w_learner.ball_norm is not None
         for _ in range(100):
             w = rng.standard_normal(4)
             if ball:
@@ -394,5 +398,5 @@ def test_light_trace_matches_full(rng):
 def test_best_response_consistency(rng):
     ds = random_dataset(rng, 6, 3)
     trace = run_dynamics(smooth_config(12), ds)
-    m = best_response_value(GameObjective.L2_REGULARIZED, ds, trace.w_bar)
+    m = best_response_value(None, ds, trace.w_bar)
     assert np.isfinite(m)
