@@ -173,8 +173,9 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     horizon = config.horizon
     w_first = not _GAMES[_pair(config)]
     ridge = config.w_learner.ball_norm is None
-    wl = config.w_learner.start(a)
-    pl = config.p_learner.start(a)
+    # the states size their vectors (B, .) from a (B, n, d) view, B = 1 included
+    stacked = a.reshape(batch, n, d)
+    wl, pl = config.w_learner.start(stacked), config.p_learner.start(stacked)
 
     record = config.record_full_trace
     try:
@@ -197,6 +198,7 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     # first-moving p-player A w_0 with w_0 = 0
     hint = _times(at, prev_p) if w_first else np.zeros((batch, n))
     p_sum = np.zeros((batch, n))
+    buffer = np.empty((batch, n))            # the loop's one n-vector temporary
 
     try:
         for t in range(1, horizon + 1):
@@ -217,11 +219,12 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
 
             ws[:, t - 1] = w_t
             gs[:, t - 1] = g_t
-            bilinear[:, t - 1] = np.vecdot(p_t, loss)
-            p_sum += alpha * p_t
+            np.vecdot(p_t, loss, out=bilinear[:, t - 1])
+            p_sum += np.multiply(p_t, alpha, out=buffer)
             # every p-learner is an EntropySimplex, whose cum is sum alpha_t A w_t
-            worst_rec[:, t - 1] = pl.cum.min(axis=-1)   # min_i (A w_sum)_i
-            l1_delta[:, t - 1] = np.abs(p_t - prev_p).sum(axis=-1)
+            np.minimum.reduce(pl.cum, axis=-1, out=worst_rec[:, t - 1])  # min_i (A w_sum)_i
+            np.abs(np.subtract(p_t, prev_p, out=buffer), out=buffer)
+            np.add.reduce(buffer, axis=-1, out=l1_delta[:, t - 1])
             if record:
                 ps[:, t - 1] = p_t
 

@@ -25,9 +25,10 @@ weighted sum of the dual vectors they absorbed and apply the appropriate
 mirror/dual map.
 
 The kernels and states act on the last axis, so one state plays B games of
-one shape at once: it sizes itself from the last two axes of a and its
-vectors take the batch axis from the first (B, .) hint or play they meet;
-its comparator values are one per game.  Each game gets the same bits.
+one shape at once.  A state started from a (B, n, d) stack holds (B, n) or
+(B, d) vectors from the start, and from an (n, d) matrix 1-D ones; the hints
+and plays it is given have that shape, so its sums are updated in place.
+The comparator values are one per game.  Each game gets the same bits.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ import numpy as np
 from .errors import BadParameter, NonFinite
 
 UNDERFLOW_FLOOR = 1e-300    # least softmax weight: no probability underflows to 0
+# least exp argument of the softmax: exp(-700) ~ 9.9e-305 is below the floor,
+# so a clamped entry ends at the floor as it would unclamped, and numpy's exp
+# is several times slower on arguments below about -708
+EXP_ARG_MIN = -700.0
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +66,7 @@ class OftlPrevLoss:
     ball_norm = None
 
     def start(self, a: np.ndarray) -> DualAveragingW:
-        return DualAveragingW(a.shape[-1])
+        return DualAveragingW(_w_shape(a))
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,7 @@ class FtrlPlusEntropy(_Stepped):
     """FTRL including the current round, entropy regularizer over the simplex."""
 
     def start(self, a: np.ndarray) -> EntropySimplex:
-        return EntropySimplex(a.shape[-2], self.eta)
+        return EntropySimplex(a.shape[:-1], self.eta)
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class OftrlEntropyPrev(_Stepped):
     """Optimistic FTRL over the simplex, previous loss vector as the hint."""
 
     def start(self, a: np.ndarray) -> EntropySimplex:
-        return EntropySimplex(a.shape[-2], self.eta)
+        return EntropySimplex(a.shape[:-1], self.eta)
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ class FtrlPlusUnregularized:
     ball_norm = None
 
     def start(self, a: np.ndarray) -> DualAveragingW:
-        return DualAveragingW(a.shape[-1])
+        return DualAveragingW(_w_shape(a))
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ class OftrlQNorm(_Stepped):
         return self.q
 
     def start(self, a: np.ndarray) -> DualAveragingW:
-        return DualAveragingW(a.shape[-1], self.eta, self.q)
+        return DualAveragingW(_w_shape(a), self.eta, self.q)
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,7 @@ class OmdBall(_Stepped):
     ball_norm = 2.0
 
     def start(self, a: np.ndarray) -> OmdBallState:
-        return OmdBallState(a.shape[-1], self.eta)
+        return OmdBallState(_w_shape(a), self.eta)
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,12 @@ class OmdEntropy(_Stepped):
     """Optimistic mirror descent (multiplicative weights) on the simplex."""
 
     def start(self, a: np.ndarray) -> EntropySimplex:
-        return EntropySimplex(a.shape[-2], self.eta, shows_hat=True)
+        return EntropySimplex(a.shape[:-1], self.eta, shows_hat=True)
+
+
+def _w_shape(a: np.ndarray) -> tuple[int, ...]:
+    """The shape of a w-side state's vectors: a's batch axes and d."""
+    return a.shape[:-2] + a.shape[-1:]
 
 
 LearnerSpec = (OftlPrevLoss | FtrlPlusEntropy | OftrlEntropyPrev
@@ -131,17 +141,20 @@ LearnerSpec = (OftlPrevLoss | FtrlPlusEntropy | OftrlEntropyPrev
 # ---------------------------------------------------------------------------
 # shared numeric kernels
 
-def softmax_neg(scores: np.ndarray) -> np.ndarray:
+def softmax_neg(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized exp(-scores) along the last axis, max-subtracted.  Single
     implementation shared by every learner and every original-form algorithm
     so the equivalence checks compare identical roundoff paths; each row of
-    a stack is normalized on its own."""
+    a stack is normalized on its own.  The result goes to out if given,
+    which may be scores itself, with the same bits."""
     s = np.asarray(scores, dtype=np.float64)
     # the ufuncs' reductions, which the ndarray methods wrap in a Python
     # call each: at small n a round makes several softmaxes
     if not np.logical_and.reduce(np.isfinite(s), axis=None):
         raise NonFinite("softmax scores")
-    z = np.exp(np.minimum.reduce(s, axis=-1, keepdims=True) - s)
+    z = np.subtract(np.minimum.reduce(s, axis=-1, keepdims=True), s, out=out)
+    np.maximum(z, EXP_ARG_MIN, out=z)
+    np.exp(z, out=z)
     np.maximum(z, UNDERFLOW_FLOOR, out=z)
     z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
@@ -204,20 +217,25 @@ class EntropySimplex:
     learner shows its opponent.
     """
 
-    def __init__(self, n: int, eta: float, shows_hat: bool = False):
+    def __init__(self, shape: tuple[int, ...], eta: float, shows_hat: bool = False):
         self.eta = eta
-        self.cum = np.zeros(n)
+        self.cum = np.zeros(shape)
         self.shows_hat = shows_hat
 
     @property
     def hat(self) -> np.ndarray:
-        return softmax_neg(self.eta * self.cum)
+        scores = np.multiply(self.cum, self.eta)
+        return softmax_neg(scores, out=scores)
 
     def decide(self, alpha: float, hint: np.ndarray) -> np.ndarray:
-        return softmax_neg(self.eta * (self.cum + alpha * hint))
+        # eta * (cum + alpha * hint), formed in the array that becomes the play
+        scores = np.multiply(hint, alpha)
+        scores += self.cum
+        scores *= self.eta
+        return softmax_neg(scores, out=scores)
 
     def absorb(self, alpha: float, realized: np.ndarray) -> None:
-        self.cum = self.cum + alpha * realized
+        np.add(self.cum, alpha * realized, out=self.cum)
 
     def shown(self, p: np.ndarray) -> np.ndarray:
         return self.hat if self.shows_hat else p
@@ -235,10 +253,10 @@ class DualAveragingW:
     explicit dual map.
     """
 
-    def __init__(self, d: int, eta: float | None = None, q: float = 2.0):
+    def __init__(self, shape: tuple[int, ...], eta: float | None = None, q: float = 2.0):
         self.eta = eta
         self.q = q
-        self.cum_g = np.zeros(d)
+        self.cum_g = np.zeros(shape)
         self.cum_alpha = 0.0
 
     def decide(self, alpha: float, hint: np.ndarray) -> np.ndarray:
@@ -248,7 +266,7 @@ class DualAveragingW:
         return qnorm_dual_map(self.eta * theta, self.q)
 
     def absorb(self, alpha: float, realized: np.ndarray) -> None:
-        self.cum_g = self.cum_g + alpha * realized
+        np.add(self.cum_g, alpha * realized, out=self.cum_g)
         self.cum_alpha += alpha
 
     def shown(self, w: np.ndarray) -> np.ndarray:
@@ -260,9 +278,9 @@ class OmdBallState:
     losses, whose gradient at the dual vector g = A'p is -g.  It shows its
     secondary iterate w_hat."""
 
-    def __init__(self, d: int, eta: float):
+    def __init__(self, shape: tuple[int, ...], eta: float):
         self.eta = eta
-        self.w_hat = np.zeros(d)
+        self.w_hat = np.zeros(shape)
 
     def _step(self, alpha: float, g: np.ndarray) -> np.ndarray:
         return project_ball(self.w_hat + self.eta * alpha * g)
@@ -300,16 +318,19 @@ def regret_w_from_arrays(a: np.ndarray, alphas, ws, ps, ball_norm: float | None)
 
     ball_norm None: ridge losses over R^d.  A number b: bilinear losses over
     the unit b-norm ball, where the comparator's loss is minus the dual norm
-    ||A' sum_t alpha_t p_t||_{b/(b-1)}.
+    ||A' sum_t alpha_t p_t||_{b/(b-1)}, taken of the vector over its largest
+    |entry| so that no power overflows at a large dual exponent.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     cum_p = alphas @ ps
     bilinear_played = -float(np.einsum("t,ti,ti->", alphas, ps, ws @ a.T))
+    g = a.T @ cum_p
     if ball_norm is None:
         played = bilinear_played + 0.5 * float(alphas @ np.sum(ws * ws, axis=1))
-        best = -0.5 * float(np.dot(a.T @ cum_p, a.T @ cum_p)) / float(alphas.sum())
+        best = -0.5 * float(np.dot(g, g)) / float(alphas.sum())
         return played - best
-    best = -float(np.linalg.norm(a.T @ cum_p, ord=ball_norm / (ball_norm - 1.0)))
+    scale = float(np.max(np.abs(g))) or 1.0     # a zero g has norm 0 either way
+    best = -scale * float(np.linalg.norm(g / scale, ord=ball_norm / (ball_norm - 1.0)))
     return bilinear_played - best
 
 

@@ -242,15 +242,19 @@ def test_running_regrets_match_oracle_every_round(rng):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @settings(deadline=None)
 @given(n=st.integers(2, 12), d=st.integers(1, 5), gamma=st.floats(0.05, 0.4),
-       seed=st.integers(0, 2**16), horizon=st.integers(1, 20))
-def test_running_regrets_match_oracle_on_drawn_data(p, n, d, gamma, seed, horizon):
+       seed=st.integers(0, 2**16), horizon=st.integers(1, 20),
+       log_p_exp=st.floats(math.log(2.0), math.log(1e6)))
+def test_running_regrets_match_oracle_on_drawn_data(p, n, d, gamma, seed, horizon,
+                                                     log_p_exp):
     # separable data with rows in the unit p-norm ball; pnorm plays the
-    # q-norm game of that p
+    # q-norm game of an exponent drawn log-uniform from [2, 1e6], where an
+    # unscaled dual norm of the comparator overflows
     ds = generate(GenSpec(n=n, d=d, gamma=gamma, norm_exponent=p,
                           mode=GenMode.LOWER_BOUND, seed=seed))
     a = ds.matrix
+    p_exp = math.exp(log_p_exp)
     for config in (smooth_config(horizon), nag_config(horizon),
-                   mpfp_config(n, horizon), pnorm_config(n, horizon, p)):
+                   mpfp_config(n, horizon), pnorm_config(n, horizon, p_exp)):
         trace = run_dynamics(config, ds)
         for t in range(1, horizon + 1):
             alphas, ws, ps = trace.alphas[:t], trace.ws[:t], trace.ps[:t]
@@ -278,10 +282,12 @@ def test_engine_matvecs_per_round(rng, name, per_round):
     assert counter[0] == per_round * T + once
 
 
-@pytest.mark.parametrize("name", ["smooth", "nag", "mpfp", "pnorm2", "pnorm3"])
-def test_batch_instances_match_single_runs(name):
+@pytest.mark.parametrize("name", ["smooth", "nag", "mpfp", "pnorm2", "pnorm3",
+                                  "pnorm2_T200"])
+def test_batch_instances_match_single_runs(name, monkeypatch):
     # mixed margins and seeds; lower-bound data, the only mode with p = 3 rows
-    n, d, T = 40, 6, 30
+    n, d = 40, 6
+    T = 200 if name == "pnorm2_T200" else 30
     p_exp = 3.0 if name == "pnorm3" else 2.0
     datasets = [generate(GenSpec(n=n, d=d, gamma=gamma, norm_exponent=p_exp,
                                  mode=GenMode.LOWER_BOUND, seed=seed))
@@ -289,8 +295,21 @@ def test_batch_instances_match_single_runs(name):
     config = {"smooth": smooth_config(T), "nag": nag_config(T),
               "mpfp": mpfp_config(n, T),
               "pnorm2": pnorm_config(n, T, 2.0),
-              "pnorm3": pnorm_config(n, T, 3.0)}[name]
+              "pnorm3": pnorm_config(n, T, 3.0),
+              "pnorm2_T200": pnorm_config(n, T, 2.0)}[name]
+    # the deepest exp argument of any softmax: pnorm2_T200 reaches below
+    # -708, where the clamp at learners.EXP_ARG_MIN acts
+    deepest = [0.0]
+    softmax = learners.softmax_neg
+
+    def spy(scores, out=None):
+        deepest[0] = min(deepest[0], np.min(np.min(scores, axis=-1, keepdims=True) - scores))
+        return softmax(scores, out=out)
+
+    monkeypatch.setattr(learners, "softmax_neg", spy)
     batch = run_dynamics_batch(config, datasets)
+    if name == "pnorm2_T200":
+        assert deepest[0] < -708.0
     assert len(batch) == len(datasets)
     for ds, got in zip(datasets, batch):
         want = run_dynamics(config, ds)

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from nrp.errors import BadParameter, NonFinite
-from nrp.learners import (FtrlPlusEntropy, FtrlPlusUnregularized,
+from nrp.learners import (UNDERFLOW_FLOOR, FtrlPlusEntropy, FtrlPlusUnregularized,
                           OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
                           OmdEntropy, project_ball, qnorm_dual_map,
                           regret_p_from_arrays, regret_w_from_arrays,
@@ -96,15 +96,18 @@ def test_softmax_simplex_valid(rng):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_kernel_input_names_the_quantity(bad):
-    # one bad entry in one row of a stack is enough
-    s = np.zeros((3, 4))
-    s[1, 2] = bad
-    for kernel, quantity in ((softmax_neg, "softmax scores"),
-                             (lambda x: qnorm_dual_map(x, 1.5), "dual map input")):
-        for x in (s, s[1]):
-            with pytest.raises(NonFinite) as exc:
-                kernel(x)
-            assert exc.value.quantity == quantity
+    # one bad entry in one row of a stack is enough, also in a row whose
+    # other scores lie far apart: there the -inf of min - inf would pass the
+    # softmax's clamp as a floor weight, so its finiteness check runs first
+    for other in (0.0, 800.0):
+        s = np.zeros((3, 4))
+        s[1] = [0.0, other, bad, 0.0]
+        for kernel, quantity in ((softmax_neg, "softmax scores"),
+                                 (lambda x: qnorm_dual_map(x, 1.5), "dual map input")):
+            for x in (s, s[1]):
+                with pytest.raises(NonFinite) as exc:
+                    kernel(x)
+                assert exc.value.quantity == quantity
 
 
 def stacks(bound):
@@ -129,6 +132,43 @@ def test_softmax_rows_on_simplex_at_extreme_scores(s):
     p = softmax_neg(s)
     assert np.all(np.isfinite(p)) and np.all(p > 0.0)
     assert np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
+
+
+def unclamped_softmax_neg(scores):
+    """softmax_neg as written before its exp argument was clamped."""
+    s = np.asarray(scores, dtype=np.float64)
+    z = np.exp(np.min(s, axis=-1, keepdims=True) - s)
+    z = np.maximum(z, UNDERFLOW_FLOOR)
+    return z / np.sum(z, axis=-1, keepdims=True)
+
+
+def same_bits(x, y):
+    """Equal shapes and bytes, so +0.0 and -0.0 differ too."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def near_clamp_stacks():
+    """(B, n) stacks with a row minimum of 0 and the other scores 640 to
+    760 above it, so exp's arguments span [-760, -640]: across the clamp at
+    EXP_ARG_MIN and the slow path of exp below about -708; each stack is
+    shifted by one drawn constant."""
+    return st.tuples(st.integers(1, 5), st.integers(1, 8)).flatmap(
+        lambda shape: st.tuples(
+            arrays(np.float64, shape, elements=st.floats(640.0, 760.0)),
+            st.floats(-1e3, 1e3))).map(
+        lambda drawn: np.concatenate([np.zeros((drawn[0].shape[0], 1)), drawn[0]],
+                                     axis=-1) + drawn[1])
+
+
+@settings(deadline=None)
+@given(st.one_of(near_clamp_stacks(), stacks(1e300)))
+@example(np.array([[0.0, 640.0, 700.0, 708.5, 745.2, 746.5, 760.0]]))
+def test_softmax_clamp_keeps_the_unclamped_bits(s):
+    want = unclamped_softmax_neg(s)
+    assert same_bits(softmax_neg(s), want)
+    assert same_bits(softmax_neg(s[0]), want[0])
+    scores = s.copy()
+    assert same_bits(softmax_neg(scores, out=scores), want)
 
 
 @settings(deadline=None)
@@ -199,6 +239,76 @@ def test_qnorm_dual_map_finite_differences(q_max, data):
         rp = np.linalg.norm(w + e, ord=q) ** 2 / (2 * (q - 1))
         rm = np.linalg.norm(w - e, ord=q) ** 2 / (2 * (q - 1))
         assert abs((rp - rm) / (2 * h) - theta[i]) <= 1e-4 * max(1.0, abs(theta[i]))
+
+
+# ---------------------------------------------------------------------------
+# the states' in-place updates against out-of-place formulas
+
+class OutOfPlace:
+    """The three learner states' updates, each forming a new array."""
+
+    def __init__(self, spec, shape):
+        self.spec, self.cum, self.cum_alpha = spec, np.zeros(shape), 0.0
+
+    def decide(self, alpha, hint):
+        spec = self.spec
+        if isinstance(spec, (FtrlPlusEntropy, OftrlEntropyPrev, OmdEntropy)):
+            return unclamped_softmax_neg(spec.eta * (self.cum + alpha * hint))
+        if isinstance(spec, OmdBall):
+            return project_ball(self.cum + spec.eta * alpha * hint)
+        theta = self.cum + alpha * hint
+        if isinstance(spec, OftrlQNorm):
+            return qnorm_dual_map(spec.eta * theta, spec.q)
+        return theta / (self.cum_alpha + alpha)
+
+    def absorb(self, alpha, realized):
+        if isinstance(self.spec, OmdBall):
+            self.cum = project_ball(self.cum + self.spec.eta * alpha * realized)
+        else:
+            self.cum = self.cum + alpha * realized
+        self.cum_alpha += alpha
+
+    def shown(self, play):
+        if isinstance(self.spec, OmdEntropy):
+            return unclamped_softmax_neg(self.spec.eta * self.cum)
+        return self.cum if isinstance(self.spec, OmdBall) else play
+
+
+@st.composite
+def state_runs(draw):
+    """(lead, m, rounds): a state's vectors are lead + (m,), with lead ()
+    or (B,), and each round is (alpha, hint, realized) of that shape."""
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    m = draw(st.integers(1, 6))
+    vectors = arrays(np.float64, lead + (m,), elements=st.floats(-1e3, 1e3))
+    rounds = draw(st.lists(st.tuples(st.floats(0.5, 50.0), vectors, vectors),
+                           min_size=1, max_size=6))
+    return lead, m, rounds
+
+
+@pytest.mark.parametrize("spec", [
+    FtrlPlusEntropy(eta=0.25), OftrlEntropyPrev(eta=3.0), OmdEntropy(eta=20.0),
+    OftlPrevLoss(), FtrlPlusUnregularized(), OftrlQNorm(eta=0.5, q=1.5),
+    OftrlQNorm(eta=0.5, q=2.0), OmdBall(eta=0.8)], ids=repr)
+@settings(deadline=None)
+@given(state_runs())
+def test_in_place_states_match_out_of_place_formulas(spec, run):
+    lead, m, rounds = run
+    # a square a, so the simplex and the w-side states both have length m
+    state, ref = spec.start(np.zeros(lead + (m, m))), OutOfPlace(spec, lead + (m,))
+    returned = []
+    for alpha, hint, realized in rounds:
+        play = state.decide(alpha, hint)
+        shown = state.shown(play)
+        assert same_bits(play, ref.decide(alpha, hint))
+        assert same_bits(shown, ref.shown(play))
+        buffers = [v for v in vars(state).values() if isinstance(v, np.ndarray)]
+        assert not any(np.shares_memory(play, v) for v in buffers)
+        returned += [(play, play.copy()), (shown, shown.copy())]
+        state.absorb(alpha, realized)
+        ref.absorb(alpha, realized)
+        # no later call writes into an array that an earlier one returned
+        assert all(same_bits(x, saved) for x, saved in returned)
 
 
 # ---------------------------------------------------------------------------
