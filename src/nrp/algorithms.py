@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .dynamics import DynamicsConfig, Trace, run_dynamics, run_dynamics_batch
-from .errors import BadParameter, TooFewRows
+from .dynamics import DynamicsConfig, Trace, _play, run_dynamics, run_dynamics_batch
+from .errors import BadParameter, NonFinite, NrpError, TooFewRows
 from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, OftlPrevLoss,
                        OftrlEntropyPrev, OftrlQNorm, OmdBall, OmdEntropy,
                        project_ball, softmax_neg)
@@ -34,22 +34,26 @@ def nag_config(horizon: int) -> DynamicsConfig:
 
 
 def mpfp_config(n: int, horizon: int) -> DynamicsConfig:
-    if n < 2:
-        raise TooFewRows("mpfp", n)
-    root = math.sqrt(math.log(n))
+    root = math.sqrt(_log_rows("mpfp", n))
     return DynamicsConfig(
         w_learner=OmdBall(eta=1.0 / root), p_learner=OmdEntropy(eta=root),
         horizon=horizon)
 
 
 def pnorm_config(n: int, horizon: int, p_exp: float) -> DynamicsConfig:
-    if n < 2:
-        raise TooFewRows("pnorm", n)
+    log_n = _log_rows("pnorm", n)
     q = _dual_exponent(p_exp)
-    eta_w = math.sqrt(1.0 / (2.0 * (q - 1.0) * math.log(n)))
+    eta_w = math.sqrt(1.0 / (2.0 * (q - 1.0) * log_n))
     return DynamicsConfig(
         w_learner=OftrlQNorm(eta=eta_w, q=q),
         p_learner=FtrlPlusEntropy(eta=1.0 / eta_w), horizon=horizon)
+
+
+def _log_rows(algo: str, n: int) -> float:
+    """log n of a method whose step has a log n factor, which is 0 at n = 1."""
+    if n < 2:
+        raise TooFewRows(algo, n)
+    return math.log(n)
 
 
 def _dual_exponent(p_exp: float) -> float:
@@ -132,6 +136,11 @@ ALGORITHMS = {
 # ---------------------------------------------------------------------------
 # original forms
 
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise BadParameter(f"horizon must be >= 1, got {horizon}")
+
+
 @dataclass
 class SmoothPerceptronResult:
     v: np.ndarray                # v_{T-1}
@@ -146,22 +155,29 @@ def smooth_perceptron(dataset: Dataset, horizon: int) -> SmoothPerceptronResult:
     uniform prior.  The printed recursion's "A q" is dimensionally "A' q";
     the transpose is used throughout.
     """
+    _check_horizon(horizon)
+    vs = np.empty((horizon, dataset.d))
+    for t, (v, q) in enumerate(_smooth_rounds(dataset, horizon)):
+        vs[t] = v
+    return SmoothPerceptronResult(v=v, q=q, vs=vs)
+
+
+def _smooth_rounds(dataset: Dataset, horizon: int):
+    """(v_{t-1}, q_{t-1}) of `smooth_perceptron` for t = 1 .. horizon."""
     a = dataset.matrix
     n = dataset.n
     mu = 4.0
     v = a.sum(axis=0) / n                       # A' 1 / n
     q_mu_v = softmax_neg((a @ v) / mu)          # q_mu(v) of the current v and mu
     q = q_mu_v
-    vs = np.empty((horizon, v.size))
-    vs[0] = v
+    yield v, q
     for t in range(1, horizon):
         theta = 2.0 / (t + 2)                   # theta_{t-1}, theta_0 = 2/3
         v = (1.0 - theta) * (v + theta * (a.T @ q)) + theta * theta * (a.T @ q_mu_v)
         mu = (1.0 - theta) * mu
         q_mu_v = softmax_neg((a @ v) / mu)
         q = (1.0 - theta) * q + theta * q_mu_v
-        vs[t] = v
-    return SmoothPerceptronResult(v=v, q=q, vs=vs)
+        yield v, q
 
 
 @dataclass
@@ -176,14 +192,22 @@ class JiResult:
 def accel_perceptron_ji(dataset: Dataset, horizon: int) -> JiResult:
     """Momentum recursion in the dual space with the corrected step schedule
     theta_{t-1} = t / (2(t+1))."""
+    _check_horizon(horizon)
+    vs = np.empty((horizon, dataset.d))
+    gs = np.empty((horizon, dataset.d))
+    qs = np.empty((horizon, dataset.n))
+    for t, (v, g, q) in enumerate(_ji_rounds(dataset, horizon)):
+        vs[t], gs[t], qs[t] = v, g, q
+    return JiResult(v=v, q=q, vs=vs, gs=gs, qs=qs)
+
+
+def _ji_rounds(dataset: Dataset, horizon: int):
+    """(v_t, g_t, q_t) of `accel_perceptron_ji` for t = 1 .. horizon."""
     a = dataset.matrix
     n, d = a.shape
     q = np.ones(n) / n
     v = np.zeros(d)
     g = np.zeros(d)
-    vs = np.empty((horizon, d))
-    gs = np.empty((horizon, d))
-    qs = np.empty((horizon, n))
     aq = a.T @ q                                # A' q of the current q
     for t in range(1, horizon + 1):
         theta = t / (2.0 * (t + 1))
@@ -191,10 +215,7 @@ def accel_perceptron_ji(dataset: Dataset, horizon: int) -> JiResult:
         q = softmax_neg(a @ v)
         aq = a.T @ q
         g = (t / (t + 1.0)) * (g - aq)
-        vs[t - 1] = v
-        gs[t - 1] = g
-        qs[t - 1] = q
-    return JiResult(v=v, q=q, vs=vs, gs=gs, qs=qs)
+        yield v, g, q
 
 
 @dataclass
@@ -214,24 +235,25 @@ def nag_margin(dataset: Dataset, horizon: int) -> NagResult:
     R(u_t) never overflows.  At t = 1 the 1/(2(t-1)) coefficient multiplies
     v_0 = 0 and contributes nothing.
     """
+    _check_horizon(horizon)
+    vs, ss, us = (np.empty((horizon, dataset.d)) for _ in range(3))
+    qs = np.empty((horizon, dataset.n))
+    for t, (v, s, u, q) in enumerate(_nag_rounds(dataset, horizon)):
+        vs[t], ss[t], us[t], qs[t] = v, s, u, q
+    return NagResult(s=s, vs=vs, ss=ss, us=us, qs=qs)
+
+
+def _nag_rounds(dataset: Dataset, horizon: int):
+    """(v_t, s_t, u_t, q_t) of `nag_margin` for t = 1 .. horizon."""
     a = dataset.matrix
-    n, d = a.shape
-    v = np.zeros(d)
-    s = np.zeros(d)
-    vs = np.empty((horizon, d))
-    ss = np.empty((horizon, d))
-    us = np.empty((horizon, d))
-    qs = np.empty((horizon, n))
+    v = np.zeros(dataset.d)
+    s = np.zeros(dataset.d)
     for t in range(1, horizon + 1):
         u = s + (v / (2.0 * (t - 1)) if t > 1 else 0.0)
         q = softmax_neg(a @ u)
         v = v + t * (a.T @ q)
         s = s + v / (2.0 * (t + 1))
-        vs[t - 1] = v
-        ss[t - 1] = s
-        us[t - 1] = u
-        qs[t - 1] = q
-    return NagResult(s=s, vs=vs, ss=ss, us=us, qs=qs)
+        yield v, s, u, q
 
 
 @dataclass
@@ -248,24 +270,32 @@ def mpfp(dataset: Dataset, horizon: int) -> MpfpResult:
     step is the constant 1 / (sqrt(log n) + 1/sqrt(2)), which cancels out
     of the uniform average.
     """
+    _log_rows("mpfp", dataset.n)
+    _check_horizon(horizon)
+    us_w = np.empty((horizon, dataset.d))
+    us_p = np.empty((horizon, dataset.n))
+    for t, (x, y) in enumerate(_mpfp_rounds(dataset, horizon)):
+        us_w[t], us_p[t] = x, y
+    return MpfpResult(us_w=us_w, us_p=us_p)
+
+
+def _mpfp_rounds(dataset: Dataset, horizon: int):
+    """(u_t ball component, u_t simplex component) of `mpfp` for
+    t = 1 .. horizon; n >= 2."""
     a = dataset.matrix
     n, d = a.shape
     eta_w = 1.0 / math.sqrt(math.log(n))
     eta_p = math.sqrt(math.log(n))
     x_hat = np.zeros(d)
     y_hat_cum = np.zeros(n)      # cumulative entropic-prox scores from 1/n
-    us_w = np.empty((horizon, d))
-    us_p = np.empty((horizon, n))
     y_hat = softmax_neg(y_hat_cum)
-    for t in range(horizon):
+    for _ in range(horizon):
         x = project_ball(x_hat + eta_w * (a.T @ y_hat))
         y = softmax_neg(y_hat_cum + eta_p * (a @ x_hat))
         x_hat = project_ball(x_hat + eta_w * (a.T @ y))
         y_hat_cum = y_hat_cum + eta_p * (a @ x)
         y_hat = softmax_neg(y_hat_cum)
-        us_w[t] = x
-        us_p[t] = y
-    return MpfpResult(us_w=us_w, us_p=us_p)
+        yield x, y
 
 
 def vanilla_perceptron(dataset: Dataset, max_updates: int):
@@ -299,9 +329,13 @@ class EquivalencePair(enum.Enum):
     MPFP = "mpfp"
 
 
-# the named algorithm whose game and output each check compares against
-_PAIR_ALGORITHM = {EquivalencePair.PROP1: "smooth", EquivalencePair.PROP2: "ji",
-                   EquivalencePair.NAG: "nag", EquivalencePair.MPFP: "mpfp"}
+# each check's named algorithm, whose game and output it compares against,
+# and its original form: the public function and the generator of the
+# per-round iterates that the function collects
+_PAIRS = {EquivalencePair.PROP1: ("smooth", "smooth_perceptron", _smooth_rounds),
+          EquivalencePair.PROP2: ("ji", "accel_perceptron_ji", _ji_rounds),
+          EquivalencePair.NAG: ("nag", "nag_margin", _nag_rounds),
+          EquivalencePair.MPFP: ("mpfp", "mpfp", _mpfp_rounds)}
 
 
 @dataclass
@@ -313,10 +347,21 @@ class EquivalenceReport:
     passed: bool
 
 
-def _rel_dev(x: np.ndarray, y: np.ndarray, tol: float) -> float:
+def _peaks(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """max |x - y|, max |x| and max |y|."""
+    return np.array([np.max(np.abs(x - y)), np.max(np.abs(x)), np.max(np.abs(y))])
+
+
+def _scaled(peaks: np.ndarray, tol: float) -> float:
+    """The relative deviation of `_peaks`; the maxima of whole histories are
+    the maxima of their rounds' maxima, so a running `peaks` has their bits."""
+    diff, x_max, y_max = (float(v) for v in peaks)
     # below 1e-10 in absolute terms a deviation always passes
-    scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))), 1e-10 / tol)
-    return float(np.max(np.abs(x - y))) / scale
+    return diff / max(x_max, y_max, 1e-10 / tol)
+
+
+def _rel_dev(x: np.ndarray, y: np.ndarray, tol: float) -> float:
+    return _scaled(_peaks(x, y), tol)
 
 
 def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
@@ -324,35 +369,56 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
     """Run an original form and its dynamics side by side and compare the
     quantities the theory claims are equal.
 
+    The game plays without recording its iterates, and the original form
+    advances one round in each of the game's rounds, so a check holds
+    O(n + T d) floats: the final comparisons read the last iterates, and
+    mpfp's at every round keep running maxima.  A non-finite step of the
+    original form raises an `NrpError` naming the form and the round.
+
     perturb != 0 scales the p-learner's step by (1 + perturb); a negative
     control that must break the match.  With n <= 4 rows it may not: p can
     stay uniform or settle on one row, and the perturbed game then plays
     as the original does.
     """
-    algo = ALGORITHMS[_PAIR_ALGORITHM[which]]
+    algo_name, form_name, rounds = _PAIRS[which]
+    algo = ALGORITHMS[algo_name]
     config = algo.config(dataset.n, horizon, 2.0)   # p_exp matters to pnorm only
+    config = dataclasses.replace(config, record_full_trace=False)
     if perturb != 0.0:
         pl = config.p_learner
         config = dataclasses.replace(
             config, p_learner=dataclasses.replace(pl, eta=pl.eta * (1.0 + perturb)))
-    trace = run_dynamics(config, dataset)
 
-    devs: dict[str, float] = {}
+    form = rounds(dataset, horizon)
+    iterates = p_last = None
+    peaks = np.zeros((2, 3))        # mpfp's running _peaks of (u_w, w) and (u_p, p)
+
+    def observe(t, w_t, p_t):
+        nonlocal iterates, p_last
+        try:
+            iterates = next(form)
+        except NonFinite as exc:
+            # the engine would read a NonFinite as its own players'
+            raise NrpError(f"non-finite {exc.quantity} at round {t} of the "
+                           f"original form {form_name}") from exc
+        p_last = p_t[0]
+        if which is EquivalencePair.MPFP:
+            for row, (u, game) in enumerate(zip(iterates, (w_t[0], p_t[0]))):
+                np.maximum(peaks[row], _peaks(u, game), out=peaks[row])
+
+    trace = _play(config, [dataset], observe)[0]
     if which is EquivalencePair.PROP1:
-        res = smooth_perceptron(dataset, horizon)
-        devs["v_vs_w_bar"] = _rel_dev(res.v, algo.output(trace), tol)
-        devs["q_vs_p_bar"] = _rel_dev(res.q, trace.p_bar, tol)
+        v, q = iterates
+        devs = {"v_vs_w_bar": _rel_dev(v, algo.output(trace), tol),
+                "q_vs_p_bar": _rel_dev(q, trace.p_bar, tol)}
     elif which is EquivalencePair.PROP2:
-        res = accel_perceptron_ji(dataset, horizon)
-        devs["v_vs_quarter_w_sum"] = _rel_dev(res.v, algo.output(trace), tol)
-        devs["q_vs_p_final"] = _rel_dev(res.q, trace.ps[-1], tol)
+        v, _, q = iterates
+        devs = {"v_vs_quarter_w_sum": _rel_dev(v, algo.output(trace), tol),
+                "q_vs_p_final": _rel_dev(q, p_last, tol)}
     elif which is EquivalencePair.NAG:
-        res = nag_margin(dataset, horizon)
-        devs["s_vs_quarter_w_sum"] = _rel_dev(res.s, algo.output(trace), tol)
+        devs = {"s_vs_quarter_w_sum": _rel_dev(iterates[1], algo.output(trace), tol)}
     else:
-        res = mpfp(dataset, horizon)
-        devs["u_w_vs_w"] = _rel_dev(res.us_w, trace.ws, tol)
-        devs["u_p_vs_p"] = _rel_dev(res.us_p, trace.ps, tol)
+        devs = {"u_w_vs_w": _scaled(peaks[0], tol), "u_p_vs_p": _scaled(peaks[1], tol)}
 
     max_dev = max(devs.values())
     return EquivalenceReport(which=which, deviations=devs,
@@ -363,6 +429,6 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
 def infeasibility_certificate(dataset: Dataset, horizon: int):
     """Average distribution from a mirror-prox run and its certificate norm
     ||p_bar' A||_2; small norm witnesses approximate infeasibility."""
-    trace = run_dynamics(mpfp_config(dataset.n, horizon), dataset)
-    p_bar = trace.p_bar
+    config = dataclasses.replace(mpfp_config(dataset.n, horizon), record_full_trace=False)
+    p_bar = run_dynamics(config, dataset).p_bar
     return p_bar, float(np.linalg.norm(dataset.matrix.T @ p_bar))

@@ -24,6 +24,7 @@ bit-identical to the trace `run_dynamics` gives for that dataset alone.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,10 +156,14 @@ def _first_bad_round(ws: np.ndarray) -> int | None:
     return int(bad.argmax()) + 1 if bad.any() else None
 
 
-def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
+def _play(config: DynamicsConfig, datasets: list[Dataset],
+          observe: Callable[[int, np.ndarray, np.ndarray], None] | None = None
+          ) -> list[Trace]:
     # The one engine loop.  Both entry points call it directly, so a profile
     # of either public function sees the loop as its own time.  B games keep
-    # (B, n), (B, d) and (B,) arrays, B = 1 included.
+    # (B, n), (B, d) and (B,) arrays, B = 1 included.  `observe(t, w_t, p_t)`,
+    # if given, sees each round's plays after they are recorded; an error it
+    # raises ends the run, and one of type NonFinite is read as the game's.
     if not datasets:
         raise BadParameter("no datasets to play")
     shape = datasets[0].matrix.shape
@@ -227,6 +232,8 @@ def _play(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
             np.add.reduce(buffer, axis=-1, out=l1_delta[:, t - 1])
             if record:
                 ps[:, t - 1] = p_t
+            if observe is not None:
+                observe(t, w_t, p_t)
 
             prev_p = p_t
             if t < horizon:            # the next hint is read only by a next round

@@ -1,13 +1,16 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nrp import algorithms as alg
+from nrp import algorithms as alg, cli
 from nrp.core import Dataset, margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import run_dynamics
+from nrp.errors import BadParameter, NonFinite, NonFiniteIterate, NrpError, TooFewRows
 from nrp.learners import softmax_neg
 from conftest import (count_matvecs, empirical_risk, empirical_risk_grad,
                       exact_margin_dataset, random_dataset)
@@ -29,6 +32,23 @@ def test_standalone_matvecs_per_round(rng, form, expected):
     counter = count_matvecs(ds)
     form(ds, T)
     assert counter[0] == expected(T)
+
+
+FORMS = [alg.smooth_perceptron, alg.accel_perceptron_ji, alg.nag_margin, alg.mpfp]
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+@pytest.mark.parametrize("form", FORMS, ids=lambda form: form.__name__)
+def test_standalone_forms_reject_horizon_below_one(rng, form, horizon):
+    with pytest.raises(BadParameter, match="horizon"):
+        form(random_dataset(rng, 6, 3), horizon)
+
+
+def test_mpfp_rejects_one_row():
+    ds = Dataset(matrix=np.array([[0.6, 0.8]]))
+    with pytest.raises(TooFewRows) as info:
+        alg.mpfp(ds, 5)
+    assert (info.value.algo, info.value.n) == ("mpfp", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +179,16 @@ def test_infeasibility_canonical_triangle():
         assert cert <= 3.0 * math.sqrt(math.log(3)) / (2 * T) + 1e-9
 
 
+@pytest.mark.parametrize("mode", [GenMode.INFEASIBLE, GenMode.EXACT_MARGIN])
+def test_infeasibility_certificate_has_the_full_trace_bits(mode):
+    ds = generate(GenSpec(n=12, d=4, gamma=0.3, mode=mode, seed=3))
+    p_bar, cert = alg.infeasibility_certificate(ds, 150)
+    full = run_dynamics(alg.mpfp_config(ds.n, 150), ds)
+    assert full.ps is not None
+    assert p_bar.tobytes() == full.p_bar.tobytes()
+    assert cert.hex() == float(np.linalg.norm(ds.matrix.T @ full.p_bar)).hex()
+
+
 def test_no_false_infeasibility_on_separable():
     ds = exact_margin_dataset(12, 4, 0.3, seed=4)
     p_bar, cert = alg.infeasibility_certificate(ds, 200)
@@ -230,3 +260,110 @@ def test_equivalence_negative_control(which):
     ds = exact_margin_dataset(8, 4, 0.3, seed=1)
     report = alg.check_equivalence(which, ds, 30, perturb=1e-3)
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# the check plays the game and the original form in step
+
+def reference_rel_dev(x, y, tol):
+    scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))), 1e-10 / tol)
+    return float(np.max(np.abs(x - y))) / scale
+
+
+def reference_deviations(which, dataset, horizon, tol, perturb):
+    """The deviations of a check from whole recorded histories: the public
+    recording forms against a full trace."""
+    P = alg.EquivalencePair
+    algo = alg.ALGORITHMS[{P.PROP1: "smooth", P.PROP2: "ji", P.NAG: "nag",
+                           P.MPFP: "mpfp"}[which]]
+    config = algo.config(dataset.n, horizon, 2.0)
+    if perturb != 0.0:
+        pl = config.p_learner
+        config = dataclasses.replace(
+            config, p_learner=dataclasses.replace(pl, eta=pl.eta * (1.0 + perturb)))
+    trace = run_dynamics(config, dataset)
+    if which is P.PROP1:
+        res = alg.smooth_perceptron(dataset, horizon)
+        return {"v_vs_w_bar": reference_rel_dev(res.v, algo.output(trace), tol),
+                "q_vs_p_bar": reference_rel_dev(res.q, trace.p_bar, tol)}
+    if which is P.PROP2:
+        res = alg.accel_perceptron_ji(dataset, horizon)
+        return {"v_vs_quarter_w_sum": reference_rel_dev(res.v, algo.output(trace), tol),
+                "q_vs_p_final": reference_rel_dev(res.q, trace.ps[-1], tol)}
+    if which is P.NAG:
+        res = alg.nag_margin(dataset, horizon)
+        return {"s_vs_quarter_w_sum": reference_rel_dev(res.s, algo.output(trace), tol)}
+    res = alg.mpfp(dataset, horizon)
+    return {"u_w_vs_w": reference_rel_dev(res.us_w, trace.ws, tol),
+            "u_p_vs_p": reference_rel_dev(res.us_p, trace.ps, tol)}
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(n=st.integers(2, 120), d=st.integers(2, 12), horizon=st.integers(1, 150),
+       gamma=st.floats(0.05, 0.3), exact=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       perturb=st.sampled_from([0.0, 1e-3]), tol=st.sampled_from([1e-8, 1e-4]))
+@example(n=9, d=3, horizon=1, gamma=0.2, exact=True, seed=0, perturb=0.0, tol=1e-8)
+@example(n=9, d=3, horizon=1, gamma=0.2, exact=False, seed=1, perturb=1e-3, tol=1e-8)
+def test_streamed_check_has_the_recorded_deviation_bits(n, d, horizon, gamma, exact,
+                                                        seed, perturb, tol):
+    mode = GenMode.EXACT_MARGIN if exact else GenMode.LOWER_BOUND
+    ds = generate(GenSpec(n=n, d=d, gamma=gamma, mode=mode, seed=seed))
+    for which in alg.EquivalencePair:
+        report = alg.check_equivalence(which, ds, horizon, tol=tol, perturb=perturb)
+        expected = reference_deviations(which, ds, horizon, tol, perturb)
+        assert list(report.deviations) == list(expected)
+        got = {name: dev.hex() for name, dev in report.deviations.items()}
+        assert got == {name: dev.hex() for name, dev in expected.items()}, which
+
+
+@pytest.mark.parametrize("which", list(alg.EquivalencePair))
+def test_check_allocates_no_history_of_the_rows(which):
+    n, d, horizon = 1000, 20, 300
+    ds = exact_margin_dataset(n, d, 0.1, seed=0)
+    tracemalloc.start()
+    try:
+        report = alg.check_equivalence(which, ds, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.deviations
+    # half of one (T, n) float64 record
+    assert peak < horizon * n * 8 / 2, peak
+
+
+# the original form's name, and which of its softmax calls falls in round k:
+# smooth_perceptron's first call opens its round 1, and mpfp calls twice a
+# round after one call before its loop
+FAILING_FORM = {alg.EquivalencePair.PROP1: ("smooth_perceptron", lambda k: k),
+                alg.EquivalencePair.PROP2: ("accel_perceptron_ji", lambda k: k),
+                alg.EquivalencePair.NAG: ("nag_margin", lambda k: k),
+                alg.EquivalencePair.MPFP: ("mpfp", lambda k: 2 * k)}
+
+
+@pytest.mark.parametrize("which", list(alg.EquivalencePair))
+def test_non_finite_original_form_names_form_and_round(which, monkeypatch, capsys):
+    # the engine's p-player calls the softmax through its own binding in
+    # nrp.learners, so only the original form's step fails
+    k = 7
+    form_name, call_of_round = FAILING_FORM[which]
+    calls = []
+
+    def failing_softmax(scores, out=None):
+        calls.append(None)
+        if len(calls) == call_of_round(k):
+            raise NonFinite("softmax scores")
+        return softmax_neg(scores, out=out)
+
+    monkeypatch.setattr(alg, "softmax_neg", failing_softmax)
+    ds = exact_margin_dataset(8, 4, 0.3, seed=1)
+    with pytest.raises(NrpError) as info:
+        alg.check_equivalence(which, ds, 20)
+    assert not isinstance(info.value, (NonFinite, NonFiniteIterate))
+    message = str(info.value)
+    assert f"at round {k} of the original form {form_name}" in message, message
+
+    calls.clear()
+    code = cli.main(["equiv", "--which", which.value, "--n", "8", "--d", "4", "--T", "20"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"at round {k} of the original form {form_name}" in err, err
