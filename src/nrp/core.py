@@ -204,8 +204,12 @@ def read_dataset(path) -> Dataset:
                 if header_no is None:
                     header_no = no
                     n, d, p = _header(path, no, ln)
-                    feats = np.empty((n, d))
-                    labels = np.empty(n)
+                    try:
+                        feats, labels = np.empty((n, d)), np.empty(n)
+                    except (ValueError, MemoryError):
+                        # numpy refuses a size past its index range or past the memory
+                        raise BadDatasetFile(path, no, f"header gives n x d = {n} x {d}, "
+                                             "too large to allocate") from None
                 elif ln.startswith("#"):
                     meta.update(_metadata(path, no, ln, d))
                 else:

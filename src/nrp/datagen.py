@@ -41,41 +41,65 @@ class GenSpec:
         if not 2.0 <= self.norm_exponent < math.inf:
             raise BadParameter("norm_exponent must lie in [2, inf), "
                                f"got {self.norm_exponent}")
-        if self.mode is GenMode.EXACT_MARGIN:
-            # the construction's symmetric pair of rows is Euclidean
-            if self.n < 2:
-                raise BadParameter("exact mode needs n >= 2")
-            if self.norm_exponent != 2.0:
-                raise BadParameter("exact mode is Euclidean only (p = 2)")
+        if self.mode is GenMode.EXACT_MARGIN and self.n < 2:
+            # the construction's symmetric pair of rows
+            raise BadParameter("exact mode needs n >= 2")
+        if self.mode is not GenMode.LOWER_BOUND and self.norm_exponent != 2.0:
+            # both constructions place their rows by Euclidean geometry
+            raise BadParameter(f"{self.mode.value} mode is Euclidean only (p = 2)")
 
 
-def _unit_pnorm_vector(rng: np.random.Generator, d: int, p: float) -> np.ndarray:
-    """Random direction on the unit p-norm sphere (generalized-normal trick).
+# the lower-bound sampler draws its candidates in blocks of at most this many
+# Gamma draws, 64 KiB of float64, and at least one candidate, so a block's
+# buffers stay small at any d
+SAMPLER_BLOCK_DRAWS = 8192
 
-    The calls are those of ``rng.choice([-1.0, 1.0], size=d)`` and
-    ``np.linalg.norm(v, ord=p)`` without their argument handling: choice
-    draws its indices with ``rng.integers(0, 2, size=d)``, and norm takes
-    these steps for a 1-D vector.  A seed keeps its stream and its bits.
+
+def _data_matrix(spec: GenSpec) -> np.ndarray:
+    """The zeroed n x d matrix a generator fills, allocated before any draw."""
+    try:
+        return np.zeros((spec.n, spec.d))
+    except (ValueError, MemoryError):
+        # numpy refuses a size past its index range or past the memory
+        raise BadParameter(f"n x d = {spec.n} x {spec.d} is too large: the data "
+                           "matrix cannot be allocated") from None
+
+
+def _unit_pnorm_rows(gammas: np.ndarray, signs: np.ndarray, p: float) -> np.ndarray:
+    """Directions on the unit p-norm sphere (generalized-normal trick), one
+    per row of Gamma(1/p) draws ``gammas`` and 0/1 sign draws ``signs``.
+
+    Each row has the bits of ``rng.choice([-1.0, 1.0], size=d) * g`` over
+    its ``np.linalg.norm(v, ord=p)`` on the same draws: choice maps its
+    indices to signs as here, norm takes these steps for one row,
+    ``np.vecdot`` makes the BLAS dot of ``v.dot(v)``, and the p-th root
+    stays a scalar power, which an array power may round differently.
     """
-    g = rng.gamma(1.0 / p, 1.0, size=d) ** (1.0 / p)
-    v = (rng.integers(0, 2, size=d) * 2.0 - 1.0) * g
+    v = (signs * 2.0 - 1.0) * gammas ** (1.0 / p)
     if p == 2.0:
-        norm = math.sqrt(v.dot(v))
+        norms = np.sqrt(np.vecdot(v, v))
     else:
         powers = abs(v)
         powers **= p
-        norm = np.add.reduce(powers) ** (1.0 / p)
+        norms = np.array([s ** (1.0 / p) for s in np.add.reduce(powers, axis=1).tolist()])
     # at a large p a Gamma(1/p) draw underflows to 0, and so can the norm
-    if not norm > 0.0:
+    if not np.all(norms > 0.0):
         raise BadParameter(f"norm exponent p = {p} is too large to sample: a "
                            "random direction's p-norm underflows to 0")
-    return v / norm
+    v /= norms[:, None]
+    return v
 
 
-def _uniform_pnorm_ball(rng: np.random.Generator, d: int, p: float) -> np.ndarray:
-    # rng.random() is rng.uniform() without the 0 + 1 * u it computes
-    direction = _unit_pnorm_vector(rng, d, p)
-    return direction * rng.random() ** (1.0 / d)
+def _uniform_pnorm_ball(rng: np.random.Generator, p: float, gammas: np.ndarray,
+                        signs: np.ndarray) -> float:
+    """Draw one candidate of the p-norm ball sampler: its Gamma(1/p) draws
+    into ``gammas``, its 0/1 sign draws into ``signs``, and its radius
+    uniform, which it returns.  ``rng.standard_gamma(a)`` is
+    ``rng.gamma(a, 1.0)`` and ``rng.random()`` is ``rng.uniform()``, with
+    the same stream and bits."""
+    rng.standard_gamma(1.0 / p, out=gammas)
+    signs[:] = rng.integers(0, 2, size=signs.size)
+    return rng.random()
 
 
 def gen_separable(spec: GenSpec) -> Dataset:
@@ -89,25 +113,31 @@ def gen_separable(spec: GenSpec) -> Dataset:
     beta = sqrt(1 - gamma^2) caps the maximal margin at exactly gamma,
     attained at the first basis vector; fillers project strictly further
     onto that axis and cannot move the optimum.
+
+    A seed's stream is fixed by the order of its generator calls alone, so
+    each loop makes only the calls, row by row, and the arithmetic runs over
+    the drawn rows at once with each row's bits.
     """
+    feats = _data_matrix(spec)
     rng = np.random.default_rng(spec.seed)
     if spec.mode is GenMode.EXACT_MARGIN:
         gamma = spec.gamma
         beta = math.sqrt(1.0 - gamma * gamma)
-        feats = np.zeros((spec.n, spec.d))
         feats[0, :2] = (gamma, beta)
         feats[1, :2] = (gamma, -beta)
-        # per row: rng.uniform(lo, hi) as its own formula lo + (hi - lo) *
-        # rng.random(), and np.linalg.norm of a vector as its own
-        # sqrt(x.dot(x)), without the calls' argument handling; the stream
-        # and the bits are those of the calls
-        for i in range(2, spec.n):
-            c = gamma + (1.0 - gamma) * (0.1 + (0.9 - 0.1) * rng.random())
-            rest = rng.standard_normal(spec.d - 1)
-            norm = math.sqrt(rest.dot(rest))
-            rest *= (0.2 + (0.95 - 0.2) * rng.random()) * math.sqrt(1.0 - c * c) / norm
-            feats[i, 0] = c
-            feats[i, 1:] = rest
+        rest = feats[2:, 1:]
+        heights, lengths = np.empty(spec.n - 2), np.empty(spec.n - 2)
+        for i in range(spec.n - 2):
+            heights[i] = rng.random()
+            rng.standard_normal(out=rest[i])
+            lengths[i] = rng.random()
+        # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), and
+        # np.linalg.norm of a row is sqrt(row . row): a row's bits are those
+        # of the calls
+        c = gamma + (1.0 - gamma) * (0.1 + (0.9 - 0.1) * heights)
+        rest *= ((0.2 + (0.95 - 0.2) * lengths) * np.sqrt(1.0 - c * c)
+                 / np.sqrt(np.vecdot(rest, rest)))[:, None]
+        feats[2:, 0] = c
         w_star = np.zeros(spec.d)
         w_star[0] = 1.0
         labels = np.ones(spec.n)
@@ -119,22 +149,30 @@ def gen_separable(spec: GenSpec) -> Dataset:
         raise ValueError("gen_separable handles separable modes only")
     p = spec.norm_exponent
     q = p / (p - 1.0)
-    w_star = _unit_pnorm_vector(rng, spec.d, q)
-    feats = np.empty((spec.n, spec.d))
+    w_star = _unit_pnorm_rows(rng.standard_gamma(1.0 / q, size=(1, spec.d)),
+                              rng.integers(0, 2, size=(1, spec.d)), q)[0]
     labels = np.empty(spec.n)
+    block = min(spec.n, max(1, SAMPLER_BLOCK_DRAWS // spec.d))
+    gammas, signs = np.empty((block, spec.d)), np.empty((block, spec.d), dtype=np.int64)
     budget = 10000 * spec.n
     accepted = 0
     while accepted < spec.n:
         if budget <= 0:
             raise RejectionBudget(f"could not place {spec.n} points at margin {spec.gamma}")
-        budget -= 1
-        x = _uniform_pnorm_ball(rng, spec.d, p)
-        proj = float(w_star @ x)
-        if abs(proj) < spec.gamma:
-            continue
-        feats[accepted] = x
-        labels[accepted] = 1.0 if proj > 0 else -1.0
-        accepted += 1
+        # at most n - accepted of the k candidates can be accepted, so the
+        # one-at-a-time sampler draws each of them too, within its budget
+        k = min(spec.n - accepted, budget, block)
+        budget -= k
+        radii = [_uniform_pnorm_ball(rng, p, gammas[j], signs[j]) for j in range(k)]
+        x = _unit_pnorm_rows(gammas[:k], signs[:k], p)
+        # the radius root stays a scalar power, as the p-th root does
+        x *= np.array([u ** (1.0 / spec.d) for u in radii])[:, None]
+        proj = np.vecdot(x, w_star)
+        keep = ~(abs(proj) < spec.gamma)
+        taken = int(np.count_nonzero(keep))
+        feats[accepted:accepted + taken] = x[keep]
+        labels[accepted:accepted + taken] = np.where(proj[keep] > 0, 1.0, -1.0)
+        accepted += taken
     return build_dataset(feats, labels, norm_exponent=p,
                          known_margin=spec.gamma, exact_margin=False,
                          w_star=w_star)
@@ -146,17 +184,16 @@ def gen_infeasible(spec: GenSpec) -> Dataset:
     positive margin."""
     if spec.mode is not GenMode.INFEASIBLE:
         raise ValueError("gen_infeasible requires the infeasible mode")
+    feats = _data_matrix(spec)
     rng = np.random.default_rng(spec.seed)
     basis, _ = np.linalg.qr(rng.standard_normal((spec.d, 2)))
     u, v = basis[:, 0], basis[:, 1]
     angles = [0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0]
-    rows = []
     for k in range(spec.n):
         theta = angles[k % 3]
         if k >= 3:
             theta += rng.uniform(-0.3, 0.3)
-        rows.append(math.cos(theta) * u + math.sin(theta) * v)
-    feats = np.array(rows)
+        feats[k] = math.cos(theta) * u + math.sin(theta) * v
     labels = np.ones(spec.n)
     return build_dataset(feats, labels, norm_exponent=2.0)
 

@@ -313,19 +313,34 @@ def test_run_single_row_exit_2(capsys, algo, horizon):
     # infeasible data has no known_margin for --T auto
     ["run", "--algo", "smooth", "--n", "8", "--d", "3", "--mode", "infeasible"],
     ["run", "--algo", "smooth", "--data", "{tmp}/w_star_2.txt", "--T", "5"],
+    ["gen", "--mode", "infeasible", "--p", "3", "--n", "8", "--d", "3",
+     "--out", "{tmp}/x.txt"],
+    # data matrices numpy refuses at once: past its index range (over 2^63
+    # bytes) or past any address space (over 2^57 bytes)
+    ["gen", "--n", "1000000000000", "--d", "100000", "--out", "{tmp}/x.txt"],
+    ["gen", "--n", "1000000000000", "--d", "100000000", "--mode", "lower",
+     "--out", "{tmp}/x.txt"],
+    ["gen", "--n", "100000000000000000", "--d", "4", "--mode", "infeasible",
+     "--out", "{tmp}/x.txt"],
+    ["sweep", "--algos", "smooth", "--n", "64", "--d", "10000000000000000",
+     "--T", "5", "--out", "{tmp}/s.csv"],
+    ["run", "--algo", "smooth", "--data", "{tmp}/huge.txt", "--T", "5"],
 ], ids=["run_n_0", "sweep_T_0", "missing_data_file", "exact_n_1", "p_exp_1",
         "sweep_vanilla_T_0", "equiv_tol_nan", "gen_p_inf", "run_T_huge",
         "gen_out_missing_dir", "run_out_under_file", "sweep_out_under_file",
         "run_no_data_no_n_d", "gen_seed_negative", "sweep_seed_negative",
         "p_exp_inf", "p_exp_1e300", "p_exp_inf_T_auto", "p_exp_nan_T_auto",
         "gen_p_1000_lower", "auto_margin_1e-200", "auto_margin_1e-160",
-        "margin_1e200", "infeasible_T_auto", "w_star_dual_norm_2"])
+        "margin_1e200", "infeasible_T_auto", "w_star_dual_norm_2",
+        "infeasible_p_3", "gen_exact_huge", "gen_lower_huge", "gen_infeasible_huge",
+        "sweep_d_huge", "run_data_huge"])
 def test_bad_input_exit_2(tmp_path, capsys, argv):
     (tmp_path / "file").touch()        # a path under it is not a directory
     rows = "3 2 2\n1 0.5 0.5\n1 0.5 -0.25\n-1 -0.5 0.25\n"
     for gamma in ("1e-200", "1e-160", "1e200"):
         (tmp_path / f"margin_{gamma}.txt").write_text(rows + f"# known_margin={gamma}\n")
     (tmp_path / "w_star_2.txt").write_text(rows + "# known_margin=0.1\n# w_star=2 0\n")
+    (tmp_path / "huge.txt").write_text("1000000000000 100000000 2\n" + rows[6:])
     code, _, err = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 

@@ -284,6 +284,7 @@ def test_serialization_exact_for_doubles(tmp_path, rng):
     ("2 2 2\n\n# exact=true\n1 0.5 0.5\n\n2 0.1 0.1\n", 6),
     ("1 2 2\n1 0.5 0.5\n# known_margin=1.5\n", 3),      # margin above 1
     ("1 2 2\n1 0.5 0.5\n# known_margin=1e200\n", 3),
+    ("1000000000000 100000000 2\n1 0.5 0.5\n", 1),   # n x d cannot be allocated
 ])
 def test_read_dataset_rejects_malformed_file(tmp_path, text, line):
     path = tmp_path / "bad.txt"

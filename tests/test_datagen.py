@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from nrp import datagen
 from nrp.core import margin
 from nrp.datagen import (GenMode, GenSpec, _uniform_pnorm_ball,
-                         _unit_pnorm_vector, gen_infeasible, gen_separable,
+                         _unit_pnorm_rows, gen_infeasible, gen_separable,
                          generate)
-from nrp.errors import RejectionBudget
+from nrp.errors import BadParameter, RejectionBudget
 
 
 def sweep_max_margin(dataset, basis=None, steps=3600):
@@ -31,6 +32,9 @@ def test_spec_validation():
         GenSpec(n=4, d=1, gamma=0.3, mode=GenMode.EXACT_MARGIN)
     with pytest.raises(ValueError):
         GenSpec(n=4, d=2, gamma=0.3, norm_exponent=1.5)
+    for mode in (GenMode.EXACT_MARGIN, GenMode.INFEASIBLE):
+        with pytest.raises(BadParameter, match=f"{mode.value} mode is Euclidean"):
+            GenSpec(n=4, d=2, gamma=0.3, norm_exponent=3.0, mode=mode)
 
 
 def test_determinism_bit_identical():
@@ -94,7 +98,7 @@ def exact_margin_reference(spec):
     return feats
 
 
-@pytest.mark.parametrize("n,d", [(2, 2), (16, 2), (64, 8), (300, 50)])
+@pytest.mark.parametrize("n,d", [(2, 2), (16, 2), (64, 8), (300, 50), (2000, 50)])
 def test_exact_margin_rows_match_reference(n, d):
     for seed in range(50):
         spec = GenSpec(n=n, d=d, gamma=0.1 + 0.01 * seed, mode=GenMode.EXACT_MARGIN,
@@ -130,9 +134,11 @@ def lower_bound_reference(spec):
     return labels[:, None] * feats, labels.astype(np.int64), w_star
 
 
+# the last two shapes need more candidates than one block holds
 @pytest.mark.parametrize("n,d,gamma,p", [(3, 1, 0.2, 2.0), (6, 1, 0.1, 5.5),
                                          (10, 2, 0.05, 2.0), (12, 5, 0.1, 3.0),
-                                         (20, 7, 0.02, 5.5), (8, 40, 0.05, 3.0)])
+                                         (20, 7, 0.02, 5.5), (8, 40, 0.05, 3.0),
+                                         (700, 30, 0.1, 3.0), (1000, 40, 0.05, 2.0)])
 def test_lower_bound_rows_match_reference(n, d, gamma, p):
     for seed in range(50):
         spec = GenSpec(n=n, d=d, gamma=gamma, norm_exponent=p, seed=seed)
@@ -156,13 +162,41 @@ def test_lower_bound_single_point():
         np.linalg.norm(row))
 
 
-def test_rejection_budget_error():
-    # the old sampler spends its budget on this spec too
-    spec = GenSpec(n=4, d=2, gamma=0.999999, seed=0)
-    with pytest.raises(RejectionBudget):
-        gen_separable(spec)
-    with pytest.raises(RejectionBudget):
-        lower_bound_reference(spec)
+def test_rejection_budget_error(monkeypatch):
+    # the old sampler spends its budget on these specs too.  At n = 3 seed 1
+    # accepts one row, so later blocks hold 2 candidates and the budget's
+    # last candidate is a block of 1: the budget runs out inside a block
+    draws = []
+    helper = datagen._uniform_pnorm_ball
+    monkeypatch.setattr(datagen, "_uniform_pnorm_ball",
+                        lambda *args: draws.append(1) or helper(*args))
+    for spec in (GenSpec(n=4, d=2, gamma=0.999999, seed=0),
+                 GenSpec(n=3, d=1, gamma=0.9999, seed=1)):
+        draws.clear()
+        with pytest.raises(RejectionBudget):
+            gen_separable(spec)
+        assert len(draws) == 10000 * spec.n
+        with pytest.raises(RejectionBudget):
+            lower_bound_reference(spec)
+
+
+def test_norm_underflow_matches_reference():
+    # at p = 1000 a direction's p-norm can underflow to 0; seed 0 accepts a
+    # row and then draws such a direction in the same block.  The reference
+    # divides by the 0, a RuntimeWarning and so an error in this suite
+    outcomes = set()
+    for seed in range(12):
+        spec = GenSpec(n=5, d=2, gamma=0.01, norm_exponent=1000.0, seed=seed)
+        try:
+            matrix = lower_bound_reference(spec)[0]
+        except RuntimeWarning:
+            with pytest.raises(BadParameter, match="underflows"):
+                generate(spec)
+            outcomes.add("underflow")
+        else:
+            assert generate(spec).matrix.tobytes() == matrix.tobytes()
+            outcomes.add("rows")
+    assert outcomes == {"underflow", "rows"}
 
 
 def test_infeasible_canonical_triangle_sweep():
@@ -187,10 +221,15 @@ def test_infeasible_mode_dispatch():
 
 
 def test_pnorm_sampling_helpers():
+    # the helper only draws a candidate; the rows map turns draws into points
     rng = np.random.default_rng(0)
     for p in (2.0, 4.0, 8.0):
-        for _ in range(50):
-            u = _unit_pnorm_vector(rng, 5, p)
-            assert np.linalg.norm(u, ord=p) == pytest.approx(1.0)
-            x = _uniform_pnorm_ball(rng, 5, p)
-            assert np.linalg.norm(x, ord=p) <= 1.0 + 1e-12
+        gammas, signs = np.empty((50, 5)), np.empty((50, 5), dtype=np.int64)
+        radii = np.array([_uniform_pnorm_ball(rng, p, gammas[j], signs[j])
+                          for j in range(50)])
+        assert np.all(gammas >= 0.0) and np.all((signs == 0) | (signs == 1))
+        assert np.all((0.0 <= radii) & (radii < 1.0))
+        u = _unit_pnorm_rows(gammas, signs, p)
+        assert np.linalg.norm(u, ord=p, axis=1) == pytest.approx(np.ones(50))
+        x = u * radii[:, None] ** (1.0 / 5)
+        assert np.all(np.linalg.norm(x, ord=p, axis=1) <= 1.0 + 1e-12)
