@@ -14,8 +14,7 @@ import numpy as np
 from .core import Dataset
 from .dynamics import DynamicsConfig, Trace, _play, run_dynamics, run_dynamics_batch
 from .errors import BadParameter, NonFinite, NrpError, TooFewRows
-from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, OftlPrevLoss,
-                       OftrlEntropyPrev, OftrlQNorm, OmdBall, OmdEntropy,
+from .learners import (Oftl, OftrlEntropy, OftrlQNorm, OmdBall, OmdEntropy,
                        project_ball, softmax_neg)
 
 
@@ -24,13 +23,12 @@ from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, OftlPrevLoss,
 
 def smooth_config(horizon: int) -> DynamicsConfig:
     return DynamicsConfig(
-        w_learner=OftlPrevLoss(), p_learner=FtrlPlusEntropy(eta=0.25), horizon=horizon)
+        w_learner=Oftl(), p_learner=OftrlEntropy(eta=0.25), horizon=horizon)
 
 
 def nag_config(horizon: int) -> DynamicsConfig:
-    return DynamicsConfig(
-        w_learner=FtrlPlusUnregularized(), p_learner=OftrlEntropyPrev(eta=0.25),
-        horizon=horizon)
+    # the smooth Perceptron's two learners, played in the opposite order
+    return dataclasses.replace(smooth_config(horizon), p_first=True)
 
 
 def mpfp_config(n: int, horizon: int) -> DynamicsConfig:
@@ -46,7 +44,7 @@ def pnorm_config(n: int, horizon: int, p_exp: float) -> DynamicsConfig:
     eta_w = math.sqrt(1.0 / (2.0 * (q - 1.0) * log_n))
     return DynamicsConfig(
         w_learner=OftrlQNorm(eta=eta_w, q=q),
-        p_learner=FtrlPlusEntropy(eta=1.0 / eta_w), horizon=horizon)
+        p_learner=OftrlEntropy(eta=1.0 / eta_w), horizon=horizon)
 
 
 def _log_rows(algo: str, n: int) -> float:
@@ -380,6 +378,8 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
     stay uniform or settle on one row, and the perturbed game then plays
     as the original does.
     """
+    if not 0.0 < tol < math.inf:
+        raise BadParameter(f"tol must lie in (0, inf), got {tol}")
     algo_name, form_name, rounds = _PAIRS[which]
     algo = ALGORITHMS[algo_name]
     config = algo.config(dataset.n, horizon, 2.0)   # p_exp matters to pnorm only

@@ -141,8 +141,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    if not args.tol > 0.0:
-        raise NrpError(f"--tol {args.tol} is not positive")
     dataset = _gen_dataset(args)
     which = alg.EquivalencePair(args.which)
     report = alg.check_equivalence(which, dataset, args.T, tol=args.tol,

@@ -30,46 +30,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, margin
-from .errors import BadParameter, IncompatibleConfig, NonFinite, NonFiniteIterate
-from .learners import (FtrlPlusEntropy, FtrlPlusUnregularized, LearnerSpec,
-                       OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
-                       OmdEntropy, comparator_value)
-
-
-# the four supported (w-learner, p-learner) pairs, each mapped to whether
-# its p-player moves first; the w-player's decision set fixes the rest:
-# over R^d the game is ridge-regularized with weights alpha_t = t, over a
-# unit ball it is bilinear with alpha_t = 1
-_GAMES = {
-    (OftlPrevLoss, FtrlPlusEntropy): False,
-    (OftrlQNorm, FtrlPlusEntropy): False,
-    (FtrlPlusUnregularized, OftrlEntropyPrev): True,
-    (OmdBall, OmdEntropy): False,
-}
+from .errors import BadParameter, NonFinite, NonFiniteIterate
+from .learners import PSpec, WSpec, comparator_value
 
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    """T rounds of the game a pair of learners plays; the pair's types fix
-    the play order (`_GAMES`), the w-learner's ``ball_norm`` the payoff and
-    the weights."""
+    """T rounds of the game a w-learner and a p-learner play, the w-player
+    moving first unless ``p_first``.  The w-learner's ``ball_norm`` fixes
+    the payoff and the weights: over R^d the game is ridge-regularized with
+    alpha_t = t, over a unit ball it is bilinear with alpha_t = 1."""
 
-    w_learner: LearnerSpec
-    p_learner: LearnerSpec
+    w_learner: WSpec
+    p_learner: PSpec
     horizon: int
     record_full_trace: bool = True
+    p_first: bool = False
 
     def __post_init__(self):
         if self.horizon < 1:
             raise BadParameter("horizon must be >= 1")
-        pair = _pair(self)
-        if pair not in _GAMES:
-            names = " / ".join(cls.__name__ for cls in pair)
-            raise IncompatibleConfig(f"unsupported learner pair {names}")
+        if not (isinstance(self.w_learner, WSpec) and isinstance(self.p_learner, PSpec)):
+            raise BadParameter(
+                f"unsupported learner pair {type(self.w_learner).__name__} / "
+                f"{type(self.p_learner).__name__}: the w-learner is one of "
+                f"{_names(WSpec)}, the p-learner one of {_names(PSpec)}")
 
 
-def _pair(config: DynamicsConfig) -> tuple[type, type]:
-    return type(config.w_learner), type(config.p_learner)
+def _names(specs) -> str:
+    return ", ".join(cls.__name__ for cls in specs.__args__)
 
 
 @dataclass
@@ -176,7 +165,7 @@ def _play(config: DynamicsConfig, datasets: list[Dataset],
     at = a.swapaxes(-1, -2)
     n, d = shape
     horizon = config.horizon
-    w_first = not _GAMES[_pair(config)]
+    w_first = not config.p_first
     ridge = config.w_learner.ball_norm is None
     # the states size their vectors (B, .) from a (B, n, d) view, B = 1 included
     stacked = a.reshape(batch, n, d)
@@ -226,7 +215,7 @@ def _play(config: DynamicsConfig, datasets: list[Dataset],
             gs[:, t - 1] = g_t
             np.vecdot(p_t, loss, out=bilinear[:, t - 1])
             p_sum += np.multiply(p_t, alpha, out=buffer)
-            # every p-learner is an EntropySimplex, whose cum is sum alpha_t A w_t
+            # every PSpec starts an EntropySimplex, whose cum is sum alpha_t A w_t
             np.minimum.reduce(pl.cum, axis=-1, out=worst_rec[:, t - 1])  # min_i (A w_sum)_i
             np.abs(np.subtract(p_t, prev_p, out=buffer), out=buffer)
             np.add.reduce(buffer, axis=-1, out=l1_delta[:, t - 1])

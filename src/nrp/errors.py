@@ -76,9 +76,5 @@ class NonFiniteIterate(NrpError):
                          f"in the {player}-player's step")
 
 
-class IncompatibleConfig(NrpError):
-    """A learner pair that plays none of the supported games."""
-
-
 class RejectionBudget(NrpError):
     """Rejection sampling stalled (margin too close to 1)."""

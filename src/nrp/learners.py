@@ -12,11 +12,13 @@ the shape of a, so no state holds the matrix; every state speaks one protocol:
 The w-player's loss at a distribution p over rows is -p'Aw, plus ||w||^2/2
 in the ridge games, so it sees p only through the d-vector g = A'p: its
 hints and realized plays are such dual vectors.  The p-player's are loss
-vectors A w.  A "plus" learner (FTRL that includes the current round) is
-``decide`` with the realized play as its hint, so it is the player that
-moves second.  Each w-spec's ``ball_norm`` names its decision set, None
-for R^d and b for the unit b-norm ball, and ``comparator_value`` gives the
-minimum over that set that the w-player's regret is measured against.
+vectors A w.  Every spec is an optimistic learner; the one that moves
+second is given the first's realized play as its hint, which makes it a
+"plus" learner (FTRL that includes the current round).  A w-spec
+(``WSpec``) has a ``ball_norm`` that names its decision set, None for R^d
+and b for the unit b-norm ball, and ``comparator_value`` gives the minimum
+over that set that the w-player's regret is measured against.  A p-spec
+(``PSpec``) plays on the simplex.
 
 Simplex learners (entropy regularizer) keep the cumulative weighted loss
 vector and output a max-subtracted softmax; nothing multiplicative is
@@ -33,6 +35,7 @@ The comparator values are one per game.  Each game gets the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,18 +54,19 @@ EXP_ARG_MIN = -700.0
 
 @dataclass(frozen=True)
 class _Stepped:
-    """A spec with a step size eta, which must be positive (NaN is not)."""
+    """A spec with a step size eta, which must be positive and finite (NaN
+    is neither)."""
     eta: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise BadParameter(f"eta must be positive, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise BadParameter(f"eta must be positive and finite, got {self.eta}")
 
 
 @dataclass(frozen=True)
-class OftlPrevLoss:
-    """Optimistic FTL over R^d with previous-round hint; ridge-regularized
-    losses make it well posed without an explicit regularizer."""
+class Oftl:
+    """Optimistic FTL over R^d; ridge-regularized losses make it well posed
+    without an explicit regularizer."""
     ball_norm = None
 
     def start(self, a: np.ndarray) -> DualAveragingW:
@@ -70,28 +74,11 @@ class OftlPrevLoss:
 
 
 @dataclass(frozen=True)
-class FtrlPlusEntropy(_Stepped):
-    """FTRL including the current round, entropy regularizer over the simplex."""
+class OftrlEntropy(_Stepped):
+    """Optimistic FTRL over the simplex with the entropy regularizer."""
 
     def start(self, a: np.ndarray) -> EntropySimplex:
         return EntropySimplex(a.shape[:-1], self.eta)
-
-
-@dataclass(frozen=True)
-class OftrlEntropyPrev(_Stepped):
-    """Optimistic FTRL over the simplex, previous loss vector as the hint."""
-
-    def start(self, a: np.ndarray) -> EntropySimplex:
-        return EntropySimplex(a.shape[:-1], self.eta)
-
-
-@dataclass(frozen=True)
-class FtrlPlusUnregularized:
-    """Unregularized follow-the-leader including the current round (R^d)."""
-    ball_norm = None
-
-    def start(self, a: np.ndarray) -> DualAveragingW:
-        return DualAveragingW(_w_shape(a))
 
 
 @dataclass(frozen=True)
@@ -134,8 +121,9 @@ def _w_shape(a: np.ndarray) -> tuple[int, ...]:
     return a.shape[:-2] + a.shape[-1:]
 
 
-LearnerSpec = (OftlPrevLoss | FtrlPlusEntropy | OftrlEntropyPrev
-               | FtrlPlusUnregularized | OftrlQNorm | OmdBall | OmdEntropy)
+# the specs of each role: a w-learner plays in R^d, a p-learner on the simplex
+WSpec = Oftl | OftrlQNorm | OmdBall
+PSpec = OftrlEntropy | OmdEntropy
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +336,12 @@ def regret_p_from_arrays(a: np.ndarray, alphas, ws, ps) -> float:
 def weighted_regret_w(trace, dataset) -> float:
     """Regret of the w-player on a completed trace (full trace required)."""
     if trace.ws is None or trace.ps is None:
-        raise ValueError("full trace required")
+        raise BadParameter("full trace required")
     return regret_w_from_arrays(dataset.matrix, trace.alphas, trace.ws,
                                 trace.ps, trace.config.w_learner.ball_norm)
 
 
 def weighted_regret_p(trace, dataset) -> float:
     if trace.ws is None or trace.ps is None:
-        raise ValueError("full trace required")
+        raise BadParameter("full trace required")
     return regret_p_from_arrays(dataset.matrix, trace.alphas, trace.ws, trace.ps)

@@ -9,9 +9,8 @@ from nrp import algorithms as alg
 from nrp.core import margin, normalized_margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import run_dynamics
-from nrp.learners import (FtrlPlusEntropy, FtrlPlusUnregularized,
-                          OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
-                          OmdEntropy, qnorm_dual_map)
+from nrp.learners import (Oftl, OftrlEntropy, OftrlQNorm, OmdBall, OmdEntropy,
+                          qnorm_dual_map)
 from conftest import (empirical_risk, empirical_risk_grad, exact_margin_dataset,
                       qnorm_primal_grad)
 from test_learners import (plus_step, quadratic_argmin, rel_linf,
@@ -212,14 +211,14 @@ def test_criterion_14_closed_forms_match_numeric_oracles():
 
     # simplex learners
     eta = 0.25
-    st = FtrlPlusEntropy(eta=eta).start(a)
+    st = OftrlEntropy(eta=eta).start(a)
     cum = np.zeros(4)
     for t in (1.0, 2.0):
         loss = rng.standard_normal(4)
         p = plus_step(st, t, loss)
         cum += t * loss
         assert rel_linf(p, simplex_argmin(cum, eta)) <= 1e-7
-    st2 = OftrlEntropyPrev(eta=eta).start(a)
+    st2 = OftrlEntropy(eta=eta).start(a)
     hint = rng.standard_normal(4)
     assert rel_linf(st2.decide(1.0, hint), simplex_argmin(hint, eta)) <= 1e-7
     st3 = OmdEntropy(eta=0.7).start(a)
@@ -230,13 +229,13 @@ def test_criterion_14_closed_forms_match_numeric_oracles():
                     simplex_argmin(g, 0.7, prior=prior)) <= 1e-7
 
     # classifier-side learners
-    st4 = OftlPrevLoss().start(a)
+    st4 = Oftl().start(a)
     p0 = rng.dirichlet(np.ones(4))
     st4.absorb(1.0, a.T @ p0)
     p1 = rng.dirichlet(np.ones(4))
     assert rel_linf(st4.decide(2.0, a.T @ p1),
                     quadratic_argmin(a, p0 + 2.0 * p1, 3.0)) <= 1e-7
-    st5 = FtrlPlusUnregularized().start(a)
+    st5 = Oftl().start(a)
     w = plus_step(st5, 1.0, a.T @ p0)
     assert rel_linf(w, quadratic_argmin(a, p0, 1.0)) <= 1e-7
 

@@ -262,6 +262,15 @@ def test_equivalence_negative_control(which):
     assert not report.passed
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_equivalence_tol_must_lie_in_open_range(tol):
+    # tol = 0 would divide by zero in the deviation's floor, and tol = inf
+    # would pass any deviation
+    ds = exact_margin_dataset(8, 4, 0.3, seed=1)
+    with pytest.raises(BadParameter, match="tol must lie in"):
+        alg.check_equivalence(alg.EquivalencePair.PROP1, ds, 5, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # the check plays the game and the original form in step
 

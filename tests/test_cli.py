@@ -283,6 +283,12 @@ def test_run_single_row_exit_2(capsys, algo, horizon):
      "{tmp}/s.csv"],
     ["equiv", "--which", "prop1", "--n", "8", "--d", "3", "--T", "5",
      "--tol", "nan"],
+    ["equiv", "--which", "prop1", "--n", "8", "--d", "3", "--T", "5",
+     "--tol", "inf"],
+    ["equiv", "--which", "prop1", "--n", "8", "--d", "3", "--T", "5",
+     "--tol", "0"],
+    ["equiv", "--which", "prop1", "--n", "8", "--d", "3", "--T", "5",
+     "--perturb", "inf"],
     ["gen", "--n", "8", "--d", "3", "--p", "inf", "--mode", "lower",
      "--out", "{tmp}/x.txt"],
     ["run", "--algo", "smooth", "--n", "8", "--d", "3",
@@ -326,7 +332,8 @@ def test_run_single_row_exit_2(capsys, algo, horizon):
      "--T", "5", "--out", "{tmp}/s.csv"],
     ["run", "--algo", "smooth", "--data", "{tmp}/huge.txt", "--T", "5"],
 ], ids=["run_n_0", "sweep_T_0", "missing_data_file", "exact_n_1", "p_exp_1",
-        "sweep_vanilla_T_0", "equiv_tol_nan", "gen_p_inf", "run_T_huge",
+        "sweep_vanilla_T_0", "equiv_tol_nan", "equiv_tol_inf", "equiv_tol_0",
+        "equiv_perturb_inf", "gen_p_inf", "run_T_huge",
         "gen_out_missing_dir", "run_out_under_file", "sweep_out_under_file",
         "run_no_data_no_n_d", "gen_seed_negative", "sweep_seed_negative",
         "p_exp_inf", "p_exp_1e300", "p_exp_inf_T_auto", "p_exp_nan_T_auto",

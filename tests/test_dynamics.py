@@ -10,10 +10,10 @@ from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import (DynamicsConfig, Trace, best_response_value,
                           gap_bound_check, run_dynamics, run_dynamics_batch)
 from nrp import learners
-from nrp.errors import BadParameter, IncompatibleConfig, NonFinite, NonFiniteIterate
-from nrp.learners import (DualAveragingW, FtrlPlusEntropy, OftlPrevLoss,
-                          OftrlEntropyPrev, OmdBall, regret_p_from_arrays,
-                          regret_w_from_arrays, weighted_regret_p, weighted_regret_w)
+from nrp.errors import BadParameter, NonFinite, NonFiniteIterate
+from nrp.learners import (DualAveragingW, Oftl, OftrlEntropy, OftrlQNorm, OmdBall,
+                          OmdEntropy, regret_p_from_arrays, regret_w_from_arrays,
+                          weighted_regret_p, weighted_regret_w)
 from nrp.algorithms import mpfp_config, nag_config, pnorm_config, smooth_config
 from conftest import (count_matvecs, exact_margin_dataset, nan_dual_map_from,
                       random_dataset)
@@ -25,16 +25,19 @@ def test_horizon_validation():
 
 
 def test_incompatible_pairs_rejected():
-    for w_learner, p_learner in ((OftlPrevLoss(), OftrlEntropyPrev(eta=0.25)),
-                                 (OmdBall(eta=1.0), FtrlPlusEntropy(eta=0.25)),
-                                 (FtrlPlusEntropy(eta=0.25), FtrlPlusEntropy(eta=0.25))):
-        with pytest.raises(IncompatibleConfig):
+    # a learner in the wrong role: a simplex learner as the w-player, an
+    # R^d one as the p-player
+    for w_learner, p_learner in ((OftrlEntropy(eta=0.25), OftrlEntropy(eta=0.25)),
+                                 (Oftl(), Oftl())):
+        with pytest.raises(BadParameter, match="unsupported learner pair"):
             DynamicsConfig(w_learner=w_learner, p_learner=p_learner, horizon=5)
 
 
 def test_pair_fixes_the_game(rng):
     assert [f.name for f in dataclasses.fields(DynamicsConfig)] == [
-        "w_learner", "p_learner", "horizon", "record_full_trace"]
+        "w_learner", "p_learner", "horizon", "record_full_trace", "p_first"]
+    # nag plays the smooth Perceptron's learners with the p-player first
+    assert nag_config(3) == dataclasses.replace(smooth_config(3), p_first=True)
     # the ridge games over R^d weigh round t by t, the ball games by 1
     ds = random_dataset(rng, 4, 3)
     for config, alphas in ((smooth_config(3), [1.0, 2.0, 3.0]),
@@ -93,7 +96,7 @@ def test_non_finite_step_names_the_player_that_raised():
     # a huge p step overflows the softmax scores while every w_t is finite;
     # the round named is the first that fails
     ds = generate(GenSpec(n=16, d=4, gamma=0.1, mode=GenMode.LOWER_BOUND, seed=0))
-    config = dataclasses.replace(smooth_config(40), p_learner=FtrlPlusEntropy(eta=1e308))
+    config = dataclasses.replace(smooth_config(40), p_learner=OftrlEntropy(eta=1e308))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteIterate) as exc:
             run_dynamics(config, ds)
@@ -239,22 +242,40 @@ def test_running_regrets_match_oracle_every_round(rng):
                 assert abs(trace.regret_p_running[t - 1] - rp) <= bound
 
 
+@st.composite
+def games(draw):
+    """(w-spec, p-spec, p_first) of any game: each spec that has a step
+    draws it log-uniform from [0.01, 100], and a q-norm learner its q from
+    (1, 2]."""
+    eta = st.floats(math.log(0.01), math.log(100.0)).map(math.exp)
+    w_learner = draw(st.one_of(
+        st.just(Oftl()), st.builds(OmdBall, eta=eta),
+        st.builds(OftrlQNorm, eta=eta, q=st.floats(1.0, 2.0, exclude_min=True))))
+    p_learner = draw(st.one_of(st.builds(OftrlEntropy, eta=eta),
+                               st.builds(OmdEntropy, eta=eta)))
+    return w_learner, p_learner, draw(st.booleans())
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @settings(deadline=None)
 @given(n=st.integers(2, 12), d=st.integers(1, 5), gamma=st.floats(0.05, 0.4),
        seed=st.integers(0, 2**16), horizon=st.integers(1, 20),
-       log_p_exp=st.floats(math.log(2.0), math.log(1e6)))
+       log_p_exp=st.floats(math.log(2.0), math.log(1e6)), game=games())
 def test_running_regrets_match_oracle_on_drawn_data(p, n, d, gamma, seed, horizon,
-                                                     log_p_exp):
+                                                     log_p_exp, game):
     # separable data with rows in the unit p-norm ball; pnorm plays the
     # q-norm game of an exponent drawn log-uniform from [2, 1e6], where an
-    # unscaled dual norm of the comparator overflows
+    # unscaled dual norm of the comparator overflows; the drawn game is any
+    # pair of learners in either order
     ds = generate(GenSpec(n=n, d=d, gamma=gamma, norm_exponent=p,
                           mode=GenMode.LOWER_BOUND, seed=seed))
     a = ds.matrix
     p_exp = math.exp(log_p_exp)
+    w_learner, p_learner, p_first = game
+    drawn = DynamicsConfig(w_learner=w_learner, p_learner=p_learner,
+                           horizon=horizon, p_first=p_first)
     for config in (smooth_config(horizon), nag_config(horizon),
-                   mpfp_config(n, horizon), pnorm_config(n, horizon, p_exp)):
+                   mpfp_config(n, horizon), pnorm_config(n, horizon, p_exp), drawn):
         trace = run_dynamics(config, ds)
         for t in range(1, horizon + 1):
             alphas, ws, ps = trace.alphas[:t], trace.ws[:t], trace.ps[:t]
@@ -263,6 +284,17 @@ def test_running_regrets_match_oracle_on_drawn_data(p, n, d, gamma, seed, horizo
             bound = 1e-12 * float(alphas.sum())
             assert abs(trace.regret_w_running[t - 1] - rw) <= bound
             assert abs(trace.regret_p_running[t - 1] - rp) <= bound
+    # the duality-gap bound holds for any sequence of plays, so for every
+    # game; trace is the drawn game's, checked at comparators in the
+    # w-player's decision set
+    rng = np.random.default_rng(seed)
+    ball_norm = w_learner.ball_norm
+    for _ in range(3):
+        w = rng.standard_normal(d)
+        if ball_norm is not None:
+            w /= max(1.0, float(np.linalg.norm(w, ord=ball_norm)))
+        lhs, rhs, ok = gap_bound_check(trace, ds, w)
+        assert ok, (lhs, rhs)
 
 
 @pytest.mark.parametrize("name,per_round", [("smooth", 2), ("nag", 2),
@@ -412,6 +444,10 @@ def test_light_trace_matches_full(rng):
     assert np.array_equal(light.w_bar, full.w_bar)
     assert light.regret_w == full.regret_w
     assert light.regret_p == full.regret_p
+    # the closed-form regrets read the iterates a light trace does not keep
+    for regret in (weighted_regret_w, weighted_regret_p):
+        with pytest.raises(BadParameter, match="full trace required"):
+            regret(light, ds)
 
 
 def test_best_response_consistency(rng):

@@ -7,8 +7,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from nrp.errors import BadParameter, NonFinite
-from nrp.learners import (UNDERFLOW_FLOOR, FtrlPlusEntropy, FtrlPlusUnregularized,
-                          OftlPrevLoss, OftrlEntropyPrev, OftrlQNorm, OmdBall,
+from nrp.learners import (UNDERFLOW_FLOOR, Oftl, OftrlEntropy, OftrlQNorm, OmdBall,
                           OmdEntropy, project_ball, qnorm_dual_map,
                           regret_p_from_arrays, regret_w_from_arrays,
                           softmax_neg)
@@ -252,7 +251,7 @@ class OutOfPlace:
 
     def decide(self, alpha, hint):
         spec = self.spec
-        if isinstance(spec, (FtrlPlusEntropy, OftrlEntropyPrev, OmdEntropy)):
+        if isinstance(spec, (OftrlEntropy, OmdEntropy)):
             return unclamped_softmax_neg(spec.eta * (self.cum + alpha * hint))
         if isinstance(spec, OmdBall):
             return project_ball(self.cum + spec.eta * alpha * hint)
@@ -287,8 +286,8 @@ def state_runs(draw):
 
 
 @pytest.mark.parametrize("spec", [
-    FtrlPlusEntropy(eta=0.25), OftrlEntropyPrev(eta=3.0), OmdEntropy(eta=20.0),
-    OftlPrevLoss(), FtrlPlusUnregularized(), OftrlQNorm(eta=0.5, q=1.5),
+    OftrlEntropy(eta=0.25), OftrlEntropy(eta=3.0), OmdEntropy(eta=20.0),
+    Oftl(), OftrlQNorm(eta=0.5, q=1.5),
     OftrlQNorm(eta=0.5, q=2.0), OmdBall(eta=0.8)], ids=repr)
 @settings(deadline=None)
 @given(state_runs())
@@ -315,20 +314,20 @@ def test_in_place_states_match_out_of_place_formulas(spec, run):
 # simplex learners vs numeric oracle
 
 def test_entropy_ftrl_plus_uniform_start():
-    state = FtrlPlusEntropy(eta=0.25).start(rows(4))
+    state = OftrlEntropy(eta=0.25).start(rows(4))
     p = plus_step(state, 1.0, np.zeros(4))
     assert np.allclose(p, 0.25)
 
 
 def test_entropy_ftrl_plus_hand_value():
-    state = FtrlPlusEntropy(eta=0.25).start(rows(2))
+    state = OftrlEntropy(eta=0.25).start(rows(2))
     p = plus_step(state, 1.0, np.array([0.0, 4.0]))
     assert np.allclose(p, [0.73105857863000490, 0.26894142136999512], atol=1e-12)
 
 
 def test_entropy_ftrl_plus_vs_oracle(rng):
     n, eta = 3, 0.25
-    state = FtrlPlusEntropy(eta=eta).start(rows(n))
+    state = OftrlEntropy(eta=eta).start(rows(n))
     cum = np.zeros(n)
     for t in range(1, 4):
         loss = rng.standard_normal(n)
@@ -340,7 +339,7 @@ def test_entropy_ftrl_plus_vs_oracle(rng):
 
 def test_entropy_oftrl_vs_oracle(rng):
     n, eta = 3, 0.25
-    state = OftrlEntropyPrev(eta=eta).start(rows(n))
+    state = OftrlEntropy(eta=eta).start(rows(n))
     cum = np.zeros(n)
     hint = np.zeros(n)
     for t in range(1, 4):
@@ -354,14 +353,14 @@ def test_entropy_oftrl_vs_oracle(rng):
 
 
 def test_entropy_oftrl_uniform_at_start():
-    state = OftrlEntropyPrev(eta=0.25).start(rows(5))
+    state = OftrlEntropy(eta=0.25).start(rows(5))
     assert np.allclose(state.decide(1.0, np.zeros(5)), 0.2)
 
 
 def test_oftrl_hint_equals_realized_matches_ftrl_plus(rng):
     n, eta = 4, 0.25
-    a_state = FtrlPlusEntropy(eta=eta).start(rows(n))
-    b_state = OftrlEntropyPrev(eta=eta).start(rows(n))
+    a_state = OftrlEntropy(eta=eta).start(rows(n))
+    b_state = OftrlEntropy(eta=eta).start(rows(n))
     for t in range(1, 5):
         loss = rng.standard_normal(n)
         pa = plus_step(a_state, float(t), loss)
@@ -411,7 +410,7 @@ def quadratic_argmin(a, weighted_ps, total_alpha):
 
 def test_oftl_w_start_is_row_mean(rng):
     ds = random_dataset(rng, 5, 3)
-    state = OftlPrevLoss().start(ds.matrix)
+    state = Oftl().start(ds.matrix)
     w1 = state.decide(1.0, ds.matrix.T @ (np.ones(5) / 5))
     assert np.allclose(w1, ds.matrix.sum(axis=0) / 5, atol=1e-15)
 
@@ -419,7 +418,7 @@ def test_oftl_w_start_is_row_mean(rng):
 def test_oftl_w_constant_p_fixed_point(rng):
     ds = random_dataset(rng, 5, 3)
     p = rng.dirichlet(np.ones(5))
-    state = OftlPrevLoss().start(ds.matrix)
+    state = Oftl().start(ds.matrix)
     for t in range(1, 5):
         w = state.decide(float(t), ds.matrix.T @ p)
         assert np.allclose(w, ds.matrix.T @ p, atol=1e-14)
@@ -428,7 +427,7 @@ def test_oftl_w_constant_p_fixed_point(rng):
 
 def test_oftl_w_vs_oracle(rng):
     ds = random_dataset(rng, 4, 3)
-    state = OftlPrevLoss().start(ds.matrix)
+    state = Oftl().start(ds.matrix)
     hist = []
     hint = np.ones(4) / 4
     for t in range(1, 4):
@@ -445,7 +444,7 @@ def test_oftl_w_vs_oracle(rng):
 
 def test_unregularized_ftrl_w_vs_oracle(rng):
     ds = random_dataset(rng, 4, 3)
-    state = FtrlPlusUnregularized().start(ds.matrix)
+    state = Oftl().start(ds.matrix)
     hist = []
     for t in range(1, 4):
         p = rng.dirichlet(np.ones(4))
@@ -596,20 +595,19 @@ def test_norm_inequalities_l2_rows(rng):
         assert np.max(np.abs(a @ w)) <= np.linalg.norm(w) + 1e-12
 
 
-@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
-@pytest.mark.parametrize("spec", [FtrlPlusEntropy, OftrlEntropyPrev, OmdEntropy, OmdBall,
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("spec", [OftrlEntropy, OmdEntropy, OmdBall,
                                   lambda eta: OftrlQNorm(eta=eta, q=1.5)],
-                         ids=["FtrlPlusEntropy", "OftrlEntropyPrev", "OmdEntropy",
-                              "OmdBall", "OftrlQNorm"])
+                         ids=["OftrlEntropy", "OmdEntropy", "OmdBall", "OftrlQNorm"])
 def test_step_size_must_be_positive(spec, eta):
-    # NaN fails `eta <= 0` too, so only `not eta > 0` rejects it
+    # NaN fails `eta <= 0` too, so only `not 0 < eta < inf` rejects it and inf
     with pytest.raises(BadParameter, match="eta must be positive"):
         spec(eta=eta)
 
 
 def test_learner_spec_validation():
     with pytest.raises(ValueError):
-        FtrlPlusEntropy(eta=0.0)
+        OftrlEntropy(eta=0.0)
     with pytest.raises(ValueError):
         OftrlQNorm(eta=1.0, q=1.0)
     with pytest.raises(ValueError):
