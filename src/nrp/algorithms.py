@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .dynamics import DynamicsConfig, Trace, _play, run_dynamics, run_dynamics_batch
+from .dynamics import (DynamicsConfig, Trace, _play, check_horizon, run_dynamics,
+                       run_dynamics_batch)
 from .errors import BadParameter, NonFinite, NrpError, TooFewRows
 from .learners import (Oftl, OftrlEntropy, OftrlQNorm, OmdBall, OmdEntropy,
                        project_ball, softmax_neg)
@@ -134,11 +135,6 @@ ALGORITHMS = {
 # ---------------------------------------------------------------------------
 # original forms
 
-def _check_horizon(horizon: int) -> None:
-    if horizon < 1:
-        raise BadParameter(f"horizon must be >= 1, got {horizon}")
-
-
 @dataclass
 class SmoothPerceptronResult:
     v: np.ndarray                # v_{T-1}
@@ -153,7 +149,7 @@ def smooth_perceptron(dataset: Dataset, horizon: int) -> SmoothPerceptronResult:
     uniform prior.  The printed recursion's "A q" is dimensionally "A' q";
     the transpose is used throughout.
     """
-    _check_horizon(horizon)
+    check_horizon(horizon)
     vs = np.empty((horizon, dataset.d))
     for t, (v, q) in enumerate(_smooth_rounds(dataset, horizon)):
         vs[t] = v
@@ -190,7 +186,7 @@ class JiResult:
 def accel_perceptron_ji(dataset: Dataset, horizon: int) -> JiResult:
     """Momentum recursion in the dual space with the corrected step schedule
     theta_{t-1} = t / (2(t+1))."""
-    _check_horizon(horizon)
+    check_horizon(horizon)
     vs = np.empty((horizon, dataset.d))
     gs = np.empty((horizon, dataset.d))
     qs = np.empty((horizon, dataset.n))
@@ -233,7 +229,7 @@ def nag_margin(dataset: Dataset, horizon: int) -> NagResult:
     R(u_t) never overflows.  At t = 1 the 1/(2(t-1)) coefficient multiplies
     v_0 = 0 and contributes nothing.
     """
-    _check_horizon(horizon)
+    check_horizon(horizon)
     vs, ss, us = (np.empty((horizon, dataset.d)) for _ in range(3))
     qs = np.empty((horizon, dataset.n))
     for t, (v, s, u, q) in enumerate(_nag_rounds(dataset, horizon)):
@@ -269,7 +265,7 @@ def mpfp(dataset: Dataset, horizon: int) -> MpfpResult:
     of the uniform average.
     """
     _log_rows("mpfp", dataset.n)
-    _check_horizon(horizon)
+    check_horizon(horizon)
     us_w = np.empty((horizon, dataset.d))
     us_p = np.empty((horizon, dataset.n))
     for t, (x, y) in enumerate(_mpfp_rounds(dataset, horizon)):
@@ -300,6 +296,7 @@ def vanilla_perceptron(dataset: Dataset, max_updates: int):
     """Classical additive baseline: from w = 0, cycle the rows, add any row
     the current classifier does not separate, stop after a clean pass.
     Returns (w, updates, budget_exhausted)."""
+    check_horizon(max_updates, "max_updates")
     a = dataset.matrix
     w = np.zeros(dataset.d)
     updates = 0

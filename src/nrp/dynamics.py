@@ -48,13 +48,20 @@ class DynamicsConfig:
     p_first: bool = False
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise BadParameter("horizon must be >= 1")
+        check_horizon(self.horizon)
         if not (isinstance(self.w_learner, WSpec) and isinstance(self.p_learner, PSpec)):
             raise BadParameter(
                 f"unsupported learner pair {type(self.w_learner).__name__} / "
                 f"{type(self.p_learner).__name__}: the w-learner is one of "
                 f"{_names(WSpec)}, the p-learner one of {_names(PSpec)}")
+
+
+def check_horizon(horizon, name: str = "horizon") -> None:
+    """BadParameter unless ``horizon`` is an integer >= 1: a Python or numpy
+    integer, not a bool."""
+    integral = isinstance(horizon, (int, np.integer)) and not isinstance(horizon, bool)
+    if not integral or horizon < 1:
+        raise BadParameter(f"{name} must be an integer >= 1, got {horizon!r}")
 
 
 def _names(specs) -> str:

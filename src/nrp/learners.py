@@ -301,6 +301,13 @@ def comparator_value(ball_norm: float | None, g_sum: np.ndarray, cum_alpha):
 # ---------------------------------------------------------------------------
 # exact weighted regrets from closed-form comparators
 
+def _played_bilinear(a: np.ndarray, alphas: np.ndarray, ws, ps) -> float:
+    """sum_t alpha_t (A'p_t).w_t, where the engine forms p_t.(A w_t).  With
+    the comparators, which sum the plays before the product with A, no
+    oracle term forms a (T, n) array."""
+    return float(np.einsum("t,td,td->", alphas, ps @ a, ws))
+
+
 def regret_w_from_arrays(a: np.ndarray, alphas, ws, ps, ball_norm: float | None) -> float:
     """Weighted regret of the w-player against the exact comparator.
 
@@ -310,9 +317,8 @@ def regret_w_from_arrays(a: np.ndarray, alphas, ws, ps, ball_norm: float | None)
     |entry| so that no power overflows at a large dual exponent.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
-    cum_p = alphas @ ps
-    bilinear_played = -float(np.einsum("t,ti,ti->", alphas, ps, ws @ a.T))
-    g = a.T @ cum_p
+    bilinear_played = -_played_bilinear(a, alphas, ws, ps)
+    g = a.T @ (alphas @ ps)
     if ball_norm is None:
         played = bilinear_played + 0.5 * float(alphas @ np.sum(ws * ws, axis=1))
         best = -0.5 * float(np.dot(g, g)) / float(alphas.sum())
@@ -327,10 +333,7 @@ def regret_p_from_arrays(a: np.ndarray, alphas, ws, ps) -> float:
     simplex sits at a vertex, so the enumeration is exact.  Any objective
     term constant in p cancels between the two sides and is dropped."""
     alphas = np.asarray(alphas, dtype=np.float64)
-    losses = ws @ a.T                      # row t = A w_t
-    played = float(np.einsum("t,ti,ti->", alphas, ps, losses))
-    best = float(np.min(alphas @ losses))
-    return played - best
+    return _played_bilinear(a, alphas, ws, ps) - float(np.min(a @ (alphas @ ws)))
 
 
 def weighted_regret_w(trace, dataset) -> float:

@@ -37,9 +37,10 @@ def test_standalone_matvecs_per_round(rng, form, expected):
 FORMS = [alg.smooth_perceptron, alg.accel_perceptron_ji, alg.nag_margin, alg.mpfp]
 
 
-@pytest.mark.parametrize("horizon", [0, -1])
+@pytest.mark.parametrize("horizon", [0, -1, 2.5, "3", True])
 @pytest.mark.parametrize("form", FORMS, ids=lambda form: form.__name__)
 def test_standalone_forms_reject_horizon_below_one(rng, form, horizon):
+    # a horizon is an integer >= 1: a float, a string or a bool is none
     with pytest.raises(BadParameter, match="horizon"):
         form(random_dataset(rng, 6, 3), horizon)
 
@@ -229,6 +230,14 @@ def test_vanilla_single_point():
     w, updates, exhausted = alg.vanilla_perceptron(ds, 10)
     assert updates == 1 and not exhausted
     assert np.array_equal(w, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("max_updates", [0, -1, 2.5, "3", True])
+def test_vanilla_rejects_a_budget_that_is_no_positive_integer(max_updates):
+    ds = Dataset(matrix=np.array([[1.0, 0.0]]))
+    with pytest.raises(BadParameter, match="max_updates"):
+        alg.vanilla_perceptron(ds, max_updates)
+    assert alg.vanilla_perceptron(ds, np.int64(3))[1] == 1
 
 
 def test_vanilla_budget_flag():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +15,24 @@ from nrp.errors import BadParameter, NonFinite, NonFiniteIterate
 from nrp.learners import (DualAveragingW, Oftl, OftrlEntropy, OftrlQNorm, OmdBall,
                           OmdEntropy, regret_p_from_arrays, regret_w_from_arrays,
                           weighted_regret_p, weighted_regret_w)
-from nrp.algorithms import mpfp_config, nag_config, pnorm_config, smooth_config
+from nrp.algorithms import (EquivalencePair, check_equivalence, mpfp_config, nag_config,
+                            pnorm_config, smooth_config)
 from conftest import (count_matvecs, exact_margin_dataset, nan_dual_map_from,
                       random_dataset)
 
 
-def test_horizon_validation():
+def test_horizon_validation(rng):
     with pytest.raises(ValueError):
         smooth_config(0)
+    # a horizon is an integer >= 1, a Python or numpy one but not a bool
+    ds = random_dataset(rng, 6, 3)
+    for horizon in (2.5, "3", True):
+        with pytest.raises(BadParameter, match="horizon"):
+            run_dynamics(dataclasses.replace(smooth_config(3), horizon=horizon), ds)
+        with pytest.raises(BadParameter, match="horizon"):
+            check_equivalence(EquivalencePair.PROP1, ds, horizon)
+    trace = run_dynamics(smooth_config(np.int64(3)), ds)
+    assert trace.ws.shape == (3, 3)
 
 
 def test_incompatible_pairs_rejected():
@@ -219,6 +230,24 @@ def test_running_regrets_match_closed_forms(rng):
         rp = weighted_regret_p(trace, ds)
         assert trace.regret_w == pytest.approx(rw, abs=1e-9)
         assert trace.regret_p == pytest.approx(rp, abs=1e-9)
+
+
+def test_oracle_allocates_no_history_of_the_rows():
+    n, d, horizon = 1000, 20, 300
+    ds = exact_margin_dataset(n, d, 0.1, seed=0)
+    trace = run_dynamics(smooth_config(horizon), ds)
+    tracemalloc.start()
+    try:
+        for regret in (weighted_regret_w, weighted_regret_p):
+            tracemalloc.reset_peak()
+            current = tracemalloc.get_traced_memory()[0]
+            value = regret(trace, ds)
+            peak = tracemalloc.get_traced_memory()[1] - current
+            # half of one (T, n) float64 record
+            assert peak < horizon * n * 8 / 2, (regret.__name__, peak)
+            assert math.isfinite(value)
+    finally:
+        tracemalloc.stop()
 
 
 def test_running_regrets_match_oracle_every_round(rng):
