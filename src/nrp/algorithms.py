@@ -133,31 +133,16 @@ ALGORITHMS = {
 
 
 # ---------------------------------------------------------------------------
-# original forms
+# original forms, each a generator of its per-round iterates
 
-@dataclass
-class SmoothPerceptronResult:
-    v: np.ndarray                # v_{T-1}
-    q: np.ndarray                # q_{T-1}
-    vs: np.ndarray               # v_0 .. v_{T-1}
-
-
-def smooth_perceptron(dataset: Dataset, horizon: int) -> SmoothPerceptronResult:
-    """Excessive-gap recursion over the smoothed responder.
+def _smooth_rounds(dataset: Dataset, horizon: int):
+    """(v_{t-1}, q_{t-1}) of the smooth Perceptron, the excessive-gap
+    recursion over the smoothed responder, for t = 1 .. horizon.
 
     The responder q_mu(v) is the softmax of -A v / mu relative to the
     uniform prior.  The printed recursion's "A q" is dimensionally "A' q";
     the transpose is used throughout.
     """
-    check_horizon(horizon)
-    vs = np.empty((horizon, dataset.d))
-    for t, (v, q) in enumerate(_smooth_rounds(dataset, horizon)):
-        vs[t] = v
-    return SmoothPerceptronResult(v=v, q=q, vs=vs)
-
-
-def _smooth_rounds(dataset: Dataset, horizon: int):
-    """(v_{t-1}, q_{t-1}) of `smooth_perceptron` for t = 1 .. horizon."""
     a = dataset.matrix
     n = dataset.n
     mu = 4.0
@@ -174,29 +159,9 @@ def _smooth_rounds(dataset: Dataset, horizon: int):
         yield v, q
 
 
-@dataclass
-class JiResult:
-    v: np.ndarray                # v_T
-    q: np.ndarray                # q_T
-    vs: np.ndarray               # v_1 .. v_T
-    gs: np.ndarray               # g_1 .. g_T
-    qs: np.ndarray               # q_1 .. q_T
-
-
-def accel_perceptron_ji(dataset: Dataset, horizon: int) -> JiResult:
-    """Momentum recursion in the dual space with the corrected step schedule
-    theta_{t-1} = t / (2(t+1))."""
-    check_horizon(horizon)
-    vs = np.empty((horizon, dataset.d))
-    gs = np.empty((horizon, dataset.d))
-    qs = np.empty((horizon, dataset.n))
-    for t, (v, g, q) in enumerate(_ji_rounds(dataset, horizon)):
-        vs[t], gs[t], qs[t] = v, g, q
-    return JiResult(v=v, q=q, vs=vs, gs=gs, qs=qs)
-
-
 def _ji_rounds(dataset: Dataset, horizon: int):
-    """(v_t, g_t, q_t) of `accel_perceptron_ji` for t = 1 .. horizon."""
+    """(v_t, g_t, q_t) of the momentum recursion in the dual space, with the
+    corrected step schedule theta_{t-1} = t / (2(t+1)), for t = 1 .. horizon."""
     a = dataset.matrix
     n, d = a.shape
     q = np.ones(n) / n
@@ -212,33 +177,15 @@ def _ji_rounds(dataset: Dataset, horizon: int):
         yield v, g, q
 
 
-@dataclass
-class NagResult:
-    s: np.ndarray                # s_T
-    vs: np.ndarray
-    ss: np.ndarray
-    us: np.ndarray
-    qs: np.ndarray
-
-
-def nag_margin(dataset: Dataset, horizon: int) -> NagResult:
-    """Accelerated descent on the exponential empirical risk.
+def _nag_rounds(dataset: Dataset, horizon: int):
+    """(v_t, s_t, u_t, q_t) of accelerated descent on the exponential
+    empirical risk for t = 1 .. horizon.
 
     The step eta_t grad R(u_t) with eta_t = t / R(u_t) equals -t A' q_t
     where q_t is the softmax of -A u_t; that identity is used directly so
     R(u_t) never overflows.  At t = 1 the 1/(2(t-1)) coefficient multiplies
     v_0 = 0 and contributes nothing.
     """
-    check_horizon(horizon)
-    vs, ss, us = (np.empty((horizon, dataset.d)) for _ in range(3))
-    qs = np.empty((horizon, dataset.n))
-    for t, (v, s, u, q) in enumerate(_nag_rounds(dataset, horizon)):
-        vs[t], ss[t], us[t], qs[t] = v, s, u, q
-    return NagResult(s=s, vs=vs, ss=ss, us=us, qs=qs)
-
-
-def _nag_rounds(dataset: Dataset, horizon: int):
-    """(v_t, s_t, u_t, q_t) of `nag_margin` for t = 1 .. horizon."""
     a = dataset.matrix
     v = np.zeros(dataset.d)
     s = np.zeros(dataset.d)
@@ -250,32 +197,15 @@ def _nag_rounds(dataset: Dataset, horizon: int):
         yield v, s, u, q
 
 
-@dataclass
-class MpfpResult:
-    us_w: np.ndarray             # u_t ball components, t = 1..T
-    us_p: np.ndarray             # u_t simplex components
-
-
-def mpfp(dataset: Dataset, horizon: int) -> MpfpResult:
-    """Mirror-prox on the product space (unit ball) x (simplex).
+def _mpfp_rounds(dataset: Dataset, horizon: int):
+    """(u_t ball component, u_t simplex component) of mirror-prox on the
+    product space (unit ball) x (simplex) for t = 1 .. horizon; n >= 2.
 
     The prox over the product factorizes into a Euclidean ball prox and an
-    entropic simplex prox; the two components are stored separately.  The
+    entropic simplex prox, whose components are yielded separately.  The
     step is the constant 1 / (sqrt(log n) + 1/sqrt(2)), which cancels out
     of the uniform average.
     """
-    _log_rows("mpfp", dataset.n)
-    check_horizon(horizon)
-    us_w = np.empty((horizon, dataset.d))
-    us_p = np.empty((horizon, dataset.n))
-    for t, (x, y) in enumerate(_mpfp_rounds(dataset, horizon)):
-        us_w[t], us_p[t] = x, y
-    return MpfpResult(us_w=us_w, us_p=us_p)
-
-
-def _mpfp_rounds(dataset: Dataset, horizon: int):
-    """(u_t ball component, u_t simplex component) of `mpfp` for
-    t = 1 .. horizon; n >= 2."""
     a = dataset.matrix
     n, d = a.shape
     eta_w = 1.0 / math.sqrt(math.log(n))
@@ -324,13 +254,21 @@ class EquivalencePair(enum.Enum):
     MPFP = "mpfp"
 
 
-# each check's named algorithm, whose game and output it compares against,
-# and its original form: the public function and the generator of the
-# per-round iterates that the function collects
-_PAIRS = {EquivalencePair.PROP1: ("smooth", "smooth_perceptron", _smooth_rounds),
-          EquivalencePair.PROP2: ("ji", "accel_perceptron_ji", _ji_rounds),
-          EquivalencePair.NAG: ("nag", "nag_margin", _nag_rounds),
-          EquivalencePair.MPFP: ("mpfp", "mpfp", _mpfp_rounds)}
+# each check: the named algorithm whose game it plays, its original form's
+# name and generator, and per compared quantity the deviation's name, the
+# index of the form's iterate in each yielded tuple, and the game quantity
+# it must equal: the play "w_t" or "p_t" at every round, or after the last
+# round the algorithm's "output", the average "p_bar" or the last "p_final"
+_CHECKS = {
+    EquivalencePair.PROP1: ("smooth", "smooth_perceptron", _smooth_rounds, (
+        ("v_vs_w_bar", 0, "output"), ("q_vs_p_bar", 1, "p_bar"))),
+    EquivalencePair.PROP2: ("ji", "accel_perceptron_ji", _ji_rounds, (
+        ("v_vs_quarter_w_sum", 0, "output"), ("q_vs_p_final", 2, "p_final"))),
+    EquivalencePair.NAG: ("nag", "nag_margin", _nag_rounds, (
+        ("s_vs_quarter_w_sum", 1, "output"),)),
+    EquivalencePair.MPFP: ("mpfp", "mpfp", _mpfp_rounds, (
+        ("u_w_vs_w", 0, "w_t"), ("u_p_vs_p", 1, "p_t"))),
+}
 
 
 @dataclass
@@ -347,18 +285,6 @@ def _peaks(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([np.max(np.abs(x - y)), np.max(np.abs(x)), np.max(np.abs(y))])
 
 
-def _scaled(peaks: np.ndarray, tol: float) -> float:
-    """The relative deviation of `_peaks`; the maxima of whole histories are
-    the maxima of their rounds' maxima, so a running `peaks` has their bits."""
-    diff, x_max, y_max = (float(v) for v in peaks)
-    # below 1e-10 in absolute terms a deviation always passes
-    return diff / max(x_max, y_max, 1e-10 / tol)
-
-
-def _rel_dev(x: np.ndarray, y: np.ndarray, tol: float) -> float:
-    return _scaled(_peaks(x, y), tol)
-
-
 def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
                       tol: float = 1e-8, perturb: float = 0.0) -> EquivalenceReport:
     """Run an original form and its dynamics side by side and compare the
@@ -366,9 +292,9 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
 
     The game plays without recording its iterates, and the original form
     advances one round in each of the game's rounds, so a check holds
-    O(n + T d) floats: the final comparisons read the last iterates, and
-    mpfp's at every round keep running maxima.  A non-finite step of the
-    original form raises an `NrpError` naming the form and the round.
+    O(n + T d) floats: a comparison after the last round reads the last
+    iterates, and one at every round keeps running maxima.  A non-finite
+    step of the original form is an `NrpError` naming the form and round.
 
     perturb != 0 scales the p-learner's step by (1 + perturb); a negative
     control that must break the match.  With n <= 4 rows it may not: p can
@@ -377,7 +303,7 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
     """
     if not 0.0 < tol < math.inf:
         raise BadParameter(f"tol must lie in (0, inf), got {tol}")
-    algo_name, form_name, rounds = _PAIRS[which]
+    algo_name, form_name, rounds, compared = _CHECKS[which]
     algo = ALGORITHMS[algo_name]
     config = algo.config(dataset.n, horizon, 2.0)   # p_exp matters to pnorm only
     config = dataclasses.replace(config, record_full_trace=False)
@@ -387,40 +313,34 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
             config, p_learner=dataclasses.replace(pl, eta=pl.eta * (1.0 + perturb)))
 
     form = rounds(dataset, horizon)
-    iterates = p_last = None
-    peaks = np.zeros((2, 3))        # mpfp's running _peaks of (u_w, w) and (u_p, p)
+    iterates = plays = None
+    # each comparison's _peaks; a history's maxima are its rounds' maxima
+    peaks = np.zeros((len(compared), 3))
 
     def observe(t, w_t, p_t):
-        nonlocal iterates, p_last
+        nonlocal iterates, plays
         try:
             iterates = next(form)
         except NonFinite as exc:
             # the engine would read a NonFinite as its own players'
             raise NrpError(f"non-finite {exc.quantity} at round {t} of the "
                            f"original form {form_name}") from exc
-        p_last = p_t[0]
-        if which is EquivalencePair.MPFP:
-            for row, (u, game) in enumerate(zip(iterates, (w_t[0], p_t[0]))):
-                np.maximum(peaks[row], _peaks(u, game), out=peaks[row])
+        plays = {"w_t": w_t[0], "p_t": p_t[0]}
+        for row, (_, index, game) in enumerate(compared):
+            if game in plays:
+                np.maximum(peaks[row], _peaks(iterates[index], plays[game]), out=peaks[row])
 
     trace = _play(config, [dataset], observe)[0]
-    if which is EquivalencePair.PROP1:
-        v, q = iterates
-        devs = {"v_vs_w_bar": _rel_dev(v, algo.output(trace), tol),
-                "q_vs_p_bar": _rel_dev(q, trace.p_bar, tol)}
-    elif which is EquivalencePair.PROP2:
-        v, _, q = iterates
-        devs = {"v_vs_quarter_w_sum": _rel_dev(v, algo.output(trace), tol),
-                "q_vs_p_final": _rel_dev(q, p_last, tol)}
-    elif which is EquivalencePair.NAG:
-        devs = {"s_vs_quarter_w_sum": _rel_dev(iterates[1], algo.output(trace), tol)}
-    else:
-        devs = {"u_w_vs_w": _scaled(peaks[0], tol), "u_p_vs_p": _scaled(peaks[1], tol)}
-
+    final = {"output": algo.output(trace), "p_bar": trace.p_bar, "p_final": plays["p_t"]}
+    for row, (_, index, game) in enumerate(compared):
+        if game in final:
+            peaks[row] = _peaks(iterates[index], final[game])
+    # below 1e-10 in absolute terms a deviation always passes
+    devs = {name: float(diff) / max(float(x_max), float(y_max), 1e-10 / tol)
+            for (name, _, _), (diff, x_max, y_max) in zip(compared, peaks)}
     max_dev = max(devs.values())
-    return EquivalenceReport(which=which, deviations=devs,
-                             max_deviation=max_dev, tol=tol,
-                             passed=max_dev <= tol)
+    return EquivalenceReport(which=which, deviations=devs, max_deviation=max_dev,
+                             tol=tol, passed=max_dev <= tol)
 
 
 def infeasibility_certificate(dataset: Dataset, horizon: int):

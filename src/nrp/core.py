@@ -56,16 +56,26 @@ class Dataset:
         p = float(self.norm_exponent)
         if not 2.0 <= p < math.inf:
             raise BadParameter(f"norm_exponent must lie in [2, inf), got {p}")
+        limit = 1.0 + INVARIANT_SLACK
+        # |x_i| <= ||x||_p: a row with an entry past the limit is past it in
+        # norm too, and rejected first, its norm taken over that entry
+        if max(a.max(), -a.min()) > limit:
+            peaks = np.max(np.abs(a), axis=1)
+            i = int(np.argmax(peaks > limit))
+            norm = float(peaks[i]) * float(np.linalg.norm(a[i] / peaks[i], ord=p))
+            raise RowNormViolation(i, norm, limit)
         norms = np.linalg.norm(a, ord=p, axis=1)
-        bad = np.flatnonzero(norms > 1.0 + INVARIANT_SLACK)
+        bad = np.flatnonzero(norms > limit)
         if bad.size:
             i = int(bad[0])
-            raise RowNormViolation(i, float(norms[i]), 1.0 + INVARIANT_SLACK)
+            raise RowNormViolation(i, float(norms[i]), limit)
         if self.w_star is not None and not np.all(np.isfinite(self.w_star)):
             raise BadParameter("w_star has non-finite entries")
         if self.known_margin is not None and self.w_star is not None:
             q = p / (p - 1.0)
-            if np.linalg.norm(self.w_star, ord=q) > 1.0 + INVARIANT_SLACK:
+            # an entry past the limit puts the q-norm past it before it can overflow
+            if (np.max(np.abs(self.w_star)) > limit
+                    or np.linalg.norm(self.w_star, ord=q) > limit):
                 raise BadParameter("w_star dual norm exceeds 1")
             if not float(np.min(a @ self.w_star)) >= self.known_margin - INVARIANT_SLACK:
                 raise BadParameter("w_star does not certify known_margin")
@@ -159,6 +169,8 @@ def _header(path, no: int, line: str) -> tuple[int, int, float]:
                              "with positive integers n and d")
     if not math.isfinite(p):
         raise BadDatasetFile(path, no, f"header exponent p = {p} is not finite")
+    if p < 2.0:
+        raise BadDatasetFile(path, no, f"header exponent p = {p} is below 2")
     return n, d, p
 
 
@@ -179,8 +191,6 @@ def _metadata(path, no: int, line: str, d: int) -> dict:
             if value.size != d:
                 raise BadDatasetFile(path, no, f"w_star has {value.size} entries, "
                                      f"expected d = {d}")
-            if not np.all(np.isfinite(value)):
-                raise BadDatasetFile(path, no, "w_star has non-finite entries")
         else:
             return {}
     except ValueError:
@@ -188,11 +198,18 @@ def _metadata(path, no: int, line: str, d: int) -> dict:
     return {key: value}
 
 
+def _row_line(path, index: int) -> int | None:
+    """The line of data row `index` (0-based) of a file that parsed."""
+    with open(path) as fh:
+        lines = [no for no, ln in enumerate(fh, 1) if ln.strip() and ln.lstrip()[0] != "#"]
+    return lines[index + 1] if index + 1 < len(lines) else None   # lines[0] is the header
+
+
 def read_dataset(path) -> Dataset:
     """Read the text format; a file that cannot be read or breaks the format
     raises BadDatasetFile naming the offending line.  Lines are parsed as
     they stream in, so no copy of the file's text is held."""
-    header_no = None
+    header_no = w_star_no = None
     rows = 0
     meta = {}
     try:
@@ -211,7 +228,9 @@ def read_dataset(path) -> Dataset:
                         raise BadDatasetFile(path, no, f"header gives n x d = {n} x {d}, "
                                              "too large to allocate") from None
                 elif ln.startswith("#"):
-                    meta.update(_metadata(path, no, ln, d))
+                    entry = _metadata(path, no, ln, d)
+                    w_star_no = no if "w_star" in entry else w_star_no
+                    meta.update(entry)
                 else:
                     if rows == n:
                         raise BadDatasetFile(path, no, f"header gives n = {n} rows, "
@@ -221,24 +240,34 @@ def read_dataset(path) -> Dataset:
                         raise BadDatasetFile(path, no, f"row has {len(parts)} fields, "
                                              f"expected a label and d = {d} features")
                     try:
-                        label = float(parts[0])
+                        labels[rows] = float(parts[0])
                         feats[rows] = [float(v) for v in parts[1:]]
                     except ValueError:
                         raise BadDatasetFile(path, no, "row has a field that is "
                                              "not a number") from None
-                    if label != 1.0 and label != -1.0:
-                        raise BadDatasetFile(path, no, f"label is {label!r}, "
-                                             "expected +1 or -1")
-                    labels[rows] = label
                     rows += 1
+        if header_no is None:
+            raise BadDatasetFile(path, None, "empty file")
+        if rows < n:
+            raise BadDatasetFile(path, header_no, f"header gives n = {n} rows, "
+                                 f"the file has {rows}")
+        # the built dataset's checks: the reader keeps no row's line number,
+        # so a bad row's line is found by reading the file again
+        try:
+            return build_dataset(feats, labels, norm_exponent=p,
+                                 known_margin=meta.get("known_margin"),
+                                 exact_margin=meta.get("exact", False),
+                                 w_star=meta.get("w_star"))
+        except BadLabel as exc:
+            i, problem = exc.index, f"label is {exc.value!r}, expected +1 or -1"
+        except NonFinite:
+            i = int(np.argmin(np.all(np.isfinite(feats), axis=1)))
+            problem = "row has a non-finite feature"
+        except RowNormViolation as exc:
+            i, problem = exc.index, f"row has norm {exc.norm:.6g} > 1"
+        except BadParameter as exc:
+            # with the header checked, only w_star fails here
+            raise BadDatasetFile(path, w_star_no, str(exc)) from None
+        raise BadDatasetFile(path, _row_line(path, i), problem)
     except (OSError, UnicodeDecodeError) as exc:
         raise BadDatasetFile(path, None, f"cannot read: {exc}") from None
-    if header_no is None:
-        raise BadDatasetFile(path, None, "empty file")
-    if rows < n:
-        raise BadDatasetFile(path, header_no, f"header gives n = {n} rows, "
-                             f"the file has {rows}")
-    return build_dataset(feats, labels, norm_exponent=p,
-                         known_margin=meta.get("known_margin"),
-                         exact_margin=meta.get("exact", False),
-                         w_star=meta.get("w_star"))

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from nrp import learners
+from nrp import algorithms as alg, learners
 from nrp.core import build_dataset
 from nrp.datagen import GenMode, GenSpec, generate
 
@@ -40,6 +42,20 @@ def count_matvecs(dataset):
     view.counter, view.full = [0], dataset.matrix.shape
     object.__setattr__(dataset, "matrix", view)
     return view.counter
+
+
+# the names under which `collect_rounds` stacks each original form's iterates
+ROUND_NAMES = {alg._smooth_rounds: ("vs", "qs"), alg._ji_rounds: ("vs", "gs", "qs"),
+               alg._nag_rounds: ("vs", "ss", "us", "qs"),
+               alg._mpfp_rounds: ("us_w", "us_p")}
+
+
+def collect_rounds(rounds, dataset, horizon):
+    """Run an original form's generator for `horizon` rounds and stack each
+    iterate it yields into a (T, .) array, read by its name in ROUND_NAMES."""
+    columns = zip(*rounds(dataset, horizon))
+    return SimpleNamespace(**{name: np.array(column)
+                              for name, column in zip(ROUND_NAMES[rounds], columns)})
 
 
 def qnorm_primal_grad(w, q):

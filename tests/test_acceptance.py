@@ -11,8 +11,8 @@ from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import run_dynamics
 from nrp.learners import (Oftl, OftrlEntropy, OftrlQNorm, OmdBall, OmdEntropy,
                           qnorm_dual_map)
-from conftest import (empirical_risk, empirical_risk_grad, exact_margin_dataset,
-                      qnorm_primal_grad)
+from conftest import (collect_rounds, empirical_risk, empirical_risk_grad,
+                      exact_margin_dataset, qnorm_primal_grad)
 from test_learners import (plus_step, quadratic_argmin, rel_linf,
                            simplex_argmin)
 from scipy.optimize import minimize
@@ -72,8 +72,8 @@ def test_criterion_05_nonnegative_margin_at_theory_horizon():
             T = int(math.ceil(4.0 * math.sqrt(math.log(n)) / gamma))
             for seed in range(10):
                 ds = exact_margin_dataset(n, 8, gamma, seed=seed)
-                res = alg.smooth_perceptron(ds, T)
-                assert margin(ds, res.v) >= 0.0, (gamma, n, seed)
+                res = collect_rounds(alg._smooth_rounds, ds, T)
+                assert margin(ds, res.vs[-1]) >= 0.0, (gamma, n, seed)
     print("criterion 05 (smooth output separates at T = ceil(4 sqrt(log n)/"
           "gamma), 40 runs): PASS")
 
@@ -81,7 +81,7 @@ def test_criterion_05_nonnegative_margin_at_theory_horizon():
 def momentum_runs():
     for n, gamma, seed in ((8, 0.2, 0), (64, 0.4, 1)):
         ds = exact_margin_dataset(n, 8, gamma, seed=seed)
-        yield n, gamma, ds, alg.accel_perceptron_ji(ds, 640)
+        yield n, gamma, ds, collect_rounds(alg._ji_rounds, ds, 640)
 
 
 def test_criterion_06_momentum_margin_rate_and_slope():
@@ -104,7 +104,7 @@ def test_criterion_06_momentum_margin_rate_and_slope():
 def test_criterion_07_accelerated_descent_margin_rate():
     for n, gamma, seed in ((8, 0.2, 0), (64, 0.4, 1)):
         ds = exact_margin_dataset(n, 8, gamma, seed=seed)
-        res = alg.nag_margin(ds, 200)
+        res = collect_rounds(alg._nag_rounds, ds, 200)
         for t in range(1, 201):
             bound = gamma - (8.0 * math.log(n) + 2.0) / (t * (t + 1) * gamma)
             assert normalized_margin(ds, res.ss[t - 1]) >= bound - BOUND_TOL
@@ -310,9 +310,9 @@ def test_criterion_15_vanilla_bound_and_separation():
         assert not exhausted
         t_max = 4 * int(math.ceil(4.0 * math.sqrt(math.log(64)) / spec.gamma))
         smooth_t = first_separating_round(
-            alg.smooth_perceptron(ds, t_max).vs, ds)
+            collect_rounds(alg._smooth_rounds, ds, t_max).vs, ds)
         momentum_t = first_separating_round(
-            alg.accel_perceptron_ji(ds, t_max).vs, ds)
+            collect_rounds(alg._ji_rounds, ds, t_max).vs, ds)
         for label, t in (("smooth", smooth_t), ("momentum", momentum_t)):
             assert t is not None and t < updates, (spec.mode, spec.seed,
                                                    label, t, updates)

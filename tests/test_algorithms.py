@@ -12,8 +12,8 @@ from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import run_dynamics
 from nrp.errors import BadParameter, NonFinite, NonFiniteIterate, NrpError, TooFewRows
 from nrp.learners import softmax_neg
-from conftest import (count_matvecs, empirical_risk, empirical_risk_grad,
-                      exact_margin_dataset, random_dataset)
+from conftest import (collect_rounds, count_matvecs, empirical_risk,
+                      empirical_risk_grad, exact_margin_dataset, random_dataset)
 
 
 def rel_linf(x, y):
@@ -21,35 +21,49 @@ def rel_linf(x, y):
     return np.max(np.abs(x - y)) / scale
 
 
-@pytest.mark.parametrize("form,expected", [
-    (alg.smooth_perceptron, lambda T: 1 + 3 * (T - 1)),   # A v_0, then T-1 rounds
-    (alg.accel_perceptron_ji, lambda T: 1 + 2 * T),       # A' q_0, then T rounds
-    (alg.nag_margin, lambda T: 2 * T),
-    (alg.mpfp, lambda T: 4 * T)], ids=["smooth", "ji", "nag", "mpfp"])
-def test_standalone_matvecs_per_round(rng, form, expected):
+@pytest.mark.parametrize("rounds,expected", [
+    (alg._smooth_rounds, lambda T: 1 + 3 * (T - 1)),   # A v_0, then T-1 rounds
+    (alg._ji_rounds, lambda T: 1 + 2 * T),             # A' q_0, then T rounds
+    (alg._nag_rounds, lambda T: 2 * T),
+    (alg._mpfp_rounds, lambda T: 4 * T)], ids=["smooth", "ji", "nag", "mpfp"])
+def test_standalone_matvecs_per_round(rng, rounds, expected):
     T = 12
     ds = random_dataset(rng, 9, 4)
     counter = count_matvecs(ds)
-    form(ds, T)
+    collect_rounds(rounds, ds, T)
     assert counter[0] == expected(T)
 
 
-FORMS = [alg.smooth_perceptron, alg.accel_perceptron_ji, alg.nag_margin, alg.mpfp]
+def equiv_exit_code(*argv):
+    """`nrp equiv`'s exit code, a usage error's included."""
+    try:
+        return cli.main(["equiv", *argv])
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.mark.parametrize("horizon", [0, -1, 2.5, "3", True])
-@pytest.mark.parametrize("form", FORMS, ids=lambda form: form.__name__)
-def test_standalone_forms_reject_horizon_below_one(rng, form, horizon):
-    # a horizon is an integer >= 1: a float, a string or a bool is none
+@pytest.mark.parametrize("which", list(alg.EquivalencePair), ids=[
+    "smooth_perceptron", "accel_perceptron_ji", "nag_margin", "mpfp"])
+def test_standalone_forms_reject_horizon_below_one(rng, which, horizon):
+    # the forms run only in a check, whose horizon is an integer >= 1: a
+    # float, a string or a bool is none
     with pytest.raises(BadParameter, match="horizon"):
-        form(random_dataset(rng, 6, 3), horizon)
+        alg.check_equivalence(which, random_dataset(rng, 6, 3), horizon)
+    # on the command line "3" is the integer 3
+    if horizon != "3":
+        args = ["--which", which.value, "--n", "6", "--d", "3", "--T", str(horizon)]
+        assert equiv_exit_code(*args) == 2
 
 
-def test_mpfp_rejects_one_row():
+def test_mpfp_rejects_one_row(tmp_path):
     ds = Dataset(matrix=np.array([[0.6, 0.8]]))
     with pytest.raises(TooFewRows) as info:
-        alg.mpfp(ds, 5)
+        alg.check_equivalence(alg.EquivalencePair.MPFP, ds, 5)
     assert (info.value.algo, info.value.n) == ("mpfp", 1)
+    data = tmp_path / "one_row.txt"
+    data.write_text("1 2 2\n1 0.6 0.8\n")
+    assert equiv_exit_code("--which", "mpfp", "--data", str(data), "--T", "5") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +71,9 @@ def test_mpfp_rejects_one_row():
 
 def test_smooth_initialization(rng):
     ds = random_dataset(rng, 6, 3)
-    res = alg.smooth_perceptron(ds, 1)
-    assert np.allclose(res.v, ds.matrix.sum(axis=0) / 6, atol=1e-15)
-    assert np.allclose(res.q, softmax_neg((ds.matrix @ res.v) / 4.0))
+    res = collect_rounds(alg._smooth_rounds, ds, 1)
+    assert np.allclose(res.vs[-1], ds.matrix.sum(axis=0) / 6, atol=1e-15)
+    assert np.allclose(res.qs[-1], softmax_neg((ds.matrix @ res.vs[-1]) / 4.0))
 
 
 def test_smooth_step_size_recurrence_vs_closed_form():
@@ -73,8 +87,8 @@ def test_smooth_step_size_recurrence_vs_closed_form():
 def test_smooth_nonneg_margin_at_theory_horizon():
     ds = exact_margin_dataset(16, 4, 0.4, seed=0)
     T = int(math.ceil(4.0 * math.sqrt(math.log(16)) / 0.4))
-    res = alg.smooth_perceptron(ds, T)
-    assert margin(ds, res.v) >= 0.0
+    res = collect_rounds(alg._smooth_rounds, ds, T)
+    assert margin(ds, res.vs[-1]) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +96,14 @@ def test_smooth_nonneg_margin_at_theory_horizon():
 
 def test_momentum_first_step(rng):
     ds = random_dataset(rng, 6, 3)
-    res = alg.accel_perceptron_ji(ds, 1)
+    res = collect_rounds(alg._ji_rounds, ds, 1)
     assert np.allclose(res.vs[0], 0.25 * ds.matrix.sum(axis=0) / 6, atol=1e-15)
 
 
 def test_momentum_g_identity(rng):
     # g_t = -(1/(t+1)) A' sum_{s<=t} s q_s, by telescoping the update
     ds = random_dataset(rng, 7, 4)
-    res = alg.accel_perceptron_ji(ds, 30)
+    res = collect_rounds(alg._ji_rounds, ds, 30)
     acc = np.zeros(4)
     for t in range(1, 31):
         acc += t * (ds.matrix.T @ res.qs[t - 1])
@@ -147,7 +161,7 @@ def test_risk_gradient_vs_central_differences(rng):
 def test_nag_normalized_gradient_identity(rng):
     # t * A' softmax(-A u) equals -eta_t grad R(u) with eta_t = t / R(u)
     ds = random_dataset(rng, 6, 4)
-    res = alg.nag_margin(ds, 30)
+    res = collect_rounds(alg._nag_rounds, ds, 30)
     for t in range(1, 31):
         u = res.us[t - 1]
         risk = empirical_risk(ds, u)
@@ -158,7 +172,7 @@ def test_nag_normalized_gradient_identity(rng):
 
 def test_nag_first_round(rng):
     ds = random_dataset(rng, 6, 3)
-    res = alg.nag_margin(ds, 1)
+    res = collect_rounds(alg._nag_rounds, ds, 1)
     assert np.allclose(res.us[0], 0.0, atol=1e-15)
     assert np.allclose(res.vs[0], ds.matrix.sum(axis=0) / 6, atol=1e-15)
 
@@ -289,8 +303,8 @@ def reference_rel_dev(x, y, tol):
 
 
 def reference_deviations(which, dataset, horizon, tol, perturb):
-    """The deviations of a check from whole recorded histories: the public
-    recording forms against a full trace."""
+    """The deviations of a check from whole recorded histories: the original
+    form's collected rounds against a full trace."""
     P = alg.EquivalencePair
     algo = alg.ALGORITHMS[{P.PROP1: "smooth", P.PROP2: "ji", P.NAG: "nag",
                            P.MPFP: "mpfp"}[which]]
@@ -301,17 +315,17 @@ def reference_deviations(which, dataset, horizon, tol, perturb):
             config, p_learner=dataclasses.replace(pl, eta=pl.eta * (1.0 + perturb)))
     trace = run_dynamics(config, dataset)
     if which is P.PROP1:
-        res = alg.smooth_perceptron(dataset, horizon)
-        return {"v_vs_w_bar": reference_rel_dev(res.v, algo.output(trace), tol),
-                "q_vs_p_bar": reference_rel_dev(res.q, trace.p_bar, tol)}
+        res = collect_rounds(alg._smooth_rounds, dataset, horizon)
+        return {"v_vs_w_bar": reference_rel_dev(res.vs[-1], algo.output(trace), tol),
+                "q_vs_p_bar": reference_rel_dev(res.qs[-1], trace.p_bar, tol)}
     if which is P.PROP2:
-        res = alg.accel_perceptron_ji(dataset, horizon)
-        return {"v_vs_quarter_w_sum": reference_rel_dev(res.v, algo.output(trace), tol),
-                "q_vs_p_final": reference_rel_dev(res.q, trace.ps[-1], tol)}
+        res = collect_rounds(alg._ji_rounds, dataset, horizon)
+        return {"v_vs_quarter_w_sum": reference_rel_dev(res.vs[-1], algo.output(trace), tol),
+                "q_vs_p_final": reference_rel_dev(res.qs[-1], trace.ps[-1], tol)}
     if which is P.NAG:
-        res = alg.nag_margin(dataset, horizon)
-        return {"s_vs_quarter_w_sum": reference_rel_dev(res.s, algo.output(trace), tol)}
-    res = alg.mpfp(dataset, horizon)
+        res = collect_rounds(alg._nag_rounds, dataset, horizon)
+        return {"s_vs_quarter_w_sum": reference_rel_dev(res.ss[-1], algo.output(trace), tol)}
+    res = collect_rounds(alg._mpfp_rounds, dataset, horizon)
     return {"u_w_vs_w": reference_rel_dev(res.us_w, trace.ws, tol),
             "u_p_vs_p": reference_rel_dev(res.us_p, trace.ps, tol)}
 

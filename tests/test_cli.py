@@ -1,6 +1,7 @@
 import csv
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,23 @@ def test_run_non_finite_dataset_file_exit_2(tmp_path, capsys, old, new):
     code, _, err = run_cli(capsys, "run", "--algo", "smooth", "--data", str(data),
                            "--T", "5")
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text,line", [
+    ("3 2 2\n1 0.5 0.5\n1 1e308 0\n1 0.5 -0.25\n", 3),
+    ("3 2 2\n1 0.5 0.5\n1 0.5 -0.25\n-1 -0.5 0.25\n# known_margin=0.1\n"
+     "# w_star=1 1e308\n", 6)], ids=["feature_1e308", "w_star_1e308"])
+def test_run_overflowing_dataset_file_warns_nothing(tmp_path, capsys, text, line):
+    # an entry past the unit bound is rejected before a norm of it overflows,
+    # so stderr holds the one error line, naming the file's line
+    data = tmp_path / "d.txt"
+    data.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "run", "--algo", "smooth", "--data", str(data),
+                               "--T", "5")
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert f"{data}, line {line}: " in err
 
 
 def readme_commands():

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,14 @@ def test_serialization_exact_for_doubles(tmp_path, rng):
     ("1 2 2\n1 0.5 0.5\n# known_margin=1.5\n", 3),      # margin above 1
     ("1 2 2\n1 0.5 0.5\n# known_margin=1e200\n", 3),
     ("1000000000000 100000000 2\n1 0.5 0.5\n", 1),   # n x d cannot be allocated
+    ("1 2 1.5\n1 0.5 0.5\n", 1),                        # exponent below 2
+    # found once the rows are read: the line is that of the row or of w_star
+    ("2 2 2\n1 0.5 0.5\n# exact=false\n\n1 0.9 0.9\n", 5),  # row norm above 1
+    ("2 2 3\n1 1e308 1e308\n1 0.9 0.9\n", 2),          # norm would overflow
+    ("2 2 2\n1 inf 0.5\n1 0.5 0.5\n", 2),
+    ("2 2 2\n1 0.5 0.5\nnan 0.1 0.1\n", 3),             # label not +-1
+    ("1 2 2\n1 0.5 0.5\n# known_margin=0.5\n# w_star=1 1\n", 4),   # dual norm
+    ("1 2 2\n1 0.5 0.5\n# w_star=-1 0\n# known_margin=0.5\n", 3),  # no certificate
 ])
 def test_read_dataset_rejects_malformed_file(tmp_path, text, line):
     path = tmp_path / "bad.txt"
@@ -294,6 +303,44 @@ def test_read_dataset_rejects_malformed_file(tmp_path, text, line):
     assert exc.value.line == line
     assert f"line {line}" in str(exc.value)
     assert "np." not in str(exc.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2 2 2\n1 0.5 0.5\n1 0.9 0.9\n", "line 3: row has norm 1.27279 > 1"),
+    ("1 2 2\n1 1e308 0\n", "line 2: row has norm 1e+308 > 1"),
+    ("2 2 2\n1 0.5 0.5\n1 nan 0\n", "line 3: row has a non-finite feature"),
+    ("2 2 2\n1 0.5 0.5\n0 0.1 0.1\n", "line 3: label is 0.0, expected +1 or -1"),
+    ("1 2 2\n1 0.5 0.5\n# known_margin=0.5\n# w_star=1 1e308\n",
+     "line 4: w_star dual norm exceeds 1"),
+    ("1 2 2\n1 0.5 0.5\n# known_margin=0.5\n# w_star=nan 0\n",
+     "line 4: w_star has non-finite entries"),
+])
+def test_read_dataset_names_the_line_of_what_the_dataset_rejects(tmp_path, text, message):
+    # no numpy warning on the way, and the row's line rather than its index
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadDatasetFile) as exc:
+            read_dataset(path)
+    assert str(exc.value) == f"{path}, {message}"
+
+
+def test_overflowing_entries_are_rejected_without_a_warning():
+    # |x_i| <= ||x||_p: an entry past 1 rejects its row before a norm overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RowNormViolation) as exc:
+            Dataset(matrix=np.array([[0.5, 0.5], [1e308, 1e308]]), norm_exponent=3.0)
+        # the norm is taken over the row's largest entry, so it stays finite
+        assert exc.value.index == 1
+        assert exc.value.norm == pytest.approx(2.0 ** (1.0 / 3.0) * 1e308, rel=1e-15)
+        with pytest.raises(BadParameter, match="dual norm"):
+            build_dataset(np.array([[0.5, 0.5]]), np.array([1.0]), known_margin=0.5,
+                          w_star=np.array([1.0, 1e308]))
+        # the largest entries the slack admits still pass, with their norms
+        ds = Dataset(matrix=np.array([[1.0 + 1e-12, 0.0], [-1.0, 0.0]]))
+        assert ds.n == 2
 
 
 def test_read_dataset_missing_or_empty_file(tmp_path):
