@@ -7,13 +7,14 @@ positive inner product with w.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BadDatasetFile, BadLabel, BadOutputPath, BadParameter,
-                     NonFinite, RowNormViolation, ZeroVector)
+                     NonFinite, NrpError, RowNormViolation, ZeroVector)
 
 INVARIANT_SLACK = 1e-12     # on the unit row-norm bound and the margin certificate
 
@@ -135,20 +136,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# the writer formats this many rows per call, so its Python floats and text
+# stay a block's worth whatever n is
+WRITE_BLOCK_ROWS = 256
+
+
 def write_dataset(dataset: Dataset, path) -> None:
     """Write the text format; a path that cannot be written raises
     BadOutputPath."""
     labels = dataset.labels
     if labels is None:
         labels = np.ones(dataset.n, dtype=np.int64)
-    # "%.17g" % v is format(v, ".17g"); one row is one formatting call, and
-    # rows go to Python floats one at a time, never the whole matrix at once
+    # "%.17g" % v is format(v, ".17g"), and "%d" % -1.0 is "-1", as for the
+    # int label; x = row * label is exact for a label of +-1
     row_text = "%d" + " %.17g" * dataset.d + "\n"
     try:
         with open(path, "w") as fh:
             fh.write(f"{dataset.n} {dataset.d} {_fmt(dataset.norm_exponent)}\n")
-            for row, label in zip(dataset.matrix, labels):
-                fh.write(row_text % (label, *(row * label).tolist()))
+            for start in range(0, dataset.n, WRITE_BLOCK_ROWS):
+                y = labels[start:start + WRITE_BLOCK_ROWS, None]
+                block = np.hstack([y, dataset.matrix[start:start + WRITE_BLOCK_ROWS] * y])
+                fh.write(row_text * len(block) % tuple(block.ravel().tolist()))
             if dataset.known_margin is not None:
                 fh.write(f"# known_margin={_fmt(dataset.known_margin)}\n")
                 fh.write(f"# exact={'true' if dataset.exact_margin else 'false'}\n")
@@ -175,8 +183,9 @@ def _header(path, no: int, line: str) -> tuple[int, int, float]:
 
 
 def _metadata(path, no: int, line: str, d: int) -> dict:
-    """{key: value} of a '# key=value' line; empty for an unknown key."""
-    key, _, text = line[1:].strip().partition("=")
+    """{key: value} of a '# key = value' line; empty for an unknown key."""
+    key, _, text = line[1:].partition("=")
+    key, text = key.strip(), text.strip()
     try:
         if key == "known_margin":
             value = float(text)
@@ -198,17 +207,63 @@ def _metadata(path, no: int, line: str, d: int) -> dict:
     return {key: value}
 
 
-def _row_line(path, index: int) -> int | None:
-    """The line of data row `index` (0-based) of a file that parsed."""
-    with open(path) as fh:
-        lines = [no for no, ln in enumerate(fh, 1) if ln.strip() and ln.lstrip()[0] != "#"]
-    return lines[index + 1] if index + 1 < len(lines) else None   # lines[0] is the header
-
-
 def read_dataset(path) -> Dataset:
     """Read the text format; a file that cannot be read or breaks the format
-    raises BadDatasetFile naming the offending line.  Lines are parsed as
-    they stream in, so no copy of the file's text is held."""
+    raises BadDatasetFile naming the offending line.
+
+    The data rows are parsed in one ``np.loadtxt`` call.  A file that this
+    read cannot turn into a dataset is read again by `_read_lines`, which
+    names the line of its first fault.  Neither read holds a copy of the
+    file's text.
+    """
+    try:
+        dataset = _read_table(path)
+    except (OSError, ValueError, NrpError):
+        dataset = None
+    return dataset if dataset is not None else _read_lines(path)
+
+
+def _read_table(path) -> Dataset | None:
+    """The dataset of a good file, its rows parsed by one ``np.loadtxt``
+    over a generator of the data lines, which passes the '#' lines to
+    `_metadata`; None, or an exception, for a file with a fault.
+
+    loadtxt parses a field with ``PyOS_string_to_double``, as ``float()``
+    does, so the bits are the same; strings that only ``float()`` takes,
+    such as ``0.2_5``, raise here and are read by `_read_lines`.
+    """
+    meta = {}
+    with open(path) as fh:
+        lines = ((no, ln.strip()) for no, ln in enumerate(fh, 1))
+        no, header = next(((no, ln) for no, ln in lines if ln), (None, None))
+        if header is None:
+            return None
+        n, d, p = _header(path, no, header)
+
+        def data_lines():
+            for no, ln in lines:
+                if ln.startswith("#"):
+                    meta.update(_metadata(path, no, ln, d))
+                elif ln:
+                    yield ln
+
+        rows = data_lines()
+        first = next(rows, None)
+        if first is None:       # loadtxt would warn of no data
+            return None
+        table = np.loadtxt(itertools.chain([first], rows), comments=None, ndmin=2)
+    if table.shape != (n, d + 1):
+        return None
+    return build_dataset(table[:, 1:], table[:, 0], norm_exponent=p,
+                         known_margin=meta.get("known_margin"),
+                         exact_margin=meta.get("exact", False),
+                         w_star=meta.get("w_star"))
+
+
+def _read_lines(path) -> Dataset:
+    """Read the text format line by line, parsing each line as it streams
+    in and keeping each row's line number, so every fault is raised as a
+    BadDatasetFile naming its line."""
     header_no = w_star_no = None
     rows = 0
     meta = {}
@@ -223,6 +278,7 @@ def read_dataset(path) -> Dataset:
                     n, d, p = _header(path, no, ln)
                     try:
                         feats, labels = np.empty((n, d)), np.empty(n)
+                        row_no = np.empty(n, dtype=np.int64)
                     except (ValueError, MemoryError):
                         # numpy refuses a size past its index range or past the memory
                         raise BadDatasetFile(path, no, f"header gives n x d = {n} x {d}, "
@@ -245,14 +301,13 @@ def read_dataset(path) -> Dataset:
                     except ValueError:
                         raise BadDatasetFile(path, no, "row has a field that is "
                                              "not a number") from None
+                    row_no[rows] = no
                     rows += 1
         if header_no is None:
             raise BadDatasetFile(path, None, "empty file")
         if rows < n:
             raise BadDatasetFile(path, header_no, f"header gives n = {n} rows, "
                                  f"the file has {rows}")
-        # the built dataset's checks: the reader keeps no row's line number,
-        # so a bad row's line is found by reading the file again
         try:
             return build_dataset(feats, labels, norm_exponent=p,
                                  known_margin=meta.get("known_margin"),
@@ -268,6 +323,6 @@ def read_dataset(path) -> Dataset:
         except BadParameter as exc:
             # with the header checked, only w_star fails here
             raise BadDatasetFile(path, w_star_no, str(exc)) from None
-        raise BadDatasetFile(path, _row_line(path, i), problem)
+        raise BadDatasetFile(path, int(row_no[i]), problem)
     except (OSError, UnicodeDecodeError) as exc:
         raise BadDatasetFile(path, None, f"cannot read: {exc}") from None

@@ -91,15 +91,53 @@ def _unit_pnorm_rows(gammas: np.ndarray, signs: np.ndarray, p: float) -> np.ndar
 
 
 def _uniform_pnorm_ball(rng: np.random.Generator, p: float, gammas: np.ndarray,
-                        signs: np.ndarray) -> float:
+                        words: int) -> np.ndarray:
     """Draw one candidate of the p-norm ball sampler: its Gamma(1/p) draws
-    into ``gammas``, its 0/1 sign draws into ``signs``, and its radius
-    uniform, which it returns.  ``rng.standard_gamma(a)`` is
-    ``rng.gamma(a, 1.0)`` and ``rng.random()`` is ``rng.uniform()``, with
-    the same stream and bits."""
+    into ``gammas``, then ``words`` raw generator words, which it returns:
+    the words of its sign draws and, last, its radius word.
+    ``rng.standard_gamma(a)`` is ``rng.gamma(a, 1.0)``, with the same stream
+    and bits, and reads no half word that a sign draw keeps."""
     rng.standard_gamma(1.0 / p, out=gammas)
-    signs[:] = rng.integers(0, 2, size=signs.size)
-    return rng.random()
+    return rng.bit_generator.random_raw(words)
+
+
+def _sign_bits(words: np.ndarray, carry: np.ndarray, k: int, d: int):
+    """The k x d 0/1 draws of k calls ``rng.integers(0, 2, size=d)``, made
+    from their raw generator words, and the half word left over.
+
+    ``integers(0, 2)`` is the top bit of one 32-bit half from PCG64's
+    ``next_uint32``, which for a range of 2 never rejects.  That call hands
+    out a fresh word's low half and keeps its high half for the next call,
+    a later ``integers`` call's too: ``carry`` holds the kept half's bit
+    (size 0 or 1), and ``carry.size + 2 * words.size`` is k d, or k d + 1
+    when a half is kept after them.
+    """
+    bits = np.empty(carry.size + 2 * words.size, dtype=np.uint64)
+    bits[:carry.size] = carry
+    bits[carry.size::2] = (words >> 31) & 1
+    bits[carry.size + 1::2] = words >> 63
+    return bits[:k * d].reshape(k, d), bits[k * d:]
+
+
+def _draw_candidates(rng: np.random.Generator, p: float, gammas: np.ndarray,
+                     carry: np.ndarray):
+    """Draw one candidate per row of ``gammas``, in stream order, and return
+    their 0/1 sign draws, their radius uniforms and the half word kept after
+    them (see `_sign_bits`).
+
+    A candidate's raw words are the sign words that the kept half leaves to
+    draw, then its radius word; ``rng.random()`` is ``(word >> 11) * 2**-53``.
+    """
+    k, d = gammas.shape
+    # a candidate's word count, by the size of the half kept before it
+    words = ((d + 1) // 2 + 1, d // 2 + 1)
+    counts = [words[(carry.size + j * d) % 2] for j in range(k)]
+    drawn = np.concatenate([_uniform_pnorm_ball(rng, p, gammas[j], counts[j])
+                            for j in range(k)])
+    radius = np.zeros(drawn.size, dtype=bool)
+    radius[np.cumsum(counts) - 1] = True
+    signs, carry = _sign_bits(drawn[~radius], carry, k, d)
+    return signs, (drawn[radius] >> 11) * 2.0 ** -53, carry
 
 
 def gen_separable(spec: GenSpec) -> Dataset:
@@ -149,11 +187,14 @@ def gen_separable(spec: GenSpec) -> Dataset:
         raise ValueError("gen_separable handles separable modes only")
     p = spec.norm_exponent
     q = p / (p - 1.0)
-    w_star = _unit_pnorm_rows(rng.standard_gamma(1.0 / q, size=(1, spec.d)),
-                              rng.integers(0, 2, size=(1, spec.d)), q)[0]
+    gammas = rng.standard_gamma(1.0 / q, size=(1, spec.d))
+    # w_star's sign draws come first, so the half they keep is the first carry
+    signs, carry = _sign_bits(rng.bit_generator.random_raw((spec.d + 1) // 2),
+                              np.empty(0, dtype=np.uint64), 1, spec.d)
+    w_star = _unit_pnorm_rows(gammas, signs, q)[0]
     labels = np.empty(spec.n)
     block = min(spec.n, max(1, SAMPLER_BLOCK_DRAWS // spec.d))
-    gammas, signs = np.empty((block, spec.d)), np.empty((block, spec.d), dtype=np.int64)
+    gammas = np.empty((block, spec.d))
     budget = 10000 * spec.n
     accepted = 0
     while accepted < spec.n:
@@ -163,10 +204,10 @@ def gen_separable(spec: GenSpec) -> Dataset:
         # one-at-a-time sampler draws each of them too, within its budget
         k = min(spec.n - accepted, budget, block)
         budget -= k
-        radii = [_uniform_pnorm_ball(rng, p, gammas[j], signs[j]) for j in range(k)]
-        x = _unit_pnorm_rows(gammas[:k], signs[:k], p)
+        signs, radii, carry = _draw_candidates(rng, p, gammas[:k], carry)
+        x = _unit_pnorm_rows(gammas[:k], signs, p)
         # the radius root stays a scalar power, as the p-th root does
-        x *= np.array([u ** (1.0 / spec.d) for u in radii])[:, None]
+        x *= np.array([u ** (1.0 / spec.d) for u in radii.tolist()])[:, None]
         proj = np.vecdot(x, w_star)
         keep = ~(abs(proj) < spec.gamma)
         taken = int(np.count_nonzero(keep))

@@ -351,3 +351,201 @@ def test_read_dataset_missing_or_empty_file(tmp_path):
     empty.write_text("\n")
     with pytest.raises(BadDatasetFile):
         read_dataset(empty)
+
+
+@pytest.mark.parametrize("line", ["# known_margin = 0.5", "#known_margin =0.5 ",
+                                  "#\tknown_margin\t=\t0.5"])
+def test_read_dataset_strips_the_known_margin_key(tmp_path, line):
+    # the spaced key keeps its margin claim, and so its w_star check
+    path = tmp_path / "ds.txt"
+    path.write_text(f"1 2 2\n1 0.5 0.25\n{line}\n# w_star=1 0\n")
+    assert read_dataset(path).known_margin == 0.5
+    path.write_text(f"1 2 2\n1 0.5 0.25\n{line}\n# w_star=0 1\n")
+    with pytest.raises(BadDatasetFile, match="line 4: w_star does not certify"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("line", ["# exact = true", "#exact= true", "# exact =true\t"])
+def test_read_dataset_strips_the_exact_key(tmp_path, line):
+    path = tmp_path / "ds.txt"
+    path.write_text(f"1 2 2\n1 0.5 0.5\n# known_margin=0.5\n{line}\n")
+    assert read_dataset(path).exact_margin is True
+
+
+@pytest.mark.parametrize("line", ["# w_star = 1 0", "#w_star =1 0 ", "# w_star\t=\t1\t0"])
+def test_read_dataset_strips_the_w_star_key(tmp_path, line):
+    path = tmp_path / "ds.txt"
+    path.write_text(f"1 2 2\n1 0.5 0.5\n# known_margin=0.5\n{line}\n")
+    assert read_dataset(path).w_star.tolist() == [1.0, 0.0]
+    path.write_text(f"1 2 2\n1 0.5 0.5\n# known_margin=0.5\n{line} 0\n")
+    with pytest.raises(BadDatasetFile, match="line 4: w_star has 3 entries"):
+        read_dataset(path)
+
+
+def reference_read(path):
+    """A line-by-line reader of a file with a good header and good metadata
+    lines: the dataset, or the (line, problem) of the file's first fault."""
+    with open(path) as fh:
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    (header_no, header), body = lines[0], lines[1:]
+    n, d, p = header.split()
+    n, d, p = int(n), int(d), float(p)
+    rows, row_lines, meta, w_star_no = [], [], {}, None
+    for no, ln in body:
+        if ln.startswith("#"):
+            key, _, value = ln[1:].partition("=")
+            meta[key.strip()] = value.strip()
+            w_star_no = no if key.strip() == "w_star" else w_star_no
+        elif len(rows) == n:
+            return no, f"header gives n = {n} rows, this is one more"
+        elif len(ln.split()) != d + 1:
+            return no, (f"row has {len(ln.split())} fields, expected a label "
+                        f"and d = {d} features")
+        else:
+            try:
+                rows.append([float(v) for v in ln.split()])
+            except ValueError:
+                return no, "row has a field that is not a number"
+            row_lines.append(no)
+    if len(rows) < n:
+        return header_no, f"header gives n = {n} rows, the file has {len(rows)}"
+    table = np.array(rows)
+    try:
+        return build_dataset(
+            table[:, 1:], table[:, 0], norm_exponent=p,
+            known_margin=float(meta["known_margin"]) if "known_margin" in meta else None,
+            exact_margin=meta.get("exact") == "true",
+            w_star=np.array([float(v) for v in meta["w_star"].split()])
+            if "w_star" in meta else None)
+    except BadLabel as exc:
+        return row_lines[exc.index], f"label is {exc.value!r}, expected +1 or -1"
+    except NonFinite:
+        i = int(np.argmin(np.all(np.isfinite(table[:, 1:]), axis=1)))
+        return row_lines[i], "row has a non-finite feature"
+    except RowNormViolation as exc:
+        return row_lines[exc.index], f"row has norm {exc.norm:.6g} > 1"
+    except BadParameter as exc:
+        return w_star_no, str(exc)
+
+
+JUNK = ["x", "1_0", "0_1", "0x1", "١", "1e", "--1", "1,0", "_1", ".", "infinit"]
+
+
+@st.composite
+def respelled_files(draw):
+    """write_dataset's text with each token respelled (a `+` sign, an upper
+    `E`, `_` between digits, `-0` or a feature of its own), separators of
+    spaces and tabs, padded '#' keys, and blank and '#' lines anywhere
+    after the header; then, in half the files, one mutation of the rows."""
+    ds = draw(st.one_of(generated_datasets(), drawn_datasets()))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(ds, Path(tmp) / "ds.txt")
+        header, *rest = (Path(tmp) / "ds.txt").read_text().splitlines()
+
+    def spell(token):
+        how = draw(st.sampled_from(["same", "plus", "upper", "underscore", "zero", "value"]))
+        if how == "plus" and not token.startswith("-"):
+            return "+" + token
+        if how == "upper":
+            return token.upper()
+        if how == "underscore":
+            spots = [i for i in range(1, len(token)) if (token[i - 1] + token[i]).isdigit()]
+            if spots:
+                i = draw(st.sampled_from(spots))
+                return token[:i] + "_" + token[i:]
+        if how == "zero":
+            return draw(st.sampled_from(["-0", "0", "+0", "0.0", "-0E0"]))
+        if how == "value":
+            return repr(draw(st.floats(-0.3, 0.3)))
+        return token
+
+    def sep():
+        return draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+
+    def label(token):
+        return draw(st.sampled_from([token, token + ".0", token + "E0", token + ".0_0"]
+                                    + ["+" + token] * (token == "1")))
+
+    rows = [[label(t) for t in ln.split()[:1]] + [spell(t) for t in ln.split()[1:]]
+            for ln in rest if not ln.startswith("#")]
+    meta = [ln[1:].split("=", 1) for ln in rest if ln.startswith("#")]
+    mutation = draw(st.sampled_from(["none"] * 7 + ["add field", "drop field", "add row",
+                                                    "drop row", "junk", "nan", "no rows"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if mutation == "add field":
+        rows[i].insert(draw(st.integers(0, len(rows[i]))), "0.25")
+    elif mutation == "drop field":
+        del rows[i][draw(st.integers(0, len(rows[i]) - 1))]
+    elif mutation == "add row":
+        rows.insert(i, list(rows[i]))
+    elif mutation in ("drop row", "no rows"):
+        del rows[i:i + 1 if mutation == "drop row" else len(rows)]
+    elif mutation in ("junk", "nan"):
+        token = draw(st.sampled_from(JUNK)) if mutation == "junk" else "nan"
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = token
+    lines = [sep().join(r) for r in rows]
+    lines += [f"#{sep()}{key}{sep()}={sep()}{value}" for key, value in meta]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "\t", "# a note", "#", "# note=1 2"])))
+    lines = [draw(st.sampled_from(["", " ", "\t"])) + ln for ln in lines]
+    return "\n" * draw(st.integers(0, 2)) + header + "\n" + "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=300)
+@given(respelled_files())
+def test_read_dataset_matches_a_line_by_line_reference(text):
+    # the same bits as the reference, or the same message at the same line,
+    # and no warning on the way
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = reference_read(path)
+            if isinstance(expected, Dataset):
+                got = read_dataset(path)
+            else:
+                with pytest.raises(BadDatasetFile) as exc:
+                    read_dataset(path)
+    if isinstance(expected, Dataset):
+        for field in ("matrix", "labels", "w_star"):
+            a, b = getattr(got, field), getattr(expected, field)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        for field in ("norm_exponent", "known_margin", "exact_margin"):
+            assert getattr(got, field) == getattr(expected, field)
+    else:
+        line, problem = expected
+        assert exc.value.line == line
+        assert str(exc.value) == f"{path}, line {line}: {problem}"
+
+
+def test_read_dataset_parses_a_good_file_in_one_pass(tmp_path, monkeypatch):
+    # the line-by-line read runs only for a file with a fault
+    from nrp import core
+    path = tmp_path / "ds.txt"
+    write_dataset(generate(GenSpec(n=50, d=7, gamma=0.05, norm_exponent=3.0)), path)
+    lines = core._read_lines
+    monkeypatch.setattr(core, "_read_lines", lambda path: pytest.fail("re-read"))
+    ds = read_dataset(path)
+    monkeypatch.setattr(core, "_read_lines", lines)
+    assert ds.matrix.tobytes() == core._read_lines(path).matrix.tobytes()
+
+
+def test_read_dataset_holds_no_copy_of_the_text(tmp_path):
+    # the reader peaks at about 3.1 times the data matrix's bytes, in the
+    # dataset's norm check.  The file's text is 2.6 times them: a reader
+    # holding all of it peaks at about 5.7, and one holding its lines only
+    # while loadtxt parses them at about 4.0
+    import tracemalloc
+    path = tmp_path / "ds.txt"
+    ds = generate(GenSpec(n=2000, d=40, gamma=0.1, norm_exponent=3.0))
+    write_dataset(ds, path)
+    tracemalloc.start()
+    try:
+        back = read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.matrix.tobytes() == ds.matrix.tobytes()
+    assert peak < 3.5 * ds.matrix.nbytes

@@ -5,7 +5,7 @@ import pytest
 
 from nrp import datagen
 from nrp.core import margin
-from nrp.datagen import (GenMode, GenSpec, _uniform_pnorm_ball,
+from nrp.datagen import (GenMode, GenSpec, _draw_candidates, _sign_bits,
                          _unit_pnorm_rows, gen_infeasible, gen_separable,
                          generate)
 from nrp.errors import BadParameter, RejectionBudget
@@ -134,11 +134,15 @@ def lower_bound_reference(spec):
     return labels[:, None] * feats, labels.astype(np.int64), w_star
 
 
-# the last two shapes need more candidates than one block holds
+# the last five shapes need more candidates than one block holds; at an odd
+# d, as in the last three, a sign draw's kept half word carries from
+# candidate to candidate and from block to block
 @pytest.mark.parametrize("n,d,gamma,p", [(3, 1, 0.2, 2.0), (6, 1, 0.1, 5.5),
                                          (10, 2, 0.05, 2.0), (12, 5, 0.1, 3.0),
                                          (20, 7, 0.02, 5.5), (8, 40, 0.05, 3.0),
-                                         (700, 30, 0.1, 3.0), (1000, 40, 0.05, 2.0)])
+                                         (700, 30, 0.1, 3.0), (1000, 40, 0.05, 2.0),
+                                         (500, 41, 0.1, 3.0), (300, 3, 0.3, 4.0),
+                                         (400, 1, 0.5, 2.0)])
 def test_lower_bound_rows_match_reference(n, d, gamma, p):
     for seed in range(50):
         spec = GenSpec(n=n, d=d, gamma=gamma, norm_exponent=p, seed=seed)
@@ -221,15 +225,36 @@ def test_infeasible_mode_dispatch():
 
 
 def test_pnorm_sampling_helpers():
-    # the helper only draws a candidate; the rows map turns draws into points
+    # the helpers only draw candidates; the rows map turns draws into points
     rng = np.random.default_rng(0)
     for p in (2.0, 4.0, 8.0):
-        gammas, signs = np.empty((50, 5)), np.empty((50, 5), dtype=np.int64)
-        radii = np.array([_uniform_pnorm_ball(rng, p, gammas[j], signs[j])
-                          for j in range(50)])
+        gammas = np.empty((50, 5))
+        signs, radii, _ = _draw_candidates(rng, p, gammas, np.empty(0, dtype=np.uint64))
         assert np.all(gammas >= 0.0) and np.all((signs == 0) | (signs == 1))
         assert np.all((0.0 <= radii) & (radii < 1.0))
         u = _unit_pnorm_rows(gammas, signs, p)
         assert np.linalg.norm(u, ord=p, axis=1) == pytest.approx(np.ones(50))
         x = u * radii[:, None] ** (1.0 / 5)
         assert np.all(np.linalg.norm(x, ord=p, axis=1) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 7])
+def test_sign_bits_match_integers_calls(d):
+    # one call rng.integers(0, 2, size=d), then two, then a 32-bit draw,
+    # which takes the half word the sign draws keep, if they keep one
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        first = rng.integers(0, 2, size=d)
+        rest = np.array([rng.integers(0, 2, size=d) for _ in range(2)])
+        after = int(rng.integers(0, 2**32, dtype=np.uint32))
+        raw = np.random.default_rng(seed).bit_generator
+        bits, carry = _sign_bits(raw.random_raw((d + 1) // 2),
+                                 np.empty(0, dtype=np.uint64), 1, d)
+        assert bits[0].tolist() == first.tolist()
+        bits, carry = _sign_bits(raw.random_raw((2 * d - carry.size + 1) // 2), carry, 2, d)
+        assert bits.tolist() == rest.tolist()
+        assert carry.size == (3 * d) % 2
+        if carry.size:
+            assert carry.tolist() == [after >> 31]
+        else:
+            assert after == int(raw.random_raw(1)[0]) & 0xFFFFFFFF
