@@ -82,7 +82,11 @@ class Algorithm:
     horizon_rule: Callable[[float, float, float], int]
 
     def output(self, trace: Trace) -> np.ndarray:
-        return 0.25 * trace.w_sum if self.quarter_sum else trace.w_bar
+        return self.output_of(trace.w_sum, trace.sum_alpha)
+
+    def output_of(self, w_sum: np.ndarray, sum_alpha: float) -> np.ndarray:
+        """The output from the weighted sum of the w_t and of the weights."""
+        return 0.25 * w_sum if self.quarter_sum else w_sum / sum_alpha
 
     def run_batch(self, datasets: list[Dataset], horizon: int, p_exp: float):
         """(trace or None, final vector, R^w, R^p) of each dataset of one
@@ -280,9 +284,13 @@ class EquivalenceReport:
     passed: bool
 
 
-def _peaks(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """max |x - y|, max |x| and max |y|."""
-    return np.array([np.max(np.abs(x - y)), np.max(np.abs(x)), np.max(np.abs(y))])
+def _peaks(x: np.ndarray, y: np.ndarray, buffer: np.ndarray, out: np.ndarray) -> None:
+    """max |x - y|, max |x| and max |y| into out, through a (3, len) buffer."""
+    diff, x_abs, y_abs = buffer
+    np.abs(np.subtract(x, y, out=diff), out=diff)
+    np.abs(x, out=x_abs)
+    np.abs(y, out=y_abs)
+    np.maximum.reduce(buffer, axis=1, out=out)
 
 
 def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
@@ -290,11 +298,13 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
     """Run an original form and its dynamics side by side and compare the
     quantities the theory claims are equal.
 
-    The game plays without recording its iterates, and the original form
-    advances one round in each of the game's rounds, so a check holds
-    O(n + T d) floats: a comparison after the last round reads the last
-    iterates, and one at every round keeps running maxima.  A non-finite
-    step of the original form is an `NrpError` naming the form and round.
+    The original form advances one round in each of the game's rounds, and
+    the game's hook keeps only what the comparisons read, so a check holds
+    O(n + T d) floats and builds no trace: a comparison after the last
+    round reads the last iterates or a running sum, added in round order
+    as the trace's sums are, and one at every round keeps running maxima.
+    A non-finite step of the original form is an `NrpError` naming the
+    form and round.
 
     perturb != 0 scales the p-learner's step by (1 + perturb); a negative
     control that must break the match.  With n <= 4 rows it may not: p can
@@ -306,35 +316,50 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
     algo_name, form_name, rounds, compared = _CHECKS[which]
     algo = ALGORITHMS[algo_name]
     config = algo.config(dataset.n, horizon, 2.0)   # p_exp matters to pnorm only
-    config = dataclasses.replace(config, record_full_trace=False)
     if perturb != 0.0:
         pl = config.p_learner
         config = dataclasses.replace(
             config, p_learner=dataclasses.replace(pl, eta=pl.eta * (1.0 + perturb)))
 
-    form = rounds(dataset, horizon)
-    iterates = plays = None
-    # each comparison's _peaks; a history's maxima are its rounds' maxima
+    n, d = dataset.n, dataset.d
+    games = {game for _, _, game in compared}
+    # the running sums from 0.0 of what an after-loop comparison reads
+    w_sum = np.zeros(d) if "output" in games else None
+    p_sum = np.zeros(n) if "p_bar" in games else None
+    sum_alpha = 0.0
+    w_term, p_term = np.empty(d), np.empty(n)
+    # each comparison's peaks; a history's maxima are its rounds' maxima
     peaks = np.zeros((len(compared), 3))
+    every_round = [(index, game == "p_t", peaks[row], np.empty((3, n if game == "p_t" else d)),
+                    np.empty(3))
+                   for row, (_, index, game) in enumerate(compared) if game in ("w_t", "p_t")]
+    form = rounds(dataset, horizon)
+    iterates = p_last = None
 
-    def observe(t, w_t, p_t):
-        nonlocal iterates, plays
+    def observe(t, alpha, w_t, p_t, g_t, loss, cum):
+        nonlocal iterates, p_last, sum_alpha
         try:
             iterates = next(form)
         except NonFinite as exc:
             # the engine would read a NonFinite as its own players'
             raise NrpError(f"non-finite {exc.quantity} at round {t} of the "
                            f"original form {form_name}") from exc
-        plays = {"w_t": w_t[0], "p_t": p_t[0]}
-        for row, (_, index, game) in enumerate(compared):
-            if game in plays:
-                np.maximum(peaks[row], _peaks(iterates[index], plays[game]), out=peaks[row])
+        w_t, p_last = w_t[0], p_t[0]
+        sum_alpha += alpha
+        if w_sum is not None:
+            np.add(w_sum, np.multiply(w_t, alpha, out=w_term), out=w_sum)
+        if p_sum is not None:
+            np.add(p_sum, np.multiply(p_last, alpha, out=p_term), out=p_sum)
+        for index, of_p, row, buffer, round_peaks in every_round:
+            _peaks(iterates[index], p_last if of_p else w_t, buffer, round_peaks)
+            np.maximum(row, round_peaks, out=row)
 
-    trace = _play(config, [dataset], observe)[0]
-    final = {"output": algo.output(trace), "p_bar": trace.p_bar, "p_final": plays["p_t"]}
+    _play(config, dataset.matrix, observe)
+    final = {"output": None if w_sum is None else algo.output_of(w_sum, sum_alpha),
+             "p_bar": None if p_sum is None else p_sum / sum_alpha, "p_final": p_last}
     for row, (_, index, game) in enumerate(compared):
         if game in final:
-            peaks[row] = _peaks(iterates[index], final[game])
+            _peaks(iterates[index], final[game], np.empty((3, final[game].size)), peaks[row])
     # below 1e-10 in absolute terms a deviation always passes
     devs = {name: float(diff) / max(float(x_max), float(y_max), 1e-10 / tol)
             for (name, _, _), (diff, x_max, y_max) in zip(compared, peaks)}

@@ -28,7 +28,7 @@ class Dataset:
     known_margin:  lower bound on the achievable margin, if known
     exact_margin:  True iff known_margin is the true maximal margin
     w_star:        certificate vector with dual norm at most 1
-    labels:        original +-1 labels (kept so files round-trip)
+    labels:        original +-1 labels, n of them (kept so files round-trip)
     """
 
     matrix: np.ndarray
@@ -46,6 +46,10 @@ class Dataset:
             ws = np.asarray(self.w_star, dtype=np.float64)
             ws.setflags(write=False)
             object.__setattr__(self, "w_star", ws)
+        if self.labels is not None:
+            y = np.array(self.labels)       # a copy: the caller's array stays writable
+            y.setflags(write=False)
+            object.__setattr__(self, "labels", y)
         self._validate()
 
     def _validate(self):
@@ -81,6 +85,9 @@ class Dataset:
             if not float(np.min(a @ self.w_star)) >= self.known_margin - INVARIANT_SLACK:
                 raise BadParameter("w_star does not certify known_margin")
 
+        if self.labels is not None:
+            _check_labels(self.labels, a.shape[0])
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
@@ -102,14 +109,22 @@ def build_dataset(features, labels, norm_exponent: float = 2.0,
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise BadParameter("features must be n x d and labels length n")
-    bad = np.flatnonzero((y != 1.0) & (y != -1.0))
-    if bad.size:
-        raise BadLabel(int(bad[0]), y[bad[0]])
+    if x.ndim != 2:
+        raise BadParameter("features must be n x d")
+    _check_labels(y, x.shape[0])    # before a bad label scales a row
     return Dataset(matrix=y[:, None] * x, norm_exponent=float(norm_exponent),
                    known_margin=known_margin, exact_margin=exact_margin,
                    w_star=w_star, labels=y.astype(np.int64))
+
+
+def _check_labels(labels: np.ndarray, n: int) -> None:
+    """BadParameter unless there are n labels, BadLabel naming the first
+    that is not +1 or -1."""
+    if labels.shape != (n,):
+        raise BadParameter(f"labels must have length n = {n}, got shape {labels.shape}")
+    bad = np.flatnonzero((labels != 1) & (labels != -1))
+    if bad.size:
+        raise BadLabel(int(bad[0]), labels[bad[0]])
 
 
 def margin(dataset: Dataset, w: np.ndarray) -> float:

@@ -10,12 +10,15 @@ secondary iterate an OMD player shows; the engine forms them all.  The
 margin of the running average w_bar is the minimum of the running sum of
 the A w_t over the sum of the weights.
 
-The loop keeps only the work on n-vectors.  It records each round's w_t,
-g_t and p_t'A w_t; after it, the sums of the alpha_t w_t and alpha_t g_t,
+The loop, `_play`, keeps only the play: the players' steps, the products
+with A and the record of the w_t, which it reads to report a step that
+went non-finite as `NonFiniteIterate`, naming the round, the player and
+the quantity.  It hands each round to one hook.  A trace's books are that
+hook: they record each round's g_t, p_t'A w_t and the other per-round
+quantities; after the loop, the sums of the alpha_t w_t and alpha_t g_t,
 the played losses and the regret comparator, which reads the sums of the
 g_t, come from in-order cumulative sums of those records, so they carry
-the bits of running totals.  A step that goes non-finite raises
-`NonFiniteIterate` naming the round, the player and the quantity.
+the bits of running totals.
 
 `run_dynamics_batch` plays one configuration on B datasets of one shape in
 the same loop, over their stacked (B, n, d) matrices; each of its traces is
@@ -25,6 +28,7 @@ bit-identical to the trace `run_dynamics` gives for that dataset alone.
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,13 +121,27 @@ class Trace:
 
 def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
     """Execute the dynamics; deterministic given config and dataset."""
-    return _play(config, [dataset])[0]
+    return _traces(config, [dataset])[0]
 
 
 def run_dynamics_batch(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     """Play one game on several datasets of one shape at once; each trace
     is bit-identical to ``run_dynamics(config, dataset)`` of its dataset."""
-    return _play(config, datasets)
+    return _traces(config, datasets)
+
+
+def _traces(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
+    """The trace of each dataset: the engine loop with the books as its hook."""
+    if not datasets:
+        raise BadParameter("no datasets to play")
+    shape = datasets[0].matrix.shape
+    if any(ds.matrix.shape != shape for ds in datasets):
+        raise BadParameter("a batch needs datasets of one shape, got "
+                           + ", ".join(sorted({str(ds.matrix.shape) for ds in datasets})))
+    # one dataset multiplies by its own matrix, a batch by a stacked copy
+    a = datasets[0].matrix if len(datasets) == 1 else np.stack([ds.matrix for ds in datasets])
+    books = _Books(config, a)
+    return books.traces(_play(config, a, books.keep))
 
 
 def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -152,55 +170,51 @@ def _first_bad_round(ws: np.ndarray) -> int | None:
     return int(bad.argmax()) + 1 if bad.any() else None
 
 
-def _play(config: DynamicsConfig, datasets: list[Dataset],
-          observe: Callable[[int, np.ndarray, np.ndarray], None] | None = None
-          ) -> list[Trace]:
-    # The one engine loop.  Both entry points call it directly, so a profile
-    # of either public function sees the loop as its own time.  B games keep
-    # (B, n), (B, d) and (B,) arrays, B = 1 included.  `observe(t, w_t, p_t)`,
-    # if given, sees each round's plays after they are recorded; an error it
-    # raises ends the run, and one of type NonFinite is read as the game's.
-    if not datasets:
-        raise BadParameter("no datasets to play")
-    shape = datasets[0].matrix.shape
-    if any(ds.matrix.shape != shape for ds in datasets):
-        raise BadParameter("a batch needs datasets of one shape, got "
-                           + ", ".join(sorted({str(ds.matrix.shape) for ds in datasets})))
-    batch = len(datasets)
-    # one dataset multiplies by its own matrix, a batch by a stacked copy
-    a = datasets[0].matrix if batch == 1 else np.stack([ds.matrix for ds in datasets])
-    at = a.swapaxes(-1, -2)
-    n, d = shape
-    horizon = config.horizon
-    w_first = not config.p_first
-    ridge = config.w_learner.ball_norm is None
-    # the states size their vectors (B, .) from a (B, n, d) view, B = 1 included
-    stacked = a.reshape(batch, n, d)
-    wl, pl = config.w_learner.start(stacked), config.p_learner.start(stacked)
+def _weights(config: DynamicsConfig) -> np.ndarray:
+    """alpha_t of rounds 1 .. T: t in the ridge games over R^d, 1 over a ball."""
+    if config.w_learner.ball_norm is None:
+        return np.arange(1, config.horizon + 1, dtype=np.float64)
+    return np.ones(config.horizon, dtype=np.float64)
 
-    record = config.record_full_trace
+
+@contextmanager
+def _records(horizon: int):
+    """Allocation of per-round records; numpy refuses a size past its index
+    range or past the memory, which is a horizon too large."""
     try:
-        alphas = (np.arange(1, horizon + 1, dtype=np.float64) if ridge
-                  else np.ones(horizon, dtype=np.float64))
-        cum_alphas = np.cumsum(alphas)       # sum of the alphas after each round
-        # the w_t and g_t = A'p_t of every round; ws is also the trace's
-        ws, gs = np.empty((batch, horizon, d)), np.empty((batch, horizon, d))
-        ps = np.empty((batch, horizon, n)) if record else None
-        # per-round records, one row per instance
-        l1_delta, worst_rec, bilinear = (np.empty((batch, horizon)) for _ in range(3))
+        yield
     except (ValueError, MemoryError):
-        # numpy refuses a size past its index range or past the memory
         raise BadParameter(f"horizon T = {horizon} is too large: the trace "
                            "records cannot be allocated") from None
 
-    prev_p = np.full((batch, n), 1.0 / n)    # p_0
-    w_t = np.zeros((batch, d))               # w_0
-    # the first mover's hint: a first-moving w-player sees A'p_0, a
-    # first-moving p-player A w_0 with w_0 = 0
-    hint = _times(at, prev_p) if w_first else np.zeros((batch, n))
-    p_sum = np.zeros((batch, n))
-    buffer = np.empty((batch, n))            # the loop's one n-vector temporary
 
+def _play(config: DynamicsConfig, a: np.ndarray,
+          hook: Callable[..., None]) -> np.ndarray:
+    """The one engine loop: the game on the data matrix a, (n, d) for one
+    game or a (B, n, d) stack for B; returns the (B, T, d) record of the w_t.
+
+    It keeps only the play: the two players' steps, the products with A
+    and the w record that its report of a non-finite step reads.  Each
+    round goes to ``hook(t, alpha, w_t, p_t, g_t, loss, cum)`` after w_t is
+    recorded, with g_t = A'p_t, loss = A w_t and cum the p-player's running
+    sum of the alpha_t A w_t, each (B, .), B = 1 included, and for the hook
+    to read only.  An error the hook raises ends the run, and one of type
+    NonFinite is read as the game's.
+    """
+    at = a.swapaxes(-1, -2)
+    batch, n, d = (1, *a.shape) if a.ndim == 2 else a.shape
+    horizon = config.horizon
+    w_first = not config.p_first
+    # the states size their vectors (B, .) from a (B, n, d) view, B = 1 included
+    stacked = a.reshape(batch, n, d)
+    wl, pl = config.w_learner.start(stacked), config.p_learner.start(stacked)
+    with _records(horizon):
+        alphas, ws = _weights(config), np.empty((batch, horizon, d))
+
+    w_t = np.zeros((batch, d))               # w_0
+    # the first mover's hint: a first-moving w-player sees A'p_0 with p_0
+    # uniform, a first-moving p-player A w_0 with w_0 = 0
+    hint = _times(at, np.full((batch, n), 1.0 / n)) if w_first else np.zeros((batch, n))
     try:
         for t in range(1, horizon + 1):
             alpha = alphas[t - 1]
@@ -217,21 +231,9 @@ def _play(config: DynamicsConfig, datasets: list[Dataset],
                 loss = _times(a, w_t)
             wl.absorb(alpha, g_t)
             pl.absorb(alpha, loss)
-
             ws[:, t - 1] = w_t
-            gs[:, t - 1] = g_t
-            np.vecdot(p_t, loss, out=bilinear[:, t - 1])
-            p_sum += np.multiply(p_t, alpha, out=buffer)
             # every PSpec starts an EntropySimplex, whose cum is sum alpha_t A w_t
-            np.minimum.reduce(pl.cum, axis=-1, out=worst_rec[:, t - 1])  # min_i (A w_sum)_i
-            np.abs(np.subtract(p_t, prev_p, out=buffer), out=buffer)
-            np.add.reduce(buffer, axis=-1, out=l1_delta[:, t - 1])
-            if record:
-                ps[:, t - 1] = p_t
-            if observe is not None:
-                observe(t, w_t, p_t)
-
-            prev_p = p_t
+            hook(t, alpha, w_t, p_t, g_t, loss, pl.cum)
             if t < horizon:            # the next hint is read only by a next round
                 hint = (_hint(at, pl.shown(p_t), p_t, g_t) if w_first
                         else _hint(a, wl.shown(w_t), w_t, loss))
@@ -252,33 +254,77 @@ def _play(config: DynamicsConfig, datasets: list[Dataset],
     bad = _first_bad_round(ws)
     if bad is not None:
         raise NonFiniteIterate(bad, "w", "w_t")
+    return ws
 
-    # the w-player's and the p-player's weighted played losses
-    played_p = alphas * bilinear              # alpha_t p_t' A w_t (constants dropped)
-    if ridge:
-        played_w = alphas * (-bilinear + 0.5 * np.vecdot(ws, ws))
-    else:
-        played_w = -played_p
-    played_w, played_p = _running(played_w), _running(played_p)
-    # sum alpha_t w_t after each round: in place unless ws is the trace's
-    w_sums = _running(np.multiply(ws, alphas[:, None], out=None if record else ws))
-    g_sums = _running(np.multiply(gs, alphas[:, None], out=gs))  # sum alpha_t A'p_t
-    rw_rec = played_w - comparator_value(config.w_learner.ball_norm, g_sums, cum_alphas)
-    rp_rec = played_p - worst_rec
 
-    wnorm = np.sqrt(np.vecdot(w_sums, w_sums))
-    norm_margin = np.full((batch, horizon), np.nan)
-    np.divide(worst_rec, wnorm, out=norm_margin, where=wnorm > 0.0)
-    margin_avg = worst_rec / cum_alphas
-    w_sum = w_sums[:, -1].copy()              # frees a light trace's records
-    return [Trace(
-        config=config, alphas=alphas.copy(),
-        ws=ws[b] if record else None, ps=ps[b] if record else None,
-        l1_delta_p=l1_delta[b], margin_avg=margin_avg[b],
-        normalized_margin=norm_margin[b],
-        regret_w_running=rw_rec[b], regret_p_running=rp_rec[b],
-        w_sum=w_sum[b], p_sum=p_sum[b],
-    ) for b in range(batch)]
+class _Books:
+    """A trace's books, kept as the hook of `_play`: per round the A'p_t,
+    p_t'A w_t, the minimum of the running sum of the alpha_t A w_t,
+    ||p_t - p_{t-1}||_1, the weighted sum of the p_t and, in a full trace,
+    the p_t; after the loop, `traces` does the regret and margin
+    accounting.  The weighted sum of the p_t and the l1 step form their
+    n-vector terms in one preallocated (B, n) buffer."""
+
+    def __init__(self, config: DynamicsConfig, a: np.ndarray):
+        batch, n, d = (1, *a.shape) if a.ndim == 2 else a.shape
+        horizon = config.horizon
+        self.config = config
+        with _records(horizon):
+            self.alphas = _weights(config)
+            self.gs = np.empty((batch, horizon, d))      # the g_t = A'p_t
+            self.ps = np.empty((batch, horizon, n)) if config.record_full_trace else None
+            self.l1_delta, self.worst, self.bilinear = (
+                np.empty((batch, horizon)) for _ in range(3))
+        self.prev_p = np.full((batch, n), 1.0 / n)      # p_0
+        self.p_sum = np.zeros((batch, n))
+        self.buffer = np.empty((batch, n))
+
+    def keep(self, t, alpha, w_t, p_t, g_t, loss, cum) -> None:
+        r = t - 1
+        self.gs[:, r] = g_t
+        np.vecdot(p_t, loss, out=self.bilinear[:, r])
+        buffer = self.buffer
+        self.p_sum += np.multiply(p_t, alpha, out=buffer)
+        np.minimum.reduce(cum, axis=-1, out=self.worst[:, r])   # min_i (A w_sum)_i
+        np.abs(np.subtract(p_t, self.prev_p, out=buffer), out=buffer)
+        np.add.reduce(buffer, axis=-1, out=self.l1_delta[:, r])
+        if self.ps is not None:
+            self.ps[:, r] = p_t
+        self.prev_p = p_t
+
+    def traces(self, ws: np.ndarray) -> list[Trace]:
+        """The trace of each game from the loop's (B, T, d) w record.  The
+        sums come from in-order cumulative sums of the records, so they
+        carry the bits of running totals."""
+        config, alphas, bilinear, worst = self.config, self.alphas, self.bilinear, self.worst
+        record = self.ps is not None
+        cum_alphas = np.cumsum(alphas)       # sum of the alphas after each round
+        # the w-player's and the p-player's weighted played losses
+        played_p = alphas * bilinear              # alpha_t p_t' A w_t (constants dropped)
+        if config.w_learner.ball_norm is None:
+            played_w = alphas * (-bilinear + 0.5 * np.vecdot(ws, ws))
+        else:
+            played_w = -played_p
+        played_w, played_p = _running(played_w), _running(played_p)
+        # sum alpha_t w_t after each round: in place unless ws is the trace's
+        w_sums = _running(np.multiply(ws, alphas[:, None], out=None if record else ws))
+        g_sums = _running(np.multiply(self.gs, alphas[:, None], out=self.gs))
+        rw_rec = played_w - comparator_value(config.w_learner.ball_norm, g_sums, cum_alphas)
+        rp_rec = played_p - worst
+
+        wnorm = np.sqrt(np.vecdot(w_sums, w_sums))
+        norm_margin = np.full(worst.shape, np.nan)
+        np.divide(worst, wnorm, out=norm_margin, where=wnorm > 0.0)
+        margin_avg = worst / cum_alphas
+        w_sum = w_sums[:, -1].copy()              # frees a light trace's records
+        return [Trace(
+            config=config, alphas=alphas.copy(),
+            ws=ws[b] if record else None, ps=self.ps[b] if record else None,
+            l1_delta_p=self.l1_delta[b], margin_avg=margin_avg[b],
+            normalized_margin=norm_margin[b],
+            regret_w_running=rw_rec[b], regret_p_running=rp_rec[b],
+            w_sum=w_sum[b], p_sum=self.p_sum[b],
+        ) for b in range(len(ws))]
 
 
 def best_response_value(ball_norm: float | None, dataset: Dataset,

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nrp import algorithms as alg, cli
+from nrp import algorithms as alg, cli, dynamics
 from nrp.core import Dataset, margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import run_dynamics
 from nrp.errors import BadParameter, NonFinite, NonFiniteIterate, NrpError, TooFewRows
-from nrp.learners import softmax_neg
+from nrp.learners import DualAveragingW, softmax_neg
 from conftest import (collect_rounds, count_matvecs, empirical_risk,
                       empirical_risk_grad, exact_margin_dataset, random_dataset)
 
@@ -348,6 +348,23 @@ def test_streamed_check_has_the_recorded_deviation_bits(n, d, horizon, gamma, ex
         assert got == {name: dev.hex() for name, dev in expected.items()}, which
 
 
+def test_check_builds_no_trace(monkeypatch):
+    # the check's hook keeps only what it compares; the trace's books stay
+    # out of it, and its reports keep the bits of the full-trace reference
+    ds = exact_margin_dataset(40, 5, 0.2, seed=3)
+    expected = {which: reference_deviations(which, ds, 60, 1e-8, 0.0)
+                for which in alg.EquivalencePair}
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a check built a Trace")
+
+    monkeypatch.setattr(dynamics, "Trace", no_trace)
+    for which, want in expected.items():
+        report = alg.check_equivalence(which, ds, 60)
+        got = {name: dev.hex() for name, dev in report.deviations.items()}
+        assert got == {name: dev.hex() for name, dev in want.items()}, which
+
+
 @pytest.mark.parametrize("which", list(alg.EquivalencePair))
 def test_check_allocates_no_history_of_the_rows(which):
     n, d, horizon = 1000, 20, 300
@@ -399,3 +416,37 @@ def test_non_finite_original_form_names_form_and_round(which, monkeypatch, capsy
     err = capsys.readouterr().err
     assert code == 2
     assert f"at round {k} of the original form {form_name}" in err, err
+
+
+@pytest.mark.parametrize("which,bad_round", [(alg.EquivalencePair.PROP1, 7),
+                                             (alg.EquivalencePair.NAG, 7),
+                                             (alg.EquivalencePair.NAG, 20)])
+def test_non_finite_game_in_a_check_is_the_games_error(which, bad_round, monkeypatch,
+                                                       capsys):
+    # the w-learner returns NaN from round k on: prop1 moves w first, so
+    # the softmax of round k meets it, and nag p first, so that of round
+    # k + 1, or none after the last round; the check reports what
+    # run_dynamics reports for the game
+    decide = DualAveragingW.decide
+    calls = []
+
+    def nan_from_bad_round(self, alpha, hint):
+        calls.append(alpha)
+        w = decide(self, alpha, hint)
+        return w * np.nan if len(calls) >= bad_round else w
+
+    monkeypatch.setattr(DualAveragingW, "decide", nan_from_bad_round)
+    ds = exact_margin_dataset(8, 4, 0.3, seed=0)
+    algo = alg.ALGORITHMS[alg._CHECKS[which][0]]
+    with pytest.raises(NonFiniteIterate) as game:
+        run_dynamics(algo.config(ds.n, 20, 2.0), ds)
+    calls.clear()
+    with pytest.raises(NonFiniteIterate) as check:
+        alg.check_equivalence(which, ds, 20)
+    found = [(e.value.round_index, e.value.player, e.value.quantity) for e in (game, check)]
+    assert found[0] == found[1] == (bad_round, "w", "w_t")
+
+    calls.clear()
+    code = cli.main(["equiv", "--which", which.value, "--n", "8", "--d", "4", "--T", "20"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {check.value}\n"

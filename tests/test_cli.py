@@ -1,11 +1,15 @@
+import contextlib
 import csv
+import io
 import math
 import shlex
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nrp import algorithms as alg, cli
 from nrp.algorithms import (Algorithm, mpfp_config, nag_config, pnorm_config,
@@ -493,3 +497,83 @@ def test_run_auto_horizon_rule_and_output(tmp_path, capsys, algo):
         trace = run_dynamics(config, ds)
         final = 0.25 * trace.w_sum if algo in ("ji", "nag") else trace.w_bar
     assert float(fields[5]) == margin(ds, final)
+
+
+# values that have broken a flag's parsing or checks: zero, negative,
+# non-finite, subnormal-small and large
+EDGE_VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e6")
+SIZE = st.integers(1, 8).map(str)
+ROUNDS = st.integers(1, 5).map(str)
+
+
+def _value(usual):
+    """A usual value of a flag, or one time in eight an edge value."""
+    return st.tuples(st.integers(0, 7), usual, st.sampled_from(EDGE_VALUES)).map(
+        lambda t: t[2] if t[0] == 0 else t[1])
+
+
+def _flag(name, usual, most=1):
+    """The flag with 1 to `most` values, or one time in eight left out."""
+    values = st.lists(_value(usual), min_size=1, max_size=most)
+    return st.tuples(st.integers(0, 7), values).map(lambda t: [name, *t[1]] if t[0] else [])
+
+
+def _path_flag(name, path):
+    """The flag naming a path in the temporary directory, or one time in eight
+    left out; an edge value would name a path in the working directory."""
+    return st.integers(0, 7).map(lambda k: [name, path] if k else [])
+
+
+@st.composite
+def cli_argv(draw):
+    """A random `gen`, `run`, `equiv` or `sweep` command with sizes <= 8 and
+    T <= 5; "{tmp}" stands for a temporary directory holding data.txt."""
+    command = draw(st.sampled_from(["gen", "run", "equiv", "sweep"]))
+    most = 2 if command == "sweep" else 1
+    flags = [_flag("--n", SIZE, most), _flag("--d", SIZE),
+             _flag("--gamma", st.sampled_from(["0.1", "0.3"]), most),
+             _flag("--p", st.sampled_from(["2", "3"]), most),
+             _flag("--seed", st.integers(0, 8).map(str), most),
+             _flag("--mode", st.sampled_from(["lower", "exact"]
+                                             + (["infeasible"] if command != "sweep" else [])))]
+    if command in ("run", "equiv"):
+        flags.append(_path_flag("--data", "{tmp}/data.txt"))
+    if command == "gen":
+        flags.append(st.just(["--out", "{tmp}/gen.txt"]))
+    elif command == "run":
+        flags += [st.sampled_from(ALGOS).map(lambda a: ["--algo", a]),
+                  _flag("--T", st.one_of(ROUNDS, st.just("auto"))),
+                  _flag("--p-exp", st.sampled_from(["2", "3"])),
+                  _path_flag("--out", "{tmp}/traces")]
+    elif command == "equiv":
+        flags += [st.sampled_from([e.value for e in alg.EquivalencePair])
+                  .map(lambda w: ["--which", w]), _flag("--T", ROUNDS),
+                  _flag("--tol", st.just("1e-8")), _flag("--perturb", st.sampled_from(["0", "1e-3"]))]
+    else:
+        flags += [_flag("--algos", st.sampled_from(ALGOS), 2), _flag("--T", ROUNDS, 2),
+                  st.just(["--out", "{tmp}/sweep.csv"])]
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv += draw(flag)
+    return argv
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(argv=cli_argv())
+def test_random_flags_keep_the_exit_codes(argv):
+    # in-process with warnings as errors: exit 0 or 2, 1 only for an equiv
+    # FAIL, and no exception but argparse's usage error
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["gen", "--n", "8", "--d", "3", "--out", f"{tmp}/data.txt"]) == 0
+        argv = [a.format(tmp=tmp) for a in argv]
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2, argv
+    assert code in (0, 1, 2), argv
+    assert code != 1 or (argv[0] == "equiv" and "FAIL" in out.getvalue()), argv

@@ -38,6 +38,17 @@ def test_build_rejects_bad_label():
         build_dataset(np.array([[0.5, 0.0]]), np.array([2.0]))
 
 
+def test_dataset_rejects_a_label_other_than_plus_or_minus_one():
+    # written, the label 2 would double its row's features in the file: `2 1 0.5`
+    with pytest.raises(BadLabel, match=r"^label at row 0 is 2\.0, expected \+1 or -1$"):
+        Dataset(matrix=np.array([[0.5, 0.25]]), labels=np.array([2]))
+
+
+def test_dataset_rejects_labels_of_another_length():
+    with pytest.raises(BadParameter, match="labels must have length n = 2"):
+        Dataset(matrix=np.array([[0.5, 0.25], [0.25, 0.5]]), labels=np.array([1]))
+
+
 def test_build_rejects_nonfinite():
     with pytest.raises(NonFinite):
         build_dataset(np.array([[np.nan, 0.0]]), np.array([1.0]))
