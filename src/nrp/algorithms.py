@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .dynamics import (DynamicsConfig, Trace, _play, check_horizon, run_dynamics,
-                       run_dynamics_batch)
+from .dynamics import (DynamicsConfig, Totals, Trace, _play, check_horizon, run_dynamics,
+                       run_dynamics_totals)
 from .errors import BadParameter, NonFinite, NrpError, TooFewRows
 from .learners import (Oftl, OftrlEntropy, OftrlQNorm, OmdBall, OmdEntropy,
                        project_ball, softmax_neg)
@@ -81,24 +81,32 @@ class Algorithm:
     # (gamma, log n, p_exp) -> the theory horizon `--T auto` picks
     horizon_rule: Callable[[float, float, float], int]
 
-    def output(self, trace: Trace) -> np.ndarray:
-        return self.output_of(trace.w_sum, trace.sum_alpha)
+    def output(self, game: Trace | Totals) -> np.ndarray:
+        return self.output_of(game.w_sum, game.sum_alpha)
 
     def output_of(self, w_sum: np.ndarray, sum_alpha: float) -> np.ndarray:
         """The output from the weighted sum of the w_t and of the weights."""
         return 0.25 * w_sum if self.quarter_sum else w_sum / sum_alpha
 
-    def run_batch(self, datasets: list[Dataset], horizon: int, p_exp: float):
-        """(trace or None, final vector, R^w, R^p) of each dataset of one
-        shape, played as one batch; a trace holds no iterates.  Each result
-        is bit-identical to that of its dataset alone."""
+    def run(self, dataset: Dataset, horizon: int, p_exp: float):
+        """(trace or None, final vector, R^w, R^p) of one dataset; the trace
+        holds no iterates."""
         if self.config is None:
-            return [(None, vanilla_perceptron(ds, horizon)[0], float("nan"), float("nan"))
-                    for ds in datasets]
-        config = dataclasses.replace(self.config(datasets[0].n, horizon, p_exp),
+            return None, vanilla_perceptron(dataset, horizon)[0], float("nan"), float("nan")
+        config = dataclasses.replace(self.config(dataset.n, horizon, p_exp),
                                      record_full_trace=False)
-        return [(trace, self.output(trace), trace.regret_w, trace.regret_p)
-                for trace in run_dynamics_batch(config, datasets)]
+        trace = run_dynamics(config, dataset)
+        return trace, self.output(trace), trace.regret_w, trace.regret_p
+
+    def play_batch(self, datasets: list[Dataset], horizon: int, p_exp: float):
+        """(totals or None, final vector, R^w, R^p) of each dataset of one
+        shape, played as one batch that builds no trace.  Each result has
+        the bits of `run` of its dataset alone."""
+        if self.config is None:
+            return [self.run(ds, horizon, p_exp) for ds in datasets]
+        return [(totals, self.output(totals), totals.regret_w, totals.regret_p)
+                for totals in run_dynamics_totals(self.config(datasets[0].n, horizon, p_exp),
+                                                  datasets)]
 
 
 # --T auto: the theory horizons at which each method is guaranteed a clean margin

@@ -121,7 +121,7 @@ def cmd_run(args) -> int:
         if horizon < 1:
             raise NrpError("T must be >= 1")
     t0 = time.perf_counter()
-    trace, final, rw, rp = alg.ALGORITHMS[args.algo].run_batch([dataset], horizon, p_exp)[0]
+    trace, final, rw, rp = alg.ALGORITHMS[args.algo].run(dataset, horizon, p_exp)
     ms = (time.perf_counter() - t0) * 1000.0
 
     if args.out:
@@ -196,13 +196,13 @@ def _sweep_chunk(args, n, p, chunk, games) -> dict[tuple, str]:
     rows = {}
     for (_, horizon), members in games.items():
         t0 = time.perf_counter()
-        results = alg.ALGORITHMS[members[0]].run_batch(datasets, horizon, p)
+        results = alg.ALGORITHMS[members[0]].play_batch(datasets, horizon, p)
         ms = (time.perf_counter() - t0) * 1000.0 / (len(chunk) * len(members))
         for algo in members:
-            for (gamma, seed), dataset, (trace, final, rw, rp) in zip(
+            for (gamma, seed), dataset, (totals, final, rw, rp) in zip(
                     chunk, datasets, results):
-                if trace is not None:
-                    final = alg.ALGORITHMS[algo].output(trace)
+                if totals is not None:
+                    final = alg.ALGORITHMS[algo].output(totals)
                 rows[algo, n, gamma, p, seed, horizon] = ",".join([
                     algo, str(n), str(args.d), _fmt(gamma), _fmt(p), str(seed),
                     str(horizon), *_outcome(dataset, final, rw, rp, ms)])

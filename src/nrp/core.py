@@ -39,11 +39,17 @@ class Dataset:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        a.setflags(write=False)
+        # the dataset keeps its own arrays, and the caller's stay writable:
+        # a matrix is copied unless it is a read-only float64 array that owns
+        # its memory, as `build_dataset` hands over, which no one writes to
+        a = self.matrix
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None
+                and a.flags.c_contiguous and not a.flags.writeable):
+            a = np.array(a, dtype=np.float64, order="C")
+            a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         if self.w_star is not None:
-            ws = np.asarray(self.w_star, dtype=np.float64)
+            ws = np.array(self.w_star, dtype=np.float64)
             ws.setflags(write=False)
             object.__setattr__(self, "w_star", ws)
         if self.labels is not None:
@@ -112,7 +118,9 @@ def build_dataset(features, labels, norm_exponent: float = 2.0,
     if x.ndim != 2:
         raise BadParameter("features must be n x d")
     _check_labels(y, x.shape[0])    # before a bad label scales a row
-    return Dataset(matrix=y[:, None] * x, norm_exponent=float(norm_exponent),
+    a = y[:, None] * x              # a new array, so the dataset need not copy it
+    a.setflags(write=False)
+    return Dataset(matrix=a, norm_exponent=float(norm_exponent),
                    known_margin=known_margin, exact_margin=exact_margin,
                    w_star=w_star, labels=y.astype(np.int64))
 

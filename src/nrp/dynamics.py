@@ -13,16 +13,18 @@ the A w_t over the sum of the weights.
 The loop, `_play`, keeps only the play: the players' steps, the products
 with A and the record of the w_t, which it reads to report a step that
 went non-finite as `NonFiniteIterate`, naming the round, the player and
-the quantity.  It hands each round to one hook.  A trace's books are that
-hook: they record each round's g_t, p_t'A w_t and the other per-round
-quantities; after the loop, the sums of the alpha_t w_t and alpha_t g_t,
-the played losses and the regret comparator, which reads the sums of the
-g_t, come from in-order cumulative sums of those records, so they carry
-the bits of running totals.
+the quantity.  It hands each round to one hook.  The regret books are the
+lean hook: they record each round's g_t and p_t'A w_t; after the loop, the
+sums of the alpha_t w_t and alpha_t g_t, the played losses and the regret
+comparator, which reads the sums of the g_t, come from in-order cumulative
+sums of those records, so they carry the bits of running totals.
+`run_dynamics_totals` keeps only these books and returns each game's
+`Totals`; a trace's books add the per-round records of the `Trace`.
 
 `run_dynamics_batch` plays one configuration on B datasets of one shape in
 the same loop, over their stacked (B, n, d) matrices; each of its traces is
-bit-identical to the trace `run_dynamics` gives for that dataset alone.
+bit-identical to the trace `run_dynamics` gives for that dataset alone, and
+`run_dynamics_totals` of the same datasets carries the traces' bits.
 """
 
 from __future__ import annotations
@@ -119,6 +121,18 @@ class Trace:
         return float(np.cumsum(self.l1_delta_p * self.l1_delta_p)[-1])
 
 
+@dataclass(frozen=True)
+class Totals:
+    """What the last round of a game leaves, with the bits of its trace's
+    fields of the same names: sum alpha_t w_t, sum alpha_t and the regrets
+    R^w_T and R^p_T."""
+
+    w_sum: np.ndarray
+    sum_alpha: float
+    regret_w: float
+    regret_p: float
+
+
 def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
     """Execute the dynamics; deterministic given config and dataset."""
     return _traces(config, [dataset])[0]
@@ -130,18 +144,32 @@ def run_dynamics_batch(config: DynamicsConfig, datasets: list[Dataset]) -> list[
     return _traces(config, datasets)
 
 
+def run_dynamics_totals(config: DynamicsConfig, datasets: list[Dataset]) -> list[Totals]:
+    """Play one game on several datasets of one shape at once, keeping only
+    the regret books: each dataset's totals carry the bits of the fields of
+    ``run_dynamics_batch(config, datasets)``'s trace, and no trace is built."""
+    a = _stacked(datasets)
+    books = _RegretBooks(config, a)
+    return books.totals(_play(config, a, books.keep))
+
+
 def _traces(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
     """The trace of each dataset: the engine loop with the books as its hook."""
+    a = _stacked(datasets)
+    books = _Books(config, a)
+    return books.traces(_play(config, a, books.keep))
+
+
+def _stacked(datasets: list[Dataset]) -> np.ndarray:
+    """The matrix a game plays on: one dataset's own, or for several of one
+    shape a stacked (B, n, d) copy."""
     if not datasets:
         raise BadParameter("no datasets to play")
     shape = datasets[0].matrix.shape
     if any(ds.matrix.shape != shape for ds in datasets):
         raise BadParameter("a batch needs datasets of one shape, got "
                            + ", ".join(sorted({str(ds.matrix.shape) for ds in datasets})))
-    # one dataset multiplies by its own matrix, a batch by a stacked copy
-    a = datasets[0].matrix if len(datasets) == 1 else np.stack([ds.matrix for ds in datasets])
-    books = _Books(config, a)
-    return books.traces(_play(config, a, books.keep))
+    return datasets[0].matrix if len(datasets) == 1 else np.stack([ds.matrix for ds in datasets])
 
 
 def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -257,32 +285,79 @@ def _play(config: DynamicsConfig, a: np.ndarray,
     return ws
 
 
-class _Books:
-    """A trace's books, kept as the hook of `_play`: per round the A'p_t,
-    p_t'A w_t, the minimum of the running sum of the alpha_t A w_t,
-    ||p_t - p_{t-1}||_1, the weighted sum of the p_t and, in a full trace,
-    the p_t; after the loop, `traces` does the regret and margin
-    accounting.  The weighted sum of the p_t and the l1 step form their
-    n-vector terms in one preallocated (B, n) buffer."""
+class _RegretBooks:
+    """The regret books, kept as the hook of `_play`: per round the A'p_t
+    and p_t'A w_t, and the p-player's running sum of the alpha_t A w_t,
+    whose minimum after the last round is that of the running average's
+    margin.  `totals` reads what the last round leaves; `_Books` adds a
+    trace's per-round records."""
 
     def __init__(self, config: DynamicsConfig, a: np.ndarray):
-        batch, n, d = (1, *a.shape) if a.ndim == 2 else a.shape
+        batch, d = (1 if a.ndim == 2 else a.shape[0]), a.shape[-1]
         horizon = config.horizon
         self.config = config
         with _records(horizon):
             self.alphas = _weights(config)
             self.gs = np.empty((batch, horizon, d))      # the g_t = A'p_t
+            self.bilinear = np.empty((batch, horizon))
+        self.cum = None
+
+    def keep(self, t, alpha, w_t, p_t, g_t, loss, cum) -> None:
+        self.gs[:, t - 1] = g_t
+        np.vecdot(p_t, loss, out=self.bilinear[:, t - 1])
+        self.cum = cum
+
+    def _accounts(self, ws: np.ndarray):
+        """After each round: the sum of the alphas, the sums of the alpha_t
+        w_t, the p-player's weighted played loss and the w-player's regret,
+        from in-order cumulative sums of the records, so they carry the bits
+        of running totals.  The sums of the alpha_t w_t are formed in ws."""
+        config, alphas, bilinear = self.config, self.alphas, self.bilinear
+        cum_alphas = np.cumsum(alphas)       # sum of the alphas after each round
+        # the w-player's and the p-player's weighted played losses
+        played_p = alphas * bilinear              # alpha_t p_t' A w_t (constants dropped)
+        if config.w_learner.ball_norm is None:
+            played_w = alphas * (-bilinear + 0.5 * np.vecdot(ws, ws))
+        else:
+            played_w = -played_p
+        played_w, played_p = _running(played_w), _running(played_p)
+        w_sums = _running(np.multiply(ws, alphas[:, None], out=ws))
+        g_sums = _running(np.multiply(self.gs, alphas[:, None], out=self.gs))
+        regret_w = played_w - comparator_value(config.w_learner.ball_norm, g_sums, cum_alphas)
+        return cum_alphas, w_sums, played_p, regret_w
+
+    def totals(self, ws: np.ndarray) -> list[Totals]:
+        """The totals of each game from the loop's (B, T, d) w record."""
+        cum_alphas, w_sums, played_p, regret_w = self._accounts(ws)
+        regret_p = played_p[:, -1] - np.minimum.reduce(self.cum, axis=-1)
+        sum_alpha = float(cum_alphas[-1])
+        w_sum = w_sums[:, -1].copy()              # frees the records
+        return [Totals(w_sum=w_sum[b], sum_alpha=sum_alpha,
+                       regret_w=float(regret_w[b, -1]), regret_p=float(regret_p[b]))
+                for b in range(len(ws))]
+
+
+class _Books(_RegretBooks):
+    """A trace's books: the regret books plus, per round, the minimum of
+    the running sum of the alpha_t A w_t, ||p_t - p_{t-1}||_1, the weighted
+    sum of the p_t and, in a full trace, the p_t; after the loop, `traces`
+    does the margin accounting.  The weighted sum of the p_t and the l1
+    step form their n-vector terms in one preallocated (B, n) buffer."""
+
+    def __init__(self, config: DynamicsConfig, a: np.ndarray):
+        super().__init__(config, a)
+        batch, n = self.gs.shape[0], a.shape[-2]
+        horizon = config.horizon
+        with _records(horizon):
             self.ps = np.empty((batch, horizon, n)) if config.record_full_trace else None
-            self.l1_delta, self.worst, self.bilinear = (
-                np.empty((batch, horizon)) for _ in range(3))
+            self.l1_delta, self.worst = np.empty((batch, horizon)), np.empty((batch, horizon))
         self.prev_p = np.full((batch, n), 1.0 / n)      # p_0
         self.p_sum = np.zeros((batch, n))
         self.buffer = np.empty((batch, n))
 
     def keep(self, t, alpha, w_t, p_t, g_t, loss, cum) -> None:
+        super().keep(t, alpha, w_t, p_t, g_t, loss, cum)
         r = t - 1
-        self.gs[:, r] = g_t
-        np.vecdot(p_t, loss, out=self.bilinear[:, r])
         buffer = self.buffer
         self.p_sum += np.multiply(p_t, alpha, out=buffer)
         np.minimum.reduce(cum, axis=-1, out=self.worst[:, r])   # min_i (A w_sum)_i
@@ -293,32 +368,19 @@ class _Books:
         self.prev_p = p_t
 
     def traces(self, ws: np.ndarray) -> list[Trace]:
-        """The trace of each game from the loop's (B, T, d) w record.  The
-        sums come from in-order cumulative sums of the records, so they
-        carry the bits of running totals."""
-        config, alphas, bilinear, worst = self.config, self.alphas, self.bilinear, self.worst
+        """The trace of each game from the loop's (B, T, d) w record."""
         record = self.ps is not None
-        cum_alphas = np.cumsum(alphas)       # sum of the alphas after each round
-        # the w-player's and the p-player's weighted played losses
-        played_p = alphas * bilinear              # alpha_t p_t' A w_t (constants dropped)
-        if config.w_learner.ball_norm is None:
-            played_w = alphas * (-bilinear + 0.5 * np.vecdot(ws, ws))
-        else:
-            played_w = -played_p
-        played_w, played_p = _running(played_w), _running(played_p)
-        # sum alpha_t w_t after each round: in place unless ws is the trace's
-        w_sums = _running(np.multiply(ws, alphas[:, None], out=None if record else ws))
-        g_sums = _running(np.multiply(self.gs, alphas[:, None], out=self.gs))
-        rw_rec = played_w - comparator_value(config.w_learner.ball_norm, g_sums, cum_alphas)
+        # a full trace keeps ws, a light one lets the sums overwrite it
+        cum_alphas, w_sums, played_p, rw_rec = self._accounts(ws.copy() if record else ws)
+        worst = self.worst
         rp_rec = played_p - worst
-
         wnorm = np.sqrt(np.vecdot(w_sums, w_sums))
         norm_margin = np.full(worst.shape, np.nan)
         np.divide(worst, wnorm, out=norm_margin, where=wnorm > 0.0)
         margin_avg = worst / cum_alphas
         w_sum = w_sums[:, -1].copy()              # frees a light trace's records
         return [Trace(
-            config=config, alphas=alphas.copy(),
+            config=self.config, alphas=self.alphas.copy(),
             ws=ws[b] if record else None, ps=self.ps[b] if record else None,
             l1_delta_p=self.l1_delta[b], margin_avg=margin_avg[b],
             normalized_margin=norm_margin[b],

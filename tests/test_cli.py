@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import math
 import shlex
 import tempfile
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nrp import algorithms as alg, cli
+from nrp import algorithms as alg, cli, dynamics
 from nrp.algorithms import (Algorithm, mpfp_config, nag_config, pnorm_config,
                             smooth_config, vanilla_perceptron)
 from nrp.cli import ALGOS, SUMMARY_HEADER, TRACE_HEADER, main
@@ -167,13 +168,13 @@ def test_sweep_split_batches_give_same_rows(tmp_path, capsys, monkeypatch):
     whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
     assert run_cli(capsys, *args, "--out", str(whole))[0] == 0
     sizes = []
-    run_batch = Algorithm.run_batch
+    play_batch = Algorithm.play_batch
 
     def spy(self, datasets, horizon, p_exp):
         sizes.append(len(datasets))
-        return run_batch(self, datasets, horizon, p_exp)
+        return play_batch(self, datasets, horizon, p_exp)
 
-    monkeypatch.setattr(Algorithm, "run_batch", spy)
+    monkeypatch.setattr(Algorithm, "play_batch", spy)
     monkeypatch.setattr(cli, "SWEEP_BATCH_BYTES", 2 * 8 * 16 * 4)
     assert run_cli(capsys, *args, "--out", str(split))[0] == 0
     assert sizes == [2, 2, 1, 1]
@@ -201,15 +202,15 @@ def test_sweep_generates_each_dataset_and_plays_each_game_once(tmp_path, capsys,
     # the sweep-small grid: 48 cells on 8 distinct datasets, two n of four
     # seeds each; smooth and ji play one game, vanilla none, so each n runs
     # 4 games
-    calls = {"generate": 0, "run_dynamics_batch": 0}
+    calls = {"generate": 0, "run_dynamics_totals": 0}
     count_calls(monkeypatch, cli, "generate", calls)
-    count_calls(monkeypatch, alg, "run_dynamics_batch", calls)
+    count_calls(monkeypatch, alg, "run_dynamics_totals", calls)
     rows = sweep_rows(capsys, tmp_path / "s.csv", "--algos", "smooth", "ji", "nag",
                       "mpfp", "pnorm", "vanilla", "--n", "64", "256", "--d", "8",
                       "--gamma", "0.3", "--seed", "0", "1", "2", "3", "--T", "200",
                       "--mode", "exact")
     assert len(rows) == 1 + 48
-    assert calls == {"generate": 8, "run_dynamics_batch": 8}
+    assert calls == {"generate": 8, "run_dynamics_totals": 8}
 
 
 def test_sweep_shared_game_rows_match_single_algorithm_sweeps(tmp_path, capsys,
@@ -218,13 +219,46 @@ def test_sweep_shared_game_rows_match_single_algorithm_sweeps(tmp_path, capsys,
             "--mode", "lower"]
     singles = [sweep_rows(capsys, tmp_path / f"{algo}.csv", "--algos", algo, *grid)
                for algo in ("smooth", "ji", "dynamics")]
-    calls = {"run_dynamics_batch": 0}
-    count_calls(monkeypatch, alg, "run_dynamics_batch", calls)
+    calls = {"run_dynamics_totals": 0}
+    count_calls(monkeypatch, alg, "run_dynamics_totals", calls)
     shared = sweep_rows(capsys, tmp_path / "shared.csv", "--algos", "smooth", "ji",
                         "dynamics", *grid)
     # one batch per (n, p) family and T, read by all three algorithms
-    assert calls == {"run_dynamics_batch": 2 * 2 * 2}
+    assert calls == {"run_dynamics_totals": 2 * 2 * 2}
     assert shared == singles[0] + singles[1][1:] + singles[2][1:]
+
+
+def test_sweep_builds_no_trace(tmp_path, capsys, monkeypatch):
+    # a sweep's games keep only the regret books its rows read, with the
+    # bits of the traces
+    grid = ["--algos", *ALGOS, "--n", "16", "--p", "2", "3", "--seed", "0", "1",
+            "--T", "1", "20"]
+    want = sweep_rows(capsys, tmp_path / "want.csv", *grid)
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a sweep built a Trace")
+
+    monkeypatch.setattr(dynamics, "Trace", no_trace)
+    assert sweep_rows(capsys, tmp_path / "got.csv", *grid) == want
+
+
+@pytest.mark.parametrize("p,mode", [("2", "exact"), ("3", "lower")])
+def test_run_summary_matches_the_sweep_row(tmp_path, capsys, p, mode):
+    # `nrp run` reads a trace and `nrp sweep` the regret books alone; the
+    # final margins and regrets of one cell agree byte for byte
+    cell = ["--n", "24", "--d", "5", "--gamma", "0.25", "--p", p, "--seed", "3",
+            "--mode", mode]
+    horizons = ("1", "30")
+    rows = sweep_rows(capsys, tmp_path / "sweep.csv", "--algos", *ALGOS, *cell,
+                      "--T", *horizons)[1:]
+    runs = itertools.product(ALGOS, horizons)
+    assert len(rows) == len(ALGOS) * len(horizons)
+    for (algo, horizon), row in zip(runs, rows):
+        code, out, _ = run_cli(capsys, "run", "--algo", algo, *cell, "--T", horizon)
+        assert code == 0
+        summary = out.strip().splitlines()[-1].split(",")
+        # final_margin, final_normalized_margin, Rw, Rp
+        assert summary[5:9] == row.split(",")[7:11], (algo, horizon)
 
 
 def test_sweep_duplicate_cells_keep_grid_order(tmp_path, capsys):

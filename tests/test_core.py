@@ -49,6 +49,31 @@ def test_dataset_rejects_labels_of_another_length():
         Dataset(matrix=np.array([[0.5, 0.25], [0.25, 0.5]]), labels=np.array([1]))
 
 
+def test_dataset_keeps_its_own_arrays_and_leaves_the_callers_writable():
+    x, w = np.array([[0.5, 0.25]]), np.array([1.0, 0.0])
+    ds = Dataset(matrix=x, known_margin=0.5, w_star=w)
+    x[0, 0], w[0] = 0.1, 0.3
+    assert ds.matrix.tolist() == [[0.5, 0.25]] and ds.w_star.tolist() == [1.0, 0.0]
+    assert not ds.matrix.flags.writeable and not ds.w_star.flags.writeable
+
+
+def test_build_dataset_copies_no_matrix(rng):
+    # the signed rows are a new array, which the dataset keeps as it is; the
+    # norm check holds one matrix-sized temporary beside it, and a copy of
+    # the rows would be a third
+    import tracemalloc
+    x = rng.uniform(-0.1, 0.1, size=(2000, 40))
+    y = rng.choice([-1.0, 1.0], size=2000)
+    tracemalloc.start()
+    try:
+        ds = build_dataset(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.matrix.tobytes() == (y[:, None] * x).tobytes()
+    assert peak < 2.5 * x.nbytes, peak / x.nbytes
+
+
 def test_build_rejects_nonfinite():
     with pytest.raises(NonFinite):
         build_dataset(np.array([[np.nan, 0.0]]), np.array([1.0]))

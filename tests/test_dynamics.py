@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from nrp.core import margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import (DynamicsConfig, Trace, best_response_value,
-                          gap_bound_check, run_dynamics, run_dynamics_batch)
+                          gap_bound_check, run_dynamics, run_dynamics_batch,
+                          run_dynamics_totals)
 from nrp import learners
 from nrp.errors import BadParameter, NonFinite, NonFiniteIterate
 from nrp.learners import (DualAveragingW, Oftl, OftrlEntropy, OftrlQNorm, OmdBall,
@@ -382,12 +383,40 @@ def test_batch_instances_match_single_runs(name, monkeypatch):
                 assert x == y or (x != x and y != y), field.name
 
 
+@pytest.mark.parametrize("w_learner", [Oftl(), OmdBall(eta=0.7), OftrlQNorm(eta=0.4, q=1.5)],
+                         ids=["ridge", "ball", "qnorm_ball"])
+@pytest.mark.parametrize("p_learner", [OftrlEntropy(eta=0.9), OmdEntropy(eta=1.3)],
+                         ids=["oftrl", "omd"])
+@pytest.mark.parametrize("p_first", [False, True])
+@pytest.mark.parametrize("n,horizon", [(2, 1), (2, 9), (11, 1), (11, 40)])
+def test_totals_have_the_bits_of_the_traces(w_learner, p_learner, p_first, n, horizon):
+    # the regret books alone give each game's w_sum, sum_alpha, R^w and R^p
+    # with the bits of the light traces, in a batch and alone
+    config = DynamicsConfig(w_learner=w_learner, p_learner=p_learner, horizon=horizon,
+                            p_first=p_first, record_full_trace=False)
+    datasets = [generate(GenSpec(n=n, d=3, gamma=0.2, mode=GenMode.LOWER_BOUND, seed=seed))
+                for seed in range(3)]
+    traces = run_dynamics_batch(config, datasets)
+    singles = [run_dynamics_totals(config, [ds])[0] for ds in datasets]
+    for got in (run_dynamics_totals(config, datasets), singles):
+        assert len(got) == len(traces)
+        for totals, trace in zip(got, traces):
+            assert totals.w_sum.tobytes() == trace.w_sum.tobytes()
+            for name in ("sum_alpha", "regret_w", "regret_p"):
+                assert getattr(totals, name).hex() == getattr(trace, name).hex(), name
+
+
 def test_batch_rejects_mixed_shapes(rng):
     with pytest.raises(BadParameter):
         run_dynamics_batch(smooth_config(5), [random_dataset(rng, 6, 3),
                                               random_dataset(rng, 7, 3)])
     with pytest.raises(BadParameter):
         run_dynamics_batch(smooth_config(5), [])
+    with pytest.raises(BadParameter):
+        run_dynamics_totals(smooth_config(5), [random_dataset(rng, 6, 3),
+                                               random_dataset(rng, 7, 3)])
+    with pytest.raises(BadParameter):
+        run_dynamics_totals(smooth_config(5), [])
 
 
 def test_margin_avg_is_margin_of_running_average(rng):
