@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .dynamics import (DynamicsConfig, Totals, Trace, _play, check_horizon, run_dynamics,
-                       run_dynamics_totals)
+from .dynamics import (DynamicsConfig, Totals, Trace, _play, _running, _weights,
+                       check_horizon, run_dynamics, run_dynamics_totals)
 from .errors import BadParameter, NonFinite, NrpError, TooFewRows
 from .learners import (Oftl, OftrlEntropy, OftrlQNorm, OmdBall, OmdEntropy,
                        project_ball, softmax_neg)
@@ -309,8 +309,10 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
     The original form advances one round in each of the game's rounds, and
     the game's hook keeps only what the comparisons read, so a check holds
     O(n + T d) floats and builds no trace: a comparison after the last
-    round reads the last iterates or a running sum, added in round order
-    as the trace's sums are, and one at every round keeps running maxima.
+    round reads the last iterates, the running sum of the alpha_t p_t or
+    the sum of the alpha_t w_t over the loop's w record, each added in
+    round order as the trace's sums are, and one at every round keeps
+    running maxima.
     A non-finite step of the original form is an `NrpError` naming the
     form and round.
 
@@ -331,11 +333,9 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
 
     n, d = dataset.n, dataset.d
     games = {game for _, _, game in compared}
-    # the running sums from 0.0 of what an after-loop comparison reads
-    w_sum = np.zeros(d) if "output" in games else None
+    # the running sum from 0.0 of the alpha_t p_t, if an after-loop comparison reads it
     p_sum = np.zeros(n) if "p_bar" in games else None
-    sum_alpha = 0.0
-    w_term, p_term = np.empty(d), np.empty(n)
+    p_term = np.empty(n)
     # each comparison's peaks; a history's maxima are its rounds' maxima
     peaks = np.zeros((len(compared), 3))
     every_round = [(index, game == "p_t", peaks[row], np.empty((3, n if game == "p_t" else d)),
@@ -345,7 +345,7 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
     iterates = p_last = None
 
     def observe(t, alpha, w_t, p_t, g_t, loss, cum):
-        nonlocal iterates, p_last, sum_alpha
+        nonlocal iterates, p_last
         try:
             iterates = next(form)
         except NonFinite as exc:
@@ -353,17 +353,18 @@ def check_equivalence(which: EquivalencePair, dataset: Dataset, horizon: int,
             raise NrpError(f"non-finite {exc.quantity} at round {t} of the "
                            f"original form {form_name}") from exc
         w_t, p_last = w_t[0], p_t[0]
-        sum_alpha += alpha
-        if w_sum is not None:
-            np.add(w_sum, np.multiply(w_t, alpha, out=w_term), out=w_sum)
         if p_sum is not None:
             np.add(p_sum, np.multiply(p_last, alpha, out=p_term), out=p_sum)
         for index, of_p, row, buffer, round_peaks in every_round:
             _peaks(iterates[index], p_last if of_p else w_t, buffer, round_peaks)
             np.maximum(row, round_peaks, out=row)
 
-    _play(config, dataset.matrix, observe)
-    final = {"output": None if w_sum is None else algo.output_of(w_sum, sum_alpha),
+    ws = _play(config, dataset.matrix, observe)
+    # sum alpha_t and sum alpha_t w_t in round order, with a trace's bits
+    alphas = _weights(config)
+    sum_alpha = float(np.cumsum(alphas)[-1])
+    w_sum = _running(np.multiply(ws, alphas[:, None], out=ws))[0, -1]
+    final = {"output": algo.output_of(w_sum, sum_alpha),
              "p_bar": None if p_sum is None else p_sum / sum_alpha, "p_final": p_last}
     for row, (_, index, game) in enumerate(compared):
         if game in final:

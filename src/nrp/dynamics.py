@@ -19,12 +19,9 @@ sums of the alpha_t w_t and alpha_t g_t, the played losses and the regret
 comparator, which reads the sums of the g_t, come from in-order cumulative
 sums of those records, so they carry the bits of running totals.
 `run_dynamics_totals` keeps only these books and returns each game's
-`Totals`; a trace's books add the per-round records of the `Trace`.
-
-`run_dynamics_batch` plays one configuration on B datasets of one shape in
-the same loop, over their stacked (B, n, d) matrices; each of its traces is
-bit-identical to the trace `run_dynamics` gives for that dataset alone, and
-`run_dynamics_totals` of the same datasets carries the traces' bits.
+`Totals`, playing B datasets of one shape in the same loop over their
+stacked (B, n, d) matrices; a trace's books add the per-round records of
+the `Trace` of one game.
 """
 
 from __future__ import annotations
@@ -45,7 +42,9 @@ class DynamicsConfig:
     """T rounds of the game a w-learner and a p-learner play, the w-player
     moving first unless ``p_first``.  The w-learner's ``ball_norm`` fixes
     the payoff and the weights: over R^d the game is ridge-regularized with
-    alpha_t = t, over a unit ball it is bilinear with alpha_t = 1."""
+    alpha_t = t, over a unit ball it is bilinear with alpha_t = 1.  Only
+    `run_dynamics` reads ``record_full_trace``, whether its trace keeps the
+    w_t and p_t; `run_dynamics_totals` and `check_equivalence` ignore it."""
 
     w_learner: WSpec
     p_learner: PSpec
@@ -123,9 +122,9 @@ class Trace:
 
 @dataclass(frozen=True)
 class Totals:
-    """What the last round of a game leaves, with the bits of its trace's
-    fields of the same names: sum alpha_t w_t, sum alpha_t and the regrets
-    R^w_T and R^p_T."""
+    """What the last round of a game leaves, with the bits of the fields of
+    the same names of its `run_dynamics` trace: sum alpha_t w_t, sum alpha_t
+    and the regrets R^w_T and R^p_T."""
 
     w_sum: np.ndarray
     sum_alpha: float
@@ -134,30 +133,19 @@ class Totals:
 
 
 def run_dynamics(config: DynamicsConfig, dataset: Dataset) -> Trace:
-    """Execute the dynamics; deterministic given config and dataset."""
-    return _traces(config, [dataset])[0]
-
-
-def run_dynamics_batch(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
-    """Play one game on several datasets of one shape at once; each trace
-    is bit-identical to ``run_dynamics(config, dataset)`` of its dataset."""
-    return _traces(config, datasets)
+    """Execute the dynamics; deterministic given config and dataset.  The
+    trace comes from the engine loop with the trace's books as its hook."""
+    books = _Books(config, dataset.matrix)
+    return books.trace(_play(config, dataset.matrix, books.keep))
 
 
 def run_dynamics_totals(config: DynamicsConfig, datasets: list[Dataset]) -> list[Totals]:
     """Play one game on several datasets of one shape at once, keeping only
     the regret books: each dataset's totals carry the bits of the fields of
-    ``run_dynamics_batch(config, datasets)``'s trace, and no trace is built."""
+    ``run_dynamics(config, dataset)``'s trace, and no trace is built."""
     a = _stacked(datasets)
     books = _RegretBooks(config, a)
     return books.totals(_play(config, a, books.keep))
-
-
-def _traces(config: DynamicsConfig, datasets: list[Dataset]) -> list[Trace]:
-    """The trace of each dataset: the engine loop with the books as its hook."""
-    a = _stacked(datasets)
-    books = _Books(config, a)
-    return books.traces(_play(config, a, books.keep))
 
 
 def _stacked(datasets: list[Dataset]) -> np.ndarray:
@@ -338,11 +326,12 @@ class _RegretBooks:
 
 
 class _Books(_RegretBooks):
-    """A trace's books: the regret books plus, per round, the minimum of
-    the running sum of the alpha_t A w_t, ||p_t - p_{t-1}||_1, the weighted
-    sum of the p_t and, in a full trace, the p_t; after the loop, `traces`
-    does the margin accounting.  The weighted sum of the p_t and the l1
-    step form their n-vector terms in one preallocated (B, n) buffer."""
+    """A trace's books, for one game: the regret books plus, per round, the
+    minimum of the running sum of the alpha_t A w_t, ||p_t - p_{t-1}||_1,
+    the weighted sum of the p_t and, in a full trace, the p_t; after the
+    loop, `trace` does the margin accounting.  The weighted sum of the p_t
+    and the l1 step form their n-vector terms in one preallocated buffer.
+    Its records keep the loop's instance axis, of length 1."""
 
     def __init__(self, config: DynamicsConfig, a: np.ndarray):
         super().__init__(config, a)
@@ -367,26 +356,23 @@ class _Books(_RegretBooks):
             self.ps[:, r] = p_t
         self.prev_p = p_t
 
-    def traces(self, ws: np.ndarray) -> list[Trace]:
-        """The trace of each game from the loop's (B, T, d) w record."""
+    def trace(self, ws: np.ndarray) -> Trace:
+        """The game's trace from the loop's (1, T, d) w record."""
         record = self.ps is not None
         # a full trace keeps ws, a light one lets the sums overwrite it
         cum_alphas, w_sums, played_p, rw_rec = self._accounts(ws.copy() if record else ws)
-        worst = self.worst
-        rp_rec = played_p - worst
-        wnorm = np.sqrt(np.vecdot(w_sums, w_sums))
+        worst = self.worst[0]
+        wnorm = np.sqrt(np.vecdot(w_sums[0], w_sums[0]))
         norm_margin = np.full(worst.shape, np.nan)
         np.divide(worst, wnorm, out=norm_margin, where=wnorm > 0.0)
-        margin_avg = worst / cum_alphas
-        w_sum = w_sums[:, -1].copy()              # frees a light trace's records
-        return [Trace(
+        return Trace(
             config=self.config, alphas=self.alphas.copy(),
-            ws=ws[b] if record else None, ps=self.ps[b] if record else None,
-            l1_delta_p=self.l1_delta[b], margin_avg=margin_avg[b],
-            normalized_margin=norm_margin[b],
-            regret_w_running=rw_rec[b], regret_p_running=rp_rec[b],
-            w_sum=w_sum[b], p_sum=self.p_sum[b],
-        ) for b in range(len(ws))]
+            ws=ws[0] if record else None, ps=self.ps[0] if record else None,
+            l1_delta_p=self.l1_delta[0], margin_avg=worst / cum_alphas,
+            normalized_margin=norm_margin,
+            regret_w_running=rw_rec[0], regret_p_running=played_p[0] - worst,
+            w_sum=w_sums[0, -1].copy(),           # frees a light trace's records
+            p_sum=self.p_sum[0])
 
 
 def best_response_value(ball_norm: float | None, dataset: Dataset,

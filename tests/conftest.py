@@ -1,11 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nrp import algorithms as alg, learners
+from nrp import algorithms as alg, cli, learners
 from nrp.core import build_dataset
 from nrp.datagen import GenMode, GenSpec, generate
+
+
+def nrp_process(*argv):
+    """``python -m nrp.cli argv`` in a fresh interpreter that imports the
+    nrp these tests import; the completed process, with its text output."""
+    source = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "nrp.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
 
 
 def random_dataset(rng, n, d, norm_exponent=2.0):

@@ -18,7 +18,7 @@ from nrp.algorithms import (Algorithm, mpfp_config, nag_config, pnorm_config,
 from nrp.cli import ALGOS, SUMMARY_HEADER, TRACE_HEADER, main
 from nrp.core import margin, read_dataset
 from nrp.dynamics import run_dynamics
-from conftest import nan_dual_map_from
+from conftest import nan_dual_map_from, nrp_process
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +120,16 @@ def test_equiv_pass_and_fail_exit_codes(capsys):
     assert code == 0 and "PASS" in out
     code, out, _ = run_cli(capsys, *base, "--perturb", "1e-3")
     assert code == 1 and "FAIL" in out
+
+
+@pytest.mark.parametrize("which", ["prop1", "prop2", "nag", "mpfp"])
+def test_equiv_process_passes_every_pair_at_the_medium_benchmark_shape(which):
+    # n = 2000, d = 50, T = 400 drive many softmax arguments below -708,
+    # where the p-player's step clamps its exp argument
+    done = nrp_process("equiv", "--which", which, "--n", "2000", "--d", "50",
+                       "--gamma", "0.1", "--T", "400")
+    assert done.returncode == 0, done.stderr
+    assert any(line.startswith("PASS") for line in done.stdout.splitlines()), done.stdout
 
 
 def test_equiv_base_case(capsys):

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from nrp.core import margin
 from nrp.datagen import GenMode, GenSpec, generate
-from nrp.dynamics import (DynamicsConfig, Trace, best_response_value,
-                          gap_bound_check, run_dynamics, run_dynamics_batch,
-                          run_dynamics_totals)
+from nrp.dynamics import (DynamicsConfig, Trace, _play, best_response_value,
+                          gap_bound_check, run_dynamics, run_dynamics_totals)
 from nrp import learners
 from nrp.errors import BadParameter, NonFinite, NonFiniteIterate
 from nrp.learners import (DualAveragingW, Oftl, OftrlEntropy, OftrlQNorm, OmdBall,
@@ -154,7 +153,7 @@ def test_non_finite_w_of_p_first_game(monkeypatch, rng, bad_round):
     datasets = [random_dataset(rng, 6, 3) for _ in range(2)]
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteIterate) as exc:
-            run_dynamics_batch(nag_config(8), datasets)
+            run_dynamics_totals(nag_config(8), datasets)
     assert (exc.value.round_index, exc.value.player, exc.value.quantity) == (
         bad_round, "w", "w_t")
 
@@ -369,18 +368,27 @@ def test_batch_instances_match_single_runs(name, monkeypatch):
         return softmax(scores, out=out)
 
     monkeypatch.setattr(learners, "softmax_neg", spy)
-    batch = run_dynamics_batch(config, datasets)
+    batch = run_dynamics_totals(config, datasets)
     if name == "pnorm2_T200":
         assert deepest[0] < -708.0
     assert len(batch) == len(datasets)
     for ds, got in zip(datasets, batch):
         want = run_dynamics(config, ds)
-        for field in dataclasses.fields(want):
-            x, y = getattr(got, field.name), getattr(want, field.name)
-            if isinstance(y, np.ndarray):
-                assert np.array_equal(x, y, equal_nan=True), field.name
-            else:
-                assert x == y or (x != x and y != y), field.name
+        assert got.w_sum.tobytes() == want.w_sum.tobytes()
+        for field in ("sum_alpha", "regret_w", "regret_p"):
+            assert getattr(got, field).hex() == getattr(want, field).hex(), field
+
+    def played(a):
+        # the loop's (B, T, d) w record and the p_t it hands the hook
+        ps = []
+        ws = _play(config, a, lambda t, alpha, w_t, p_t, *rest: ps.append(p_t.copy()))
+        return ws, np.stack(ps, axis=1)
+
+    stack_ws, stack_ps = played(np.stack([ds.matrix for ds in datasets]))
+    for b, ds in enumerate(datasets):
+        ws, ps = played(ds.matrix)
+        assert stack_ws[b].tobytes() == ws[0].tobytes()
+        assert stack_ps[b].tobytes() == ps[0].tobytes()
 
 
 @pytest.mark.parametrize("w_learner", [Oftl(), OmdBall(eta=0.7), OftrlQNorm(eta=0.4, q=1.5)],
@@ -396,7 +404,7 @@ def test_totals_have_the_bits_of_the_traces(w_learner, p_learner, p_first, n, ho
                             p_first=p_first, record_full_trace=False)
     datasets = [generate(GenSpec(n=n, d=3, gamma=0.2, mode=GenMode.LOWER_BOUND, seed=seed))
                 for seed in range(3)]
-    traces = run_dynamics_batch(config, datasets)
+    traces = [run_dynamics(config, ds) for ds in datasets]
     singles = [run_dynamics_totals(config, [ds])[0] for ds in datasets]
     for got in (run_dynamics_totals(config, datasets), singles):
         assert len(got) == len(traces)
@@ -407,11 +415,6 @@ def test_totals_have_the_bits_of_the_traces(w_learner, p_learner, p_first, n, ho
 
 
 def test_batch_rejects_mixed_shapes(rng):
-    with pytest.raises(BadParameter):
-        run_dynamics_batch(smooth_config(5), [random_dataset(rng, 6, 3),
-                                              random_dataset(rng, 7, 3)])
-    with pytest.raises(BadParameter):
-        run_dynamics_batch(smooth_config(5), [])
     with pytest.raises(BadParameter):
         run_dynamics_totals(smooth_config(5), [random_dataset(rng, 6, 3),
                                                random_dataset(rng, 7, 3)])
