@@ -22,10 +22,21 @@ sums of those records, so they carry the bits of running totals.
 `Totals`, playing B datasets of one shape in the same loop over their
 stacked (B, n, d) matrices; a trace's books add the per-round records of
 the `Trace` of one game.
+
+An OMD player's secondary iterate and its play need their products with
+the matrix at the same point of a round, and neither product reads the
+other.  In a game of one dataset with at least `PAIR_THREAD_MIN_ENTRIES`
+entries, on a process that may use twice the cores one BLAS call takes,
+`_play` forms each such pair on two threads: a worker forms the product
+of the shown iterate while the loop forms that of the play.  Both make
+the BLAS calls the loop would make alone, on inputs neither writes, so
+every result keeps its bits.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -35,6 +46,13 @@ import numpy as np
 from .core import Dataset, margin
 from .errors import BadParameter, NonFinite, NonFiniteIterate
 from .learners import PSpec, WSpec, comparator_value
+
+# the fewest matrix entries at which a game forms its pairs of products on
+# two threads: below about this size a pair costs less on one thread than
+# the handoff to a second one (with one BLAS thread, a pair took 62-64 us
+# on one thread and 64-66 us on two at 4000 x 50, 127-143 us and 96-101 us
+# at 3000 x 100)
+PAIR_THREAD_MIN_ENTRIES = 250_000
 
 
 @dataclass(frozen=True)
@@ -161,14 +179,100 @@ def _stacked(datasets: list[Dataset]) -> np.ndarray:
 
 
 def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x per instance: a is (n, d) or (B, n, d), x is (B, d)."""
+    """A x per instance: a is (n, d) or (B, n, d), x is (B, d).  One game's
+    product goes through np.dot, which releases the GIL where np.matmul
+    holds it for an output of up to about 500 entries; both give the same
+    bits."""
+    if a.ndim == 2:
+        return np.dot(x, a.T)
     return np.matmul(a, x[..., None])[..., 0]
 
 
-def _hint(m: np.ndarray, shown: np.ndarray, play: np.ndarray,
-          product: np.ndarray) -> np.ndarray:
-    """m times what a player shows, or the round's product = m play."""
-    return product if shown is play else _times(m, shown)
+def _hint(m: np.ndarray, state, play: np.ndarray, product: np.ndarray) -> np.ndarray:
+    """m times what a player's state shows, or the round's product = m play."""
+    return _times(m, state.shown(play)) if state.shows_hat else product
+
+
+def _pairs(a: np.ndarray, wl, pl) -> _Pairs | None:
+    """The worker that forms a game's pairs of products on two threads: for
+    one dataset of at least PAIR_THREAD_MIN_ENTRIES entries, in which a
+    player shows a secondary iterate, with cores to spare; else None, and
+    the loop forms every product itself."""
+    if (a.ndim != 2 or a.size < PAIR_THREAD_MIN_ENTRIES
+            or not (wl.shows_hat or pl.shows_hat) or not _spare_cores()):
+        return None
+    return _Pairs()
+
+
+def _spare_cores() -> bool:
+    """Whether two products at once each have cores of their own: whether
+    this process may run on twice the threads one BLAS call takes.
+    OpenBLAS and MKL read that count from these variables when they load,
+    and without them run a large product on every core, which leaves a
+    second thread none."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        threads = os.environ.get(name, "")
+        if threads.isdigit() and int(threads) > 0:
+            return cores >= 2 * int(threads)
+    return False
+
+
+class _Pairs:
+    """A worker thread that forms m times what a player shows, started by
+    `start`, while the caller forms m times the play; `hint` waits for it
+    and returns it, or raises what its step raised, at the point where
+    `_hint` would form it.  Only a state that shows a secondary iterate
+    hands work over: for the others `start` does nothing and `hint`
+    returns the product, as `_hint` does.  The worker reads the state and
+    the play, and the caller writes neither until `hint` returns; `close`
+    ends the thread."""
+
+    def __init__(self):
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._job = self._product = self._error = None
+        self._pending = False
+        self._thread = threading.Thread(target=self._serve, name="nrp-pairs", daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            m, state, play = self._job
+            try:
+                self._product = _times(m, state.shown(play))
+            except BaseException as exc:      # raised again by `hint`, on the caller's thread
+                self._error = exc
+            finally:
+                self._done.release()
+
+    def start(self, m: np.ndarray, state, play: np.ndarray) -> None:
+        if state.shows_hat:
+            self._job, self._pending = (m, state, play), True
+            self._go.release()
+
+    def hint(self, m: np.ndarray, state, play: np.ndarray, product: np.ndarray) -> np.ndarray:
+        if not state.shows_hat:
+            return product
+        self._done.acquire()
+        self._pending = False
+        shown, error = self._product, self._error
+        self._product = self._error = None
+        if error is not None:
+            raise error
+        return shown
+
+    def close(self) -> None:
+        if self._pending:
+            self._done.acquire()
+        self._job = None
+        self._go.release()
+        self._thread.join()
 
 
 def _running(terms: np.ndarray) -> np.ndarray:
@@ -216,6 +320,17 @@ def _play(config: DynamicsConfig, a: np.ndarray,
     sum of the alpha_t A w_t, each (B, .), B = 1 included, and for the hook
     to read only.  An error the hook raises ends the run, and one of type
     NonFinite is read as the game's.
+
+    The second mover absorbs the first mover's product as soon as it has
+    decided, so each player's shown iterate is ready where its play is.  In
+    a game of one dataset with at least PAIR_THREAD_MIN_ENTRIES entries, on
+    a process that may use twice the cores one BLAS call takes (see
+    `_spare_cores`), a worker thread that lives for this call forms the
+    product of each secondary iterate an OMD player shows (A w_hat_{t-1}
+    beside A w_t, A'p_hat_t beside A'p_t in mpfp), while the loop forms
+    that of the play.  The worker makes the BLAS call the loop
+    would make, so every result has the bits of a run on one thread, and an
+    error of its step is raised where the loop would raise it.
     """
     at = a.swapaxes(-1, -2)
     batch, n, d = (1, *a.shape) if a.ndim == 2 else a.shape
@@ -227,6 +342,8 @@ def _play(config: DynamicsConfig, a: np.ndarray,
     with _records(horizon):
         alphas, ws = _weights(config), np.empty((batch, horizon, d))
 
+    pairs = _pairs(a, wl, pl)
+    hint_of = _hint if pairs is None else pairs.hint
     w_t = np.zeros((batch, d))               # w_0
     # the first mover's hint: a first-moving w-player sees A'p_0 with p_0
     # uniform, a first-moving p-player A w_0 with w_0 = 0
@@ -237,22 +354,32 @@ def _play(config: DynamicsConfig, a: np.ndarray,
             # the second mover's hint is what the first shows of this round's play
             if w_first:
                 w_t = wl.decide(alpha, hint)
+                if pairs is not None:
+                    pairs.start(a, wl, w_t)
                 loss = _times(a, w_t)
-                p_t = pl.decide(alpha, _hint(a, wl.shown(w_t), w_t, loss))
+                p_t = pl.decide(alpha, hint_of(a, wl, w_t, loss))
+                pl.absorb(alpha, loss)
+                if pairs is not None and t < horizon:
+                    pairs.start(at, pl, p_t)
                 g_t = _times(at, p_t)
+                wl.absorb(alpha, g_t)
             else:
                 p_t = pl.decide(alpha, hint)
+                if pairs is not None:
+                    pairs.start(at, pl, p_t)
                 g_t = _times(at, p_t)
-                w_t = wl.decide(alpha, _hint(at, pl.shown(p_t), p_t, g_t))
+                w_t = wl.decide(alpha, hint_of(at, pl, p_t, g_t))
+                wl.absorb(alpha, g_t)
+                if pairs is not None and t < horizon:
+                    pairs.start(a, wl, w_t)
                 loss = _times(a, w_t)
-            wl.absorb(alpha, g_t)
-            pl.absorb(alpha, loss)
+                pl.absorb(alpha, loss)
             ws[:, t - 1] = w_t
             # every PSpec starts an EntropySimplex, whose cum is sum alpha_t A w_t
             hook(t, alpha, w_t, p_t, g_t, loss, pl.cum)
             if t < horizon:            # the next hint is read only by a next round
-                hint = (_hint(at, pl.shown(p_t), p_t, g_t) if w_first
-                        else _hint(a, wl.shown(w_t), w_t, loss))
+                hint = (hint_of(at, pl, p_t, g_t) if w_first
+                        else hint_of(a, wl, w_t, loss))
     except NonFinite as exc:
         # A non-finite w_t first shows where the p-player's softmax raises,
         # in w_t's round or the next.  The rows before round t are stored,
@@ -266,6 +393,9 @@ def _play(config: DynamicsConfig, a: np.ndarray,
         # only the p-player's EntropySimplex takes a softmax
         player = "p" if exc.quantity == "softmax scores" else "w"
         raise NonFiniteIterate(t, player, exc.quantity) from exc
+    finally:
+        if pairs is not None:
+            pairs.close()
     # a bad w_T of a p-first game reaches no softmax
     bad = _first_bad_round(ws)
     if bad is not None:

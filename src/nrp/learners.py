@@ -7,7 +7,8 @@ the shape of a, so no state holds the matrix; every state speaks one protocol:
   history plus the optimistic term ``alpha * hint``;
 - ``absorb(alpha, realized)`` adds the opponent's realized play;
 - ``shown(play)`` is the iterate the engine forms the opponent's hint
-  from: the play itself, or an OMD learner's secondary iterate.
+  from: the play itself, or an OMD learner's secondary iterate;
+- ``shows_hat`` tells which: true if ``shown`` gives a secondary iterate.
 
 The w-player's loss at a distribution p over rows is -p'Aw, plus ||w||^2/2
 in the ridge games, so it sees p only through the d-vector g = A'p: its
@@ -241,6 +242,8 @@ class DualAveragingW:
     explicit dual map.
     """
 
+    shows_hat = False
+
     def __init__(self, shape: tuple[int, ...], eta: float | None = None, q: float = 2.0):
         self.eta = eta
         self.q = q
@@ -265,6 +268,8 @@ class OmdBallState:
     """Two-step Euclidean mirror descent on the unit ball against bilinear
     losses, whose gradient at the dual vector g = A'p is -g.  It shows its
     secondary iterate w_hat."""
+
+    shows_hat = True
 
     def __init__(self, shape: tuple[int, ...], eta: float):
         self.eta = eta

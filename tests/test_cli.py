@@ -132,6 +132,27 @@ def test_equiv_process_passes_every_pair_at_the_medium_benchmark_shape(which):
     assert any(line.startswith("PASS") for line in done.stdout.splitlines()), done.stdout
 
 
+def test_sweep_process_and_run_process_agree_on_one_cell_for_every_algorithm(tmp_path):
+    # a sweep plays its games with the regret books alone, `nrp run` reads a
+    # trace; final_margin, final_normalized_margin, Rw and Rp, fields 6-9 of
+    # the run's last line and 8-11 of the sweep's row, match byte for byte
+    cell = ["--n", "24", "--d", "5", "--gamma", "0.25", "--p", "3", "--seed", "3",
+            "--mode", "lower", "--T", "30"]
+    algos = ["smooth", "ji", "nag", "mpfp", "pnorm", "vanilla", "dynamics"]
+    out = tmp_path / "sweep.csv"
+    done = nrp_process("sweep", "--algos", *algos, *cell, "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    rows = out.read_text().splitlines()
+    for algo in algos:
+        ran = nrp_process("run", "--algo", algo, *cell)
+        assert ran.returncode == 0, ran.stderr
+        swept = [row for row in rows if row.startswith(f"{algo},")]
+        assert len(swept) == 1, swept
+        ran_fields = ran.stdout.splitlines()[-1].split(",")[5:9]
+        assert len(ran_fields) == 4 and all(ran_fields), ran.stdout
+        assert ran_fields == swept[0].split(",")[7:11], algo
+
+
 def test_equiv_base_case(capsys):
     code, _, _ = run_cli(capsys, "equiv", "--which", "mpfp", "--n", "8",
                          "--d", "3", "--gamma", "0.3", "--T", "1")

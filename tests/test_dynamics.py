@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,15 +12,16 @@ from nrp.core import margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import (DynamicsConfig, Trace, _play, best_response_value,
                           gap_bound_check, run_dynamics, run_dynamics_totals)
-from nrp import learners
+from nrp import dynamics, learners
 from nrp.errors import BadParameter, NonFinite, NonFiniteIterate
 from nrp.learners import (DualAveragingW, Oftl, OftrlEntropy, OftrlQNorm, OmdBall,
                           OmdEntropy, regret_p_from_arrays, regret_w_from_arrays,
                           weighted_regret_p, weighted_regret_w)
 from nrp.algorithms import (EquivalencePair, check_equivalence, mpfp_config, nag_config,
                             pnorm_config, smooth_config)
-from conftest import (count_matvecs, exact_margin_dataset, nan_dual_map_from,
-                      random_dataset)
+from conftest import (assert_workers_ended, count_matvecs, exact_margin_dataset,
+                      force_two_threads, nan_dual_map_from, random_dataset,
+                      softmax_failing_at)
 
 
 def test_horizon_validation(rng):
@@ -326,13 +329,19 @@ def test_running_regrets_match_oracle_on_drawn_data(p, n, d, gamma, seed, horizo
         assert ok, (lhs, rhs)
 
 
-@pytest.mark.parametrize("name,per_round", [("smooth", 2), ("nag", 2),
-                                            ("mpfp", 4), ("pnorm", 2)])
-def test_engine_matvecs_per_round(rng, name, per_round):
+@pytest.mark.parametrize("name,per_round,two_threads", [
+    pytest.param(name, per_round, two_threads,
+                 id=f"{name}-{per_round}" + ("-two_threads" if two_threads else ""))
+    for two_threads in (False, True)
+    for name, per_round in (("smooth", 2), ("nag", 2), ("mpfp", 4), ("pnorm", 2))])
+def test_engine_matvecs_per_round(rng, monkeypatch, name, per_round, two_threads):
     # one A'p and one A w per round, one more for each secondary iterate an
     # OMD player shows, and A'(1/n) once for the first hint of a w-player
     # that moves first (all but nag); no hint is formed after the last
-    # round, which saves mpfp the A' of its last secondary iterate
+    # round, which saves mpfp the A' of its last secondary iterate.  A
+    # worker forms products the loop would form, no more; only mpfp's
+    # players show a secondary iterate, so only its game starts one
+    made = force_two_threads(monkeypatch) if two_threads else []
     n, T = 30, 25
     ds = random_dataset(rng, n, 5)
     config = {"smooth": smooth_config(T), "nag": nag_config(T),
@@ -341,6 +350,8 @@ def test_engine_matvecs_per_round(rng, name, per_round):
     counter = count_matvecs(ds)
     run_dynamics(config, ds)
     assert counter[0] == per_round * T + once
+    assert len(made) == (two_threads and name == "mpfp")
+    assert_workers_ended(made)
 
 
 @pytest.mark.parametrize("name", ["smooth", "nag", "mpfp", "pnorm2", "pnorm3",
@@ -516,3 +527,202 @@ def test_best_response_consistency(rng):
     trace = run_dynamics(smooth_config(12), ds)
     m = best_response_value(None, ds, trace.w_bar)
     assert np.isfinite(m)
+
+
+TRACE_PROPERTIES = ("sum_alpha", "w_bar", "p_bar", "gap_bound_running", "regret_w",
+                    "regret_p", "sum_sq_l1_delta")
+
+
+def trace_bytes(trace):
+    """Every field and property of a trace, as bytes or a float's hex."""
+    got = {}
+    for field in dataclasses.fields(Trace):
+        value = getattr(trace, field.name)
+        got[field.name] = value if field.name == "config" or value is None else value.tobytes()
+    for name in TRACE_PROPERTIES:
+        value = getattr(trace, name)
+        got[name] = value.hex() if isinstance(value, float) else value.tobytes()
+    return got
+
+
+def totals_bytes(totals):
+    return (totals.w_sum.tobytes(), totals.sum_alpha.hex(), totals.regret_w.hex(),
+            totals.regret_p.hex())
+
+
+GAMES = [DynamicsConfig(w_learner=w_learner, p_learner=p_learner, horizon=1, p_first=p_first)
+         for w_learner in (Oftl(), OmdBall(eta=0.7), OftrlQNorm(eta=0.4, q=1.5))
+         for p_learner in (OftrlEntropy(eta=0.9), OmdEntropy(eta=1.3))
+         for p_first in (False, True)]
+
+
+@pytest.mark.parametrize("n,d,horizon", [(2, 3, 1), (11, 3, 40), (150, 20, 30)])
+def test_two_threads_keep_the_bits(monkeypatch, n, d, horizon):
+    # the worker makes the BLAS calls the loop would make, on inputs that
+    # neither thread writes: every trace, totals and check report keeps
+    # its bits in all 12 games, and every worker ends with its run
+    ds = generate(GenSpec(n=n, d=d, gamma=0.2, mode=GenMode.LOWER_BOUND, seed=n))
+    games = [dataclasses.replace(game, horizon=horizon) for game in GAMES]
+
+    def play():
+        return ([trace_bytes(run_dynamics(game, ds)) for game in games],
+                [totals_bytes(run_dynamics_totals(game, [ds])[0]) for game in games],
+                [{name: dev.hex() for name, dev in check_equivalence(which, ds, horizon)
+                  .deviations.items()} for which in EquivalencePair])
+
+    one_thread = play()
+    made = force_two_threads(monkeypatch)
+    two_threads = play()
+    for got, want in zip(two_threads, one_thread):
+        assert got == want
+    # a worker for each game whose player shows a secondary iterate, in a
+    # trace and in totals, and one for mpfp's check
+    showing = sum(isinstance(game.w_learner, OmdBall) or isinstance(game.p_learner, OmdEntropy)
+                  for game in games)
+    assert len(made) == 2 * showing + 1
+    assert_workers_ended(made)
+
+
+def test_two_threads_keep_the_bits_at_a_short_switch_interval(monkeypatch):
+    # the interpreter hands the GIL over every microsecond, and on vectors
+    # of more than 500 entries numpy's ufuncs release it too, so a state the
+    # loop writes while the worker reads it would show in the bits; the
+    # games run on a thread of their own, so a worker that never answers
+    # fails the join's timeout rather than hanging the suite.  mpfp moves w
+    # first; its players with p first pair the other player's products
+    ds = generate(GenSpec(n=1000, d=600, gamma=0.1, mode=GenMode.EXACT_MARGIN, seed=2))
+    configs = [mpfp_config(1000, 150), dataclasses.replace(mpfp_config(1000, 150), p_first=True)]
+    want = [trace_bytes(run_dynamics(config, ds)) for config in configs]
+    made = force_two_threads(monkeypatch)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        games = threading.Thread(target=lambda: got.extend(
+            trace_bytes(run_dynamics(config, ds)) for config in configs))
+        games.start()
+        games.join(120.0)
+        assert not games.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert len(made) == 2
+    assert_workers_ended(made)
+
+
+def nan_omd_ball_from(monkeypatch, bad_round):
+    """Make the OMD ball learner play NaN from its bad_round-th step on."""
+    decide = learners.OmdBallState.decide
+    calls = []
+
+    def nan_from_bad_round(self, alpha, hint):
+        calls.append(alpha)
+        w = decide(self, alpha, hint)
+        return w * np.nan if len(calls) >= bad_round else w
+
+    monkeypatch.setattr(learners.OmdBallState, "decide", nan_from_bad_round)
+    return calls
+
+
+# games with a secondary iterate that go non-finite: mpfp's p-player's
+# shown iterate, whose softmax is the 2k-th of a run (each round decides,
+# then shows), so the worker raises in round k; the same with the p-player
+# moving first; mpfp's w-player playing NaN from round k on; a p step so
+# large that the scores overflow; each with the report the game gives
+NON_FINITE_GAMES = {
+    "shown_p_of_w_first": (
+        lambda monkeypatch: softmax_failing_at(monkeypatch, learners, 2 * 6),
+        mpfp_config(16, 20), (6, "p", "softmax scores")),
+    "shown_p_of_p_first": (
+        lambda monkeypatch: softmax_failing_at(monkeypatch, learners, 2 * 6),
+        DynamicsConfig(w_learner=Oftl(), p_learner=OmdEntropy(eta=1.3), horizon=20,
+                       p_first=True),
+        (6, "p", "softmax scores")),
+    "nan_w": (lambda monkeypatch: nan_omd_ball_from(monkeypatch, 6),
+              mpfp_config(16, 20), (6, "w", "w_t")),
+    "huge_p_step": (lambda monkeypatch: None,
+                    dataclasses.replace(mpfp_config(16, 40), p_learner=OmdEntropy(eta=1e308)),
+                    (5, "p", "softmax scores")),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_GAMES))
+def test_non_finite_report_on_two_threads(monkeypatch, case):
+    # an error of the worker's step is raised where the loop raises it, and
+    # the report names the round, the player and the quantity it names on
+    # one thread; the worker ends with the run that raised
+    patch, config, expected = NON_FINITE_GAMES[case]
+    ds = generate(GenSpec(n=16, d=4, gamma=0.1, mode=GenMode.LOWER_BOUND, seed=0))
+    found = []
+    for threads in (1, 2):
+        made = force_two_threads(monkeypatch) if threads == 2 else []
+        patch(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteIterate) as exc:
+                run_dynamics(config, ds)
+        found.append((exc.value.round_index, exc.value.player, exc.value.quantity,
+                      str(exc.value)))
+        monkeypatch.undo()
+    assert found[0] == found[1]
+    assert found[0][:3] == expected
+    assert len(made) == 1
+    assert_workers_ended(made)
+
+
+# the non-finite tests above, each as a call with the test's fixtures
+NON_FINITE_TESTS = {
+    "w_names_round": lambda monkeypatch, rng: test_non_finite_w_names_round_and_player(
+        monkeypatch),
+    "step_names_player": lambda monkeypatch, rng:
+        test_non_finite_step_names_the_player_that_raised(),
+    "w_step_1": lambda monkeypatch, rng: test_non_finite_w_step_names_the_w_player(monkeypatch, 1),
+    "w_step_6": lambda monkeypatch, rng: test_non_finite_w_step_names_the_w_player(monkeypatch, 6),
+    "p_first_3": lambda monkeypatch, rng: test_non_finite_w_of_p_first_game(monkeypatch, rng, 3),
+    "p_first_8": lambda monkeypatch, rng: test_non_finite_w_of_p_first_game(monkeypatch, rng, 8),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_TESTS))
+def test_non_finite_tests_hold_on_two_threads(monkeypatch, rng, case):
+    # the non-finite reports above, with the worker forced on; their games
+    # show no secondary iterate, so they start none and keep their reports
+    made = force_two_threads(monkeypatch)
+    NON_FINITE_TESTS[case](monkeypatch, rng)
+    assert made == []
+
+
+@pytest.mark.parametrize("cores,variables,spare", [
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+    (2, {"OMP_NUM_THREADS": "1"}, True),
+    (8, {"MKL_NUM_THREADS": "4"}, True),
+    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+    (2, {}, False)])
+def test_spare_cores_read_the_blas_threads(monkeypatch, cores, variables, spare):
+    # a BLAS left at its default runs a large product on every core
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in variables.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    assert dynamics._spare_cores() is spare
+
+
+def test_only_a_large_game_with_a_shown_iterate_starts_a_worker(monkeypatch):
+    # at least the threshold's entries, one dataset, a player that shows a
+    # secondary iterate and cores to spare
+    made = force_two_threads(monkeypatch)
+    monkeypatch.setattr(dynamics, "PAIR_THREAD_MIN_ENTRIES", 20 * 3)
+    small, large = (generate(GenSpec(n=n, d=3, gamma=0.2, mode=GenMode.LOWER_BOUND, seed=0))
+                    for n in (19, 20))
+    run_dynamics(mpfp_config(19, 5), small)
+    run_dynamics(smooth_config(5), large)
+    run_dynamics_totals(mpfp_config(20, 5), [large, large])
+    assert made == []
+    run_dynamics(mpfp_config(20, 5), large)
+    assert len(made) == 1
+    monkeypatch.setattr(dynamics, "_spare_cores", lambda: False)
+    run_dynamics(mpfp_config(20, 5), large)
+    assert len(made) == 1
+    assert_workers_ended(made)
