@@ -33,11 +33,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _mode(text: str) -> GenMode:
-    return {"lower": GenMode.LOWER_BOUND, "exact": GenMode.EXACT_MARGIN,
-            "infeasible": GenMode.INFEASIBLE}[text]
-
-
 def _horizon(text: str):
     """`--T` of `run`: a whole number of rounds, or 'auto'."""
     return text if text == "auto" else int(text)
@@ -64,7 +59,7 @@ def _gen_dataset(args) -> Dataset:
     if args.n is None or args.d is None:
         raise BadParameter("--n and --d are required without --data")
     spec = GenSpec(n=args.n, d=args.d, gamma=args.gamma,
-                   norm_exponent=args.p, mode=_mode(args.mode), seed=args.seed)
+                   norm_exponent=args.p, mode=GenMode(args.mode), seed=args.seed)
     return generate(spec)
 
 
@@ -190,7 +185,7 @@ def _sweep_chunk(args, n, p, chunk, games) -> dict[tuple, str]:
     each dataset is generated once and each game plays them as one batch.
     A row's wallclock_ms is the batch's time over the rows it feeds."""
     # exact margins exist only at p = 2: other cells use lower-bound data
-    mode = _mode(args.mode if p == 2.0 else "lower")
+    mode = GenMode(args.mode if p == 2.0 else "lower")
     datasets = [generate(GenSpec(n=n, d=args.d, gamma=gamma, norm_exponent=p,
                                  mode=mode, seed=seed)) for gamma, seed in chunk]
     rows = {}

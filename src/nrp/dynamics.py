@@ -23,20 +23,19 @@ sums of those records, so they carry the bits of running totals.
 stacked (B, n, d) matrices; a trace's books add the per-round records of
 the `Trace` of one game.
 
-An OMD player's secondary iterate and its play need their products with
-the matrix at the same point of a round, and neither product reads the
-other.  In a game of one dataset with at least `PAIR_THREAD_MIN_ENTRIES`
-entries, on a process that may use twice the cores one BLAS call takes,
-`_play` forms each such pair on two threads: a worker forms the product
-of the shown iterate while the loop forms that of the play.  Both make
-the BLAS calls the loop would make alone, on inputs neither writes, so
-every result keeps its bits.
+An OMD player shows its opponent a secondary iterate, whose product with
+the matrix is needed where its play's is, and neither reads the other.
+In a game of one dataset with at least `PAIR_THREAD_MIN_ENTRIES` entries,
+on a process that may use twice the cores one BLAS call takes, a worker
+thread forms the shown iterate's product while the loop forms the play's,
+with the BLAS call the loop would make, so every result keeps its bits.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from _queue import SimpleQueue
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -188,20 +187,18 @@ def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, x[..., None])[..., 0]
 
 
-def _hint(m: np.ndarray, state, play: np.ndarray, product: np.ndarray) -> np.ndarray:
-    """m times what a player's state shows, or the round's product = m play."""
-    return _times(m, state.shown(play)) if state.shows_hat else product
-
-
-def _pairs(a: np.ndarray, wl, pl) -> _Pairs | None:
-    """The worker that forms a game's pairs of products on two threads: for
-    one dataset of at least PAIR_THREAD_MIN_ENTRIES entries, in which a
-    player shows a secondary iterate, with cores to spare; else None, and
-    the loop forms every product itself."""
+def _worker(a: np.ndarray, wl, pl) -> _Worker | None:
+    """The worker that forms what a game's players show: for one dataset of
+    at least PAIR_THREAD_MIN_ENTRIES entries, in which a player shows a
+    secondary iterate, with cores to spare; else, or when no thread starts,
+    None, and the loop forms every product itself."""
     if (a.ndim != 2 or a.size < PAIR_THREAD_MIN_ENTRIES
             or not (wl.shows_hat or pl.shows_hat) or not _spare_cores()):
         return None
-    return _Pairs()
+    try:
+        return _Worker()
+    except RuntimeError:        # Thread.start: the OS refused a thread
+        return None
 
 
 def _spare_cores() -> bool:
@@ -219,60 +216,51 @@ def _spare_cores() -> bool:
     return False
 
 
-class _Pairs:
-    """A worker thread that forms m times what a player shows, started by
-    `start`, while the caller forms m times the play; `hint` waits for it
-    and returns it, or raises what its step raised, at the point where
-    `_hint` would form it.  Only a state that shows a secondary iterate
-    hands work over: for the others `start` does nothing and `hint`
-    returns the product, as `_hint` does.  The worker reads the state and
-    the play, and the caller writes neither until `hint` returns; `close`
-    ends the thread."""
+class _Worker:
+    """A thread that runs one job at a time, in the order given: `submit`
+    hands it a call with no arguments and returns the wait, which gives the
+    job's result or raises what it raised; `close` ends the thread once
+    the jobs given have run."""
 
     def __init__(self):
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._job = self._product = self._error = None
-        self._pending = False
+        self._jobs, self._results = SimpleQueue(), SimpleQueue()
         self._thread = threading.Thread(target=self._serve, name="nrp-pairs", daemon=True)
         self._thread.start()
 
     def _serve(self) -> None:
-        while True:
-            self._go.acquire()
-            if self._job is None:
-                return
-            m, state, play = self._job
+        for job in iter(self._jobs.get, None):
             try:
-                self._product = _times(m, state.shown(play))
-            except BaseException as exc:      # raised again by `hint`, on the caller's thread
-                self._error = exc
-            finally:
-                self._done.release()
+                self._results.put((job(), None))
+            except BaseException as exc:      # raised by the wait, on the caller's thread
+                self._results.put((None, exc))
 
-    def start(self, m: np.ndarray, state, play: np.ndarray) -> None:
-        if state.shows_hat:
-            self._job, self._pending = (m, state, play), True
-            self._go.release()
+    def submit(self, job: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
+        self._jobs.put(job)
+        return self._wait
 
-    def hint(self, m: np.ndarray, state, play: np.ndarray, product: np.ndarray) -> np.ndarray:
-        if not state.shows_hat:
-            return product
-        self._done.acquire()
-        self._pending = False
-        shown, error = self._product, self._error
-        self._product = self._error = None
+    def _wait(self) -> np.ndarray:
+        result, error = self._results.get()
         if error is not None:
             raise error
-        return shown
+        return result
 
     def close(self) -> None:
-        if self._pending:
-            self._done.acquire()
-        self._job = None
-        self._go.release()
+        self._jobs.put(None)
         self._thread.join()
+
+
+def _shown(worker: _Worker | None, m: np.ndarray, state) -> Callable[[], np.ndarray] | None:
+    """None for a state that shows its play; else a call with no arguments
+    that gives m times the secondary iterate it shows, ``state.hat``.
+    Without a worker the call forms it; with one, the worker forms it from
+    now on and the call waits for it, so the caller writes neither m nor
+    the state until the call."""
+    if not state.shows_hat:
+        return None
+
+    def product():
+        return _times(m, state.hat)
+    return product if worker is None else worker.submit(product)
 
 
 def _running(terms: np.ndarray) -> np.ndarray:
@@ -322,15 +310,13 @@ def _play(config: DynamicsConfig, a: np.ndarray,
     NonFinite is read as the game's.
 
     The second mover absorbs the first mover's product as soon as it has
-    decided, so each player's shown iterate is ready where its play is.  In
-    a game of one dataset with at least PAIR_THREAD_MIN_ENTRIES entries, on
-    a process that may use twice the cores one BLAS call takes (see
-    `_spare_cores`), a worker thread that lives for this call forms the
-    product of each secondary iterate an OMD player shows (A w_hat_{t-1}
-    beside A w_t, A'p_hat_t beside A'p_t in mpfp), while the loop forms
-    that of the play.  The worker makes the BLAS call the loop
-    would make, so every result has the bits of a run on one thread, and an
-    error of its step is raised where the loop would raise it.
+    decided, so each player's shown iterate is ready where its play is.
+    Each hint is that iterate's product, from the call `_shown` returns, or
+    the play's.  The call forms it where the hint is read, or a worker that
+    `_worker` starts for this call (A w_hat_{t-1} beside A w_t, A'p_hat_t
+    beside A'p_t in mpfp) forms it while the loop forms the play's; either
+    way it has the bits of a run on one thread, and an error of its step is
+    raised where the hint is read.
     """
     at = a.swapaxes(-1, -2)
     batch, n, d = (1, *a.shape) if a.ndim == 2 else a.shape
@@ -342,44 +328,40 @@ def _play(config: DynamicsConfig, a: np.ndarray,
     with _records(horizon):
         alphas, ws = _weights(config), np.empty((batch, horizon, d))
 
-    pairs = _pairs(a, wl, pl)
-    hint_of = _hint if pairs is None else pairs.hint
     w_t = np.zeros((batch, d))               # w_0
     # the first mover's hint: a first-moving w-player sees A'p_0 with p_0
     # uniform, a first-moving p-player A w_0 with w_0 = 0
     hint = _times(at, np.full((batch, n), 1.0 / n)) if w_first else np.zeros((batch, n))
+    worker = _worker(a, wl, pl)
     try:
         for t in range(1, horizon + 1):
             alpha = alphas[t - 1]
             # the second mover's hint is what the first shows of this round's play
             if w_first:
                 w_t = wl.decide(alpha, hint)
-                if pairs is not None:
-                    pairs.start(a, wl, w_t)
+                shown = _shown(worker, a, wl)
                 loss = _times(a, w_t)
-                p_t = pl.decide(alpha, hint_of(a, wl, w_t, loss))
+                p_t = pl.decide(alpha, shown() if shown else loss)
                 pl.absorb(alpha, loss)
-                if pairs is not None and t < horizon:
-                    pairs.start(at, pl, p_t)
+                if t < horizon:
+                    shown = _shown(worker, at, pl)
                 g_t = _times(at, p_t)
                 wl.absorb(alpha, g_t)
             else:
                 p_t = pl.decide(alpha, hint)
-                if pairs is not None:
-                    pairs.start(at, pl, p_t)
+                shown = _shown(worker, at, pl)
                 g_t = _times(at, p_t)
-                w_t = wl.decide(alpha, hint_of(at, pl, p_t, g_t))
+                w_t = wl.decide(alpha, shown() if shown else g_t)
                 wl.absorb(alpha, g_t)
-                if pairs is not None and t < horizon:
-                    pairs.start(a, wl, w_t)
+                if t < horizon:
+                    shown = _shown(worker, a, wl)
                 loss = _times(a, w_t)
                 pl.absorb(alpha, loss)
             ws[:, t - 1] = w_t
             # every PSpec starts an EntropySimplex, whose cum is sum alpha_t A w_t
             hook(t, alpha, w_t, p_t, g_t, loss, pl.cum)
             if t < horizon:            # the next hint is read only by a next round
-                hint = (hint_of(at, pl, p_t, g_t) if w_first
-                        else hint_of(a, wl, w_t, loss))
+                hint = shown() if shown else (g_t if w_first else loss)
     except NonFinite as exc:
         # A non-finite w_t first shows where the p-player's softmax raises,
         # in w_t's round or the next.  The rows before round t are stored,
@@ -394,8 +376,8 @@ def _play(config: DynamicsConfig, a: np.ndarray,
         player = "p" if exc.quantity == "softmax scores" else "w"
         raise NonFiniteIterate(t, player, exc.quantity) from exc
     finally:
-        if pairs is not None:
-            pairs.close()
+        if worker is not None:
+            worker.close()
     # a bad w_T of a p-first game reaches no softmax
     bad = _first_bad_round(ws)
     if bad is not None:

@@ -6,9 +6,8 @@ the shape of a, so no state holds the matrix; every state speaks one protocol:
 - ``decide(alpha, hint)`` returns the round's play from the absorbed
   history plus the optimistic term ``alpha * hint``;
 - ``absorb(alpha, realized)`` adds the opponent's realized play;
-- ``shown(play)`` is the iterate the engine forms the opponent's hint
-  from: the play itself, or an OMD learner's secondary iterate;
-- ``shows_hat`` tells which: true if ``shown`` gives a secondary iterate.
+- ``shows_hat`` tells what the engine forms the opponent's hint from: if
+  true, the secondary iterate ``hat`` of an OMD learner, else the play.
 
 The w-player's loss at a distribution p over rows is -p'Aw, plus ||w||^2/2
 in the ridge games, so it sees p only through the d-vector g = A'p: its
@@ -193,7 +192,7 @@ def qnorm_dual_map(theta: np.ndarray, q: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# learner states: decide(alpha, hint), absorb(alpha, realized), shown(play)
+# learner states: decide(alpha, hint), absorb(alpha, realized), shows_hat
 
 class EntropySimplex:
     """p proportional to exp(-eta * (cum + alpha * hint)), where cum is the
@@ -226,9 +225,6 @@ class EntropySimplex:
     def absorb(self, alpha: float, realized: np.ndarray) -> None:
         np.add(self.cum, alpha * realized, out=self.cum)
 
-    def shown(self, p: np.ndarray) -> np.ndarray:
-        return self.hat if self.shows_hat else p
-
 
 class DualAveragingW:
     """w from theta = cum_g + alpha * hint, where cum_g is the weighted sum
@@ -260,32 +256,26 @@ class DualAveragingW:
         np.add(self.cum_g, alpha * realized, out=self.cum_g)
         self.cum_alpha += alpha
 
-    def shown(self, w: np.ndarray) -> np.ndarray:
-        return w
-
 
 class OmdBallState:
     """Two-step Euclidean mirror descent on the unit ball against bilinear
     losses, whose gradient at the dual vector g = A'p is -g.  It shows its
-    secondary iterate w_hat."""
+    secondary iterate, ``hat``."""
 
     shows_hat = True
 
     def __init__(self, shape: tuple[int, ...], eta: float):
         self.eta = eta
-        self.w_hat = np.zeros(shape)
+        self.hat = np.zeros(shape)
 
     def _step(self, alpha: float, g: np.ndarray) -> np.ndarray:
-        return project_ball(self.w_hat + self.eta * alpha * g)
+        return project_ball(self.hat + self.eta * alpha * g)
 
     def decide(self, alpha: float, hint: np.ndarray) -> np.ndarray:
         return self._step(alpha, hint)
 
     def absorb(self, alpha: float, realized: np.ndarray) -> None:
-        self.w_hat = self._step(alpha, realized)
-
-    def shown(self, w: np.ndarray) -> np.ndarray:
-        return self.w_hat
+        self.hat = self._step(alpha, realized)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,21 @@ from nrp.datagen import GenMode, GenSpec, generate
 from nrp.errors import NonFinite
 
 
-def nrp_process(*argv):
+# a child that runs the CLI and then prints its own peak RSS, in KiB
+PEAK_CHILD = ("import resource, sys\nfrom nrp import cli\ncode = cli.main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\nsys.exit(code)")
+
+
+def nrp_process(*argv, peak=False, **env):
     """``python -m nrp.cli argv`` in a fresh interpreter that imports the
-    nrp these tests import; the completed process, with its text output."""
+    nrp these tests import, with this environment plus env; the completed
+    process, with its text output.  With peak, the child prints its own
+    peak RSS in KiB as the last line of its output."""
     source = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "nrp.cli", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    program = ["-c", PEAK_CHILD] if peak else ["-m", "nrp.cli"]
+    return subprocess.run([sys.executable, *program, *argv], capture_output=True, text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=300)
 
 
 def random_dataset(rng, n, d, norm_exponent=2.0):
@@ -63,27 +71,27 @@ class CountedMatrix(np.ndarray):
 
 def force_two_threads(monkeypatch):
     """Make every game of one dataset in which a player shows a secondary
-    iterate form its pairs of products on two threads, whatever its size,
-    the cores and the BLAS threads; returns the list of the workers made
-    from then on."""
+    iterate form that iterate's products on a worker thread, whatever its
+    size, the cores and the BLAS threads; returns the list of the workers
+    made from then on."""
     made = []
 
-    class Recorded(dynamics._Pairs):
+    class Recorded(dynamics._Worker):
         def __init__(self):
             super().__init__()
             made.append(self)
 
     monkeypatch.setattr(dynamics, "PAIR_THREAD_MIN_ENTRIES", 0)
     monkeypatch.setattr(dynamics, "_spare_cores", lambda: True)
-    monkeypatch.setattr(dynamics, "_Pairs", Recorded)
+    monkeypatch.setattr(dynamics, "_Worker", Recorded)
     return made
 
 
 def assert_workers_ended(made, timeout=30.0):
     """Every worker made has ended: joined within the timeout, not alive."""
-    for pairs in made:
-        pairs._thread.join(timeout)
-        assert not pairs._thread.is_alive()
+    for worker in made:
+        worker._thread.join(timeout)
+        assert not worker._thread.is_alive()
 
 
 def softmax_failing_at(monkeypatch, module, call):

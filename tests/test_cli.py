@@ -132,6 +132,24 @@ def test_equiv_process_passes_every_pair_at_the_medium_benchmark_shape(which):
     assert any(line.startswith("PASS") for line in done.stdout.splitlines()), done.stdout
 
 
+@pytest.mark.parametrize("which,env", [
+    ("prop1", {}), ("prop2", {}), ("nag", {}), ("mpfp", {}),
+    ("mpfp", {"OPENBLAS_NUM_THREADS": "1"})], ids=["prop1", "prop2", "nag", "mpfp",
+                                                  "mpfp-one_blas_thread"])
+def test_equiv_process_keeps_no_T_by_n_record_at_a_large_shape(which, env):
+    # n = 20000, d = 20, T = 1000: one (T, n) float64 record is 153 MiB,
+    # above the limit on its own.  Each child reads its own peak, since
+    # RUSAGE_CHILDREN here would be the largest child of the session.  With
+    # one BLAS thread on two or more cores, mpfp's game of 400 000 entries
+    # forms its shown iterates' products on a worker
+    done = nrp_process("equiv", "--which", which, "--n", "20000", "--d", "20",
+                       "--gamma", "0.1", "--T", "1000", peak=True, **env)
+    assert done.returncode == 0, done.stderr
+    *report, peak_kib = done.stdout.splitlines()
+    assert any(line.startswith("PASS") for line in report), done.stdout
+    assert int(peak_kib) / 1024 < 150, f"peak RSS {int(peak_kib) / 1024:.1f} MiB, limit 150 MiB"
+
+
 def test_sweep_process_and_run_process_agree_on_one_cell_for_every_algorithm(tmp_path):
     # a sweep plays its games with the regret books alone, `nrp run` reads a
     # trace; final_margin, final_normalized_margin, Rw and Rp, fields 6-9 of

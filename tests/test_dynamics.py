@@ -12,7 +12,7 @@ from nrp.core import margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import (DynamicsConfig, Trace, _play, best_response_value,
                           gap_bound_check, run_dynamics, run_dynamics_totals)
-from nrp import dynamics, learners
+from nrp import cli, dynamics, learners
 from nrp.errors import BadParameter, NonFinite, NonFiniteIterate
 from nrp.learners import (DualAveragingW, Oftl, OftrlEntropy, OftrlQNorm, OmdBall,
                           OmdEntropy, regret_p_from_arrays, regret_w_from_arrays,
@@ -724,5 +724,44 @@ def test_only_a_large_game_with_a_shown_iterate_starts_a_worker(monkeypatch):
     assert len(made) == 1
     monkeypatch.setattr(dynamics, "_spare_cores", lambda: False)
     run_dynamics(mpfp_config(20, 5), large)
+    assert len(made) == 1
+    assert_workers_ended(made)
+
+
+def test_a_refused_worker_thread_leaves_every_product_to_the_loop(monkeypatch, capsys):
+    # when the OS refuses the worker's thread, the game forms every product
+    # itself, with the bits of a run on one thread, and a check keeps its
+    # exit code; no real thread is refused
+    ds = generate(GenSpec(n=40, d=5, gamma=0.2, mode=GenMode.LOWER_BOUND, seed=0))
+    want = trace_bytes(run_dynamics(mpfp_config(40, 20), ds))
+    made = force_two_threads(monkeypatch)
+
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert trace_bytes(run_dynamics(mpfp_config(40, 20), ds)) == want
+    assert cli.main(["equiv", "--which", "mpfp", "--n", "40", "--d", "5", "--T", "20"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert made == []
+
+
+def test_a_worker_error_is_raised_on_the_callers_thread(monkeypatch):
+    # an error of a worker's job that is not NonFinite is the run's own
+    # error, the same object, and the worker ends with the run
+    made = force_two_threads(monkeypatch)
+    error = ValueError("a product of the worker")
+    times = dynamics._times
+
+    def failing_on_the_worker(a, x):
+        if threading.current_thread().name == "nrp-pairs":
+            raise error
+        return times(a, x)
+
+    monkeypatch.setattr(dynamics, "_times", failing_on_the_worker)
+    ds = generate(GenSpec(n=16, d=4, gamma=0.1, mode=GenMode.LOWER_BOUND, seed=0))
+    with pytest.raises(ValueError) as exc:
+        run_dynamics(mpfp_config(16, 20), ds)
+    assert exc.value is error
     assert len(made) == 1
     assert_workers_ended(made)
