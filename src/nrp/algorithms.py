@@ -88,25 +88,23 @@ class Algorithm:
         """The output from the weighted sum of the w_t and of the weights."""
         return 0.25 * w_sum if self.quarter_sum else w_sum / sum_alpha
 
-    def run(self, dataset: Dataset, horizon: int, p_exp: float):
-        """(trace or None, final vector, R^w, R^p) of one dataset; the trace
-        holds no iterates."""
+    def run(self, dataset: Dataset, horizon: int, p_exp: float) -> Trace | Totals:
+        """The game of one dataset: its light trace, which holds no iterates.
+        The vanilla baseline plays no game: its `Totals` hold its classifier
+        as w_sum, with sum_alpha 1 and NaN regrets."""
         if self.config is None:
-            return None, vanilla_perceptron(dataset, horizon)[0], float("nan"), float("nan")
+            return Totals(vanilla_perceptron(dataset, horizon)[0], 1.0, math.nan, math.nan)
         config = dataclasses.replace(self.config(dataset.n, horizon, p_exp),
                                      record_full_trace=False)
-        trace = run_dynamics(config, dataset)
-        return trace, self.output(trace), trace.regret_w, trace.regret_p
+        return run_dynamics(config, dataset)
 
-    def play_batch(self, datasets: list[Dataset], horizon: int, p_exp: float):
-        """(totals or None, final vector, R^w, R^p) of each dataset of one
-        shape, played as one batch that builds no trace.  Each result has
-        the bits of `run` of its dataset alone."""
+    def play_batch(self, datasets: list[Dataset], horizon: int, p_exp: float) -> list[Totals]:
+        """The `Totals` of each dataset of one shape, played as one batch
+        that builds no trace.  Each has the bits of the fields of the same
+        names of `run` of its dataset alone."""
         if self.config is None:
             return [self.run(ds, horizon, p_exp) for ds in datasets]
-        return [(totals, self.output(totals), totals.regret_w, totals.regret_p)
-                for totals in run_dynamics_totals(self.config(datasets[0].n, horizon, p_exp),
-                                                  datasets)]
+        return run_dynamics_totals(self.config(datasets[0].n, horizon, p_exp), datasets)
 
 
 # --T auto: the theory horizons at which each method is guaranteed a clean margin

@@ -15,6 +15,7 @@ import numpy as np
 from . import algorithms as alg
 from .core import Dataset, margin, normalized_margin, read_dataset, write_dataset
 from .datagen import GenMode, GenSpec, generate
+from .dynamics import Trace
 from .errors import BadOutputPath, BadParameter, NrpError, TooFewRows
 
 TRACE_HEADER = ("t,alpha,margin_avg,normalized_margin,l1_delta_p,"
@@ -81,13 +82,14 @@ def auto_horizon(algo: str, dataset: Dataset, p_exp: float) -> int:
     return horizon
 
 
-def _outcome(dataset: Dataset, final, rw, rp, ms) -> list[str]:
+def _outcome(dataset: Dataset, algo: str, game, ms) -> list[str]:
     """The last five fields of a `run` or `sweep` row: the final margin and
     normalized margin (nan for the zero vector), R^w, R^p and wallclock_ms."""
+    final = alg.ALGORITHMS[algo].output(game)
     fm = margin(dataset, final)
     fnm = (normalized_margin(dataset, final)
            if float(np.linalg.norm(final)) > 0 else float("nan"))
-    return [_fmt(fm), _fmt(fnm), _fmt(rw), _fmt(rp), _fmt(ms)]
+    return [_fmt(fm), _fmt(fnm), _fmt(game.regret_w), _fmt(game.regret_p), _fmt(ms)]
 
 
 def _trace_rows(trace) -> list[str]:
@@ -116,7 +118,7 @@ def cmd_run(args) -> int:
         if horizon < 1:
             raise NrpError("T must be >= 1")
     t0 = time.perf_counter()
-    trace, final, rw, rp = alg.ALGORITHMS[args.algo].run(dataset, horizon, p_exp)
+    game = alg.ALGORITHMS[args.algo].run(dataset, horizon, p_exp)
     ms = (time.perf_counter() - t0) * 1000.0
 
     if args.out:
@@ -125,13 +127,13 @@ def cmd_run(args) -> int:
             os.makedirs(args.out, exist_ok=True)
             with open(path, "w") as fh:
                 fh.write(TRACE_HEADER + "\n")
-                if trace is not None:
-                    fh.write("\n".join(_trace_rows(trace)) + "\n")
+                if isinstance(game, Trace):     # vanilla plays no rounds of a game
+                    fh.write("\n".join(_trace_rows(game)) + "\n")
         except OSError as exc:
             raise BadOutputPath(path, exc) from None
     print(SUMMARY_HEADER)
     print(",".join([args.algo, str(dataset.n), str(dataset.d), _fmt(dataset.known_margin),
-                    str(horizon), *_outcome(dataset, final, rw, rp, ms)]))
+                    str(horizon), *_outcome(dataset, args.algo, game, ms)]))
     return 0
 
 
@@ -194,13 +196,10 @@ def _sweep_chunk(args, n, p, chunk, games) -> dict[tuple, str]:
         results = alg.ALGORITHMS[members[0]].play_batch(datasets, horizon, p)
         ms = (time.perf_counter() - t0) * 1000.0 / (len(chunk) * len(members))
         for algo in members:
-            for (gamma, seed), dataset, (totals, final, rw, rp) in zip(
-                    chunk, datasets, results):
-                if totals is not None:
-                    final = alg.ALGORITHMS[algo].output(totals)
+            for (gamma, seed), dataset, totals in zip(chunk, datasets, results):
                 rows[algo, n, gamma, p, seed, horizon] = ",".join([
                     algo, str(n), str(args.d), _fmt(gamma), _fmt(p), str(seed),
-                    str(horizon), *_outcome(dataset, final, rw, rp, ms)])
+                    str(horizon), *_outcome(dataset, algo, totals, ms)])
     return rows
 
 
@@ -256,9 +255,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()          # a closed stdout raises here, not at exit
+        return code
     except NrpError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # stdout's reader has gone; stdout is pointed at devnull so that the
+        # flush at exit of what is still buffered prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -19,15 +19,17 @@ PEAK_CHILD = ("import resource, sys\nfrom nrp import cli\ncode = cli.main(sys.ar
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\nsys.exit(code)")
 
 
-def nrp_process(*argv, peak=False, **env):
+def nrp_process(*argv, peak=False, stdout=subprocess.PIPE, **env):
     """``python -m nrp.cli argv`` in a fresh interpreter that imports the
     nrp these tests import, with this environment plus env; the completed
-    process, with its text output.  With peak, the child prints its own
-    peak RSS in KiB as the last line of its output."""
+    process, with its text output (its stdout only if stdout is left a
+    pipe).  With peak, the child prints its own peak RSS in KiB as the last
+    line of its output."""
     source = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     program = ["-c", PEAK_CHILD] if peak else ["-m", "nrp.cli"]
-    return subprocess.run([sys.executable, *program, *argv], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *program, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True,
                           env={**os.environ, **env, "PYTHONPATH": path}, timeout=300)
 
 

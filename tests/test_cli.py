@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import shlex
 import tempfile
 import warnings
@@ -113,8 +114,10 @@ def test_run_vanilla_summary_nan_regrets(capsys):
     assert fields[7] == "nan" and fields[8] == "nan"
 
 
-def test_equiv_pass_and_fail_exit_codes(capsys):
-    base = ["equiv", "--which", "prop1", "--n", "16", "--d", "4", "--gamma",
+@pytest.mark.parametrize("which", ["prop1", "prop2", "nag", "mpfp"])
+def test_equiv_pass_and_fail_exit_codes(capsys, which):
+    # the perturbed p step is the negative control of every pair
+    base = ["equiv", "--which", which, "--n", "16", "--d", "4", "--gamma",
             "0.3", "--seed", "1", "--T", "50"]
     code, out, _ = run_cli(capsys, *base)
     assert code == 0 and "PASS" in out
@@ -458,10 +461,12 @@ def test_run_non_finite_dataset_file_exit_2(tmp_path, capsys, old, new):
 @pytest.mark.parametrize("text,line", [
     ("3 2 2\n1 0.5 0.5\n1 1e308 0\n1 0.5 -0.25\n", 3),
     ("3 2 2\n1 0.5 0.5\n1 0.5 -0.25\n-1 -0.5 0.25\n# known_margin=0.1\n"
-     "# w_star=1 1e308\n", 6)], ids=["feature_1e308", "w_star_1e308"])
+     "# w_star=1 1e308\n", 6),
+    ("2 2 2\n# exact=false\n", 1)], ids=["feature_1e308", "w_star_1e308", "no_data_rows"])
 def test_run_overflowing_dataset_file_warns_nothing(tmp_path, capsys, text, line):
     # an entry past the unit bound is rejected before a norm of it overflows,
-    # so stderr holds the one error line, naming the file's line
+    # and a file with no data rows before loadtxt warns of no data, so
+    # stderr holds the one error line, naming the file's line
     data = tmp_path / "d.txt"
     data.write_text(text)
     with warnings.catch_warnings():
@@ -470,6 +475,40 @@ def test_run_overflowing_dataset_file_warns_nothing(tmp_path, capsys, text, line
                                "--T", "5")
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert f"{data}, line {line}: " in err
+
+
+def test_run_lower_bound_file_at_odd_d_warns_nothing(tmp_path, capsys):
+    # at an odd d the sign draws' half word passes from candidate to
+    # candidate; the file reads back in one loadtxt call and plays with no
+    # warning of any class
+    data = tmp_path / "lower.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "gen", "--mode", "lower", "--p", "3", "--n", "3000",
+                       "--d", "41", "--out", str(data))[0] == 0
+        code, _, err = run_cli(capsys, "run", "--algo", "smooth", "--data", str(data),
+                               "--T", "20")
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--which", "prop1", "--n", "8", "--d", "3", "--T", "5"],
+    ["run", "--algo", "smooth", "--n", "8", "--d", "3", "--T", "5"],
+    ["gen", "--n", "8", "--d", "3", "--out", "{tmp}/x.txt"]], ids=["equiv", "run", "gen"])
+def test_closed_stdout_exit_2(tmp_path, argv, unbuffered):
+    # stdout's reader is gone before the first write, as in `nrp equiv |
+    # head -c0`: a buffered stdout fails at its flush, an unbuffered one at
+    # the print, and either exits 2 with one error line, not 1, the FAIL code
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = nrp_process(*[a.format(tmp=tmp_path) for a in argv], stdout=write,
+                           PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
 
 
 def readme_commands():
@@ -509,9 +548,12 @@ def test_run_pnorm_overflow_names_round_and_player(capsys, monkeypatch):
 @pytest.mark.parametrize("p_exp", ["200", "1e6", "1e15"])
 def test_run_pnorm_large_p_exp(capsys, p_exp):
     # the p-norms and the dual map are taken of rows scaled to entries of
-    # at most 1, so no power overflows; a RuntimeWarning fails the test
-    code, out, err = run_cli(capsys, "run", "--algo", "pnorm", "--n", "16", "--d", "4",
-                             "--mode", "lower", "--T", "20", "--p-exp", p_exp)
+    # at most 1, so no power overflows; a warning of any class fails the
+    # test, as a fresh interpreter would print it on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "run", "--algo", "pnorm", "--n", "16", "--d", "4",
+                                 "--mode", "lower", "--T", "20", "--p-exp", p_exp)
     assert code == 0 and err == ""
     assert math.isfinite(float(out.splitlines()[-1].split(",")[5]))
 
