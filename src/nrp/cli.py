@@ -253,8 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:      # argparse's exit: flush --help's text in this try
+            sys.stdout.flush()
+            raise
         code = args.func(args)
         sys.stdout.flush()          # a closed stdout raises here, not at exit
         return code

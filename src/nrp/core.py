@@ -206,7 +206,8 @@ def _header(path, no: int, line: str) -> tuple[int, int, float]:
 
 
 def _metadata(path, no: int, line: str, d: int) -> dict:
-    """{key: value} of a '# key = value' line; empty for an unknown key."""
+    """{name: value} of a '# key = value' line, under the name of
+    `build_dataset`'s argument it sets; empty for an unknown key."""
     key, _, text = line[1:].partition("=")
     key, text = key.strip(), text.strip()
     try:
@@ -217,7 +218,7 @@ def _metadata(path, no: int, line: str, d: int) -> dict:
                 raise BadDatasetFile(path, no, f"known_margin={text} is not "
                                      "in (0, 1]")
         elif key == "exact":
-            value = text == "true"
+            return {"exact_margin": text == "true"}
         elif key == "w_star":
             value = np.array([float(v) for v in text.split()])
             if value.size != d:
@@ -277,10 +278,7 @@ def _read_table(path) -> Dataset | None:
         table = np.loadtxt(itertools.chain([first], rows), comments=None, ndmin=2)
     if table.shape != (n, d + 1):
         return None
-    return build_dataset(table[:, 1:], table[:, 0], norm_exponent=p,
-                         known_margin=meta.get("known_margin"),
-                         exact_margin=meta.get("exact", False),
-                         w_star=meta.get("w_star"))
+    return build_dataset(table[:, 1:], table[:, 0], norm_exponent=p, **meta)
 
 
 def _read_lines(path) -> Dataset:
@@ -332,10 +330,7 @@ def _read_lines(path) -> Dataset:
             raise BadDatasetFile(path, header_no, f"header gives n = {n} rows, "
                                  f"the file has {rows}")
         try:
-            return build_dataset(feats, labels, norm_exponent=p,
-                                 known_margin=meta.get("known_margin"),
-                                 exact_margin=meta.get("exact", False),
-                                 w_star=meta.get("w_star"))
+            return build_dataset(feats, labels, norm_exponent=p, **meta)
         except BadLabel as exc:
             i, problem = exc.index, f"label is {exc.value!r}, expected +1 or -1"
         except NonFinite:

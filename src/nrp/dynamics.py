@@ -13,11 +13,12 @@ the A w_t over the sum of the weights.
 The loop, `_play`, keeps only the play: the players' steps, the products
 with A and the record of the w_t, which it reads to report a step that
 went non-finite as `NonFiniteIterate`, naming the round, the player and
-the quantity.  It hands each round to one hook.  The regret books are the
-lean hook: they record each round's g_t and p_t'A w_t; after the loop, the
-sums of the alpha_t w_t and alpha_t g_t, the played losses and the regret
-comparator, which reads the sums of the g_t, come from in-order cumulative
-sums of those records, so they carry the bits of running totals.
+the quantity.  One round, by mover, plays both move orders.  It hands
+each round to one hook.  The regret books are the lean hook: they record
+each round's g_t and p_t'A w_t; after the loop, the sums of the alpha_t
+w_t and alpha_t g_t, the played losses and the regret comparator, which
+reads the sums of the g_t, come from in-order cumulative sums of those
+records, so they carry the bits of running totals.
 `run_dynamics_totals` keeps only these books and returns each game's
 `Totals`, playing B datasets of one shape in the same loop over their
 stacked (B, n, d) matrices; a trace's books add the per-round records of
@@ -309,13 +310,15 @@ def _play(config: DynamicsConfig, a: np.ndarray,
     to read only.  An error the hook raises ends the run, and one of type
     NonFinite is read as the game's.
 
-    The second mover absorbs the first mover's product as soon as it has
-    decided, so each player's shown iterate is ready where its play is.
-    Each hint is that iterate's product, from the call `_shown` returns, or
-    the play's.  The call forms it where the hint is read, or a worker that
-    `_worker` starts for this call (A w_hat_{t-1} beside A w_t, A'p_hat_t
-    beside A'p_t in mpfp) forms it while the loop forms the play's; either
-    way it has the bits of a run on one thread, and an error of its step is
+    A round is played by mover: the second decides from what the first
+    shows and absorbs the first's product as soon as it has decided, so
+    each shown iterate is ready where its play is; the plays and products
+    go to the record and the hook by role.  Each hint is the product of
+    the shown iterate, from the call `_shown` returns, or of the play.
+    The call forms it where the hint is read, or a worker that `_worker`
+    starts for this call (A w_hat_{t-1} beside A w_t, A'p_hat_t beside
+    A'p_t in mpfp) forms it while the loop forms the play's; either way it
+    has the bits of a run on one thread, and an error of its step is
     raised where the hint is read.
     """
     at = a.swapaxes(-1, -2)
@@ -328,7 +331,11 @@ def _play(config: DynamicsConfig, a: np.ndarray,
     with _records(horizon):
         alphas, ws = _weights(config), np.empty((batch, horizon, d))
 
-    w_t = np.zeros((batch, d))               # w_0
+    # roles turns a (w, p) pair into (first, second) and back: the movers,
+    # each with the matrix its play is multiplied by, and a round's plays
+    roles = slice(None, None, 1 if w_first else -1)
+    (first, m1), (second, m2) = ((wl, a), (pl, at))[roles]
+    x1 = np.zeros((batch, d))                # w_0
     # the first mover's hint: a first-moving w-player sees A'p_0 with p_0
     # uniform, a first-moving p-player A w_0 with w_0 = 0
     hint = _times(at, np.full((batch, n), 1.0 / n)) if w_first else np.zeros((batch, n))
@@ -336,38 +343,29 @@ def _play(config: DynamicsConfig, a: np.ndarray,
     try:
         for t in range(1, horizon + 1):
             alpha = alphas[t - 1]
+            x1 = first.decide(alpha, hint)
+            shown = _shown(worker, m1, first)
+            y1 = _times(m1, x1)
             # the second mover's hint is what the first shows of this round's play
-            if w_first:
-                w_t = wl.decide(alpha, hint)
-                shown = _shown(worker, a, wl)
-                loss = _times(a, w_t)
-                p_t = pl.decide(alpha, shown() if shown else loss)
-                pl.absorb(alpha, loss)
-                if t < horizon:
-                    shown = _shown(worker, at, pl)
-                g_t = _times(at, p_t)
-                wl.absorb(alpha, g_t)
-            else:
-                p_t = pl.decide(alpha, hint)
-                shown = _shown(worker, at, pl)
-                g_t = _times(at, p_t)
-                w_t = wl.decide(alpha, shown() if shown else g_t)
-                wl.absorb(alpha, g_t)
-                if t < horizon:
-                    shown = _shown(worker, a, wl)
-                loss = _times(a, w_t)
-                pl.absorb(alpha, loss)
+            x2 = second.decide(alpha, shown() if shown else y1)
+            second.absorb(alpha, y1)
+            if t < horizon:
+                shown = _shown(worker, m2, second)
+            y2 = _times(m2, x2)
+            first.absorb(alpha, y2)
+            (w_t, p_t), (loss, g_t) = (x1, x2)[roles], (y1, y2)[roles]
             ws[:, t - 1] = w_t
             # every PSpec starts an EntropySimplex, whose cum is sum alpha_t A w_t
             hook(t, alpha, w_t, p_t, g_t, loss, pl.cum)
             if t < horizon:            # the next hint is read only by a next round
-                hint = shown() if shown else (g_t if w_first else loss)
+                hint = shown() if shown else y2
     except NonFinite as exc:
         # A non-finite w_t first shows where the p-player's softmax raises,
         # in w_t's round or the next.  The rows before round t are stored,
-        # and w_t is round t's play or the last stored one.
+        # as is a second-moving w-player's w_t before any step can raise; a
+        # first-moving one's x1 is round t's play or the last stored one.
         bad = _first_bad_round(ws[:, :t - 1])
-        if bad is None and not np.isfinite(w_t).all():
+        if bad is None and w_first and not np.isfinite(x1).all():
             bad = t
         if bad is not None:
             raise NonFiniteIterate(bad, "w", "w_t") from exc

@@ -556,6 +556,31 @@ GAMES = [DynamicsConfig(w_learner=w_learner, p_learner=p_learner, horizon=1, p_f
          for p_first in (False, True)]
 
 
+@pytest.mark.parametrize("two_threads", [False, True], ids=["one_thread", "two_threads"])
+@pytest.mark.parametrize("game", GAMES, ids=[
+    f"{type(g.w_learner).__name__}-{type(g.p_learner).__name__}-{'p' if g.p_first else 'w'}_first"
+    for g in GAMES])
+def test_hook_gets_each_player_by_role(monkeypatch, game, two_threads):
+    # whichever player moves first, the hook gets the w-player's play as
+    # w_t with loss = A w_t, and the p-player's, on the simplex, as p_t with
+    # g_t = A'p_t, each with the bits of np.dot
+    made = force_two_threads(monkeypatch) if two_threads else []
+    a = generate(GenSpec(n=11, d=3, gamma=0.2, mode=GenMode.LOWER_BOUND, seed=4)).matrix
+    rounds = []
+
+    def check(t, alpha, w_t, p_t, g_t, loss, cum):
+        assert loss.tobytes() == np.dot(w_t, a.T).tobytes()
+        assert g_t.tobytes() == np.dot(p_t, a).tobytes()
+        assert (p_t >= 0.0).all() and np.allclose(p_t.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        rounds.append(t)
+
+    _play(dataclasses.replace(game, horizon=9), a, check)
+    assert rounds == list(range(1, 10))
+    shows = isinstance(game.w_learner, OmdBall) or isinstance(game.p_learner, OmdEntropy)
+    assert len(made) == (two_threads and shows)
+    assert_workers_ended(made)
+
+
 @pytest.mark.parametrize("n,d,horizon", [(2, 3, 1), (11, 3, 40), (150, 20, 30)])
 def test_two_threads_keep_the_bits(monkeypatch, n, d, horizon):
     # the worker makes the BLAS calls the loop would make, on inputs that
