@@ -188,8 +188,14 @@ def _sweep_chunk(args, n, p, chunk, games) -> dict[tuple, str]:
     A row's wallclock_ms is the batch's time over the rows it feeds."""
     # exact margins exist only at p = 2: other cells use lower-bound data
     mode = GenMode(args.mode if p == 2.0 else "lower")
-    datasets = [generate(GenSpec(n=n, d=args.d, gamma=gamma, norm_exponent=p,
-                                 mode=mode, seed=seed)) for gamma, seed in chunk]
+    datasets = []
+    for gamma, seed in chunk:
+        try:
+            datasets.append(generate(GenSpec(n=n, d=args.d, gamma=gamma, norm_exponent=p,
+                                             mode=mode, seed=seed)))
+        except NrpError as exc:
+            raise NrpError(f"cell n={n}, gamma={gamma!r}, p={p!r}, seed={seed}, "
+                           f"mode={mode.value}: {exc}") from None
     rows = {}
     for (_, horizon), members in games.items():
         t0 = time.perf_counter()
@@ -203,8 +209,20 @@ def _sweep_chunk(args, n, p, chunk, games) -> dict[tuple, str]:
     return rows
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of a message to stdout
+    (--help's) raises, where argparse drops the error, so `main` reports a
+    closed stdout for --help as for any command."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout and message:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nrp",
         description="accelerated Perceptrons as two-player no-regret dynamics")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,11 +4,24 @@ Each round the two learners exchange a classifier w_t and a distribution
 p_t over rows; the weighted average of the w_t's approaches the max-min
 point of the configured payoff at the rate set by the players' regrets.
 
-The w-player sees p_t only through g_t = A'p_t, so a round passes over the
-data matrix twice, once for A'p_t and once for A w_t, plus once for each
+The w-player sees p_t only through g_t = A'p_t, so a round forms two
+products with the data matrix, A'p_t and A w_t, plus one for each
 secondary iterate an OMD player shows; the engine forms them all.  The
 margin of the running average w_bar is the minimum of the running sum of
 the A w_t over the sum of the weights.
+
+The p-player's distribution tends to the dual solution, which sits on the
+rows at the least margin, so most p_t,i soon fall below eps/n (eps the
+float64 epsilon).  In a game with at least `SUPPORT_MIN_ENTRIES` entries
+per instance, each product of A' with a distribution (A'p_t, and an OMD
+p-player's shown A'p_hat_t) reads only the rows with p_i >= eps/n when
+they are at most `SUPPORT_MAX_SHARE` of n, and every row otherwise.  The
+rows left out weigh under eps in all and |a_ij| <= 1, so each entry of
+the product moves by under eps, inside the dense product's own rounding;
+such a game matches the dense one to within roundoff, not bit for bit.
+Each instance of a stack takes this rule on its own, so it keeps the bits
+of its game alone.  The A w_t stay dense: the p-player's softmax and
+running sum read every row.
 
 The loop, `_play`, keeps only the play: the players' steps, the products
 with A and the record of the w_t, which it reads to report a step that
@@ -40,6 +53,7 @@ from _queue import SimpleQueue
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,6 +67,21 @@ from .learners import PSpec, WSpec, comparator_value
 # on one thread and 64-66 us on two at 4000 x 50, 127-143 us and 96-101 us
 # at 3000 x 100)
 PAIR_THREAD_MIN_ENTRIES = 250_000
+# the fewest entries per instance at which a game's products of A' with a
+# distribution read only the rows it weighs (`_support_times`): with one
+# BLAS thread and a 2 MiB L2, every game of T = 400 gained from 250 000
+# entries on (at 5000 x 50, smooth 77 -> 71 ms, mpfp 153 -> 131, pnorm
+# 83 -> 70), where the matrix no longer fits in L2; at 150 000 entries
+# and below the gains were within the host's spread (1500 x 100: 28 -> 29,
+# 52 -> 50, 32 -> 31), and at 256 x 8 smooth slowed from 16 to 20 ms
+SUPPORT_MIN_ENTRIES = 250_000
+# the largest share of the n rows such a product gathers: a gathered row
+# costs about 85 ns against 30 ns a row of the dense product, so at
+# 10000 x 100 one product of scattered rows took 278 us at a share of 0.2,
+# 348 us at 0.25 and 409 us at 0.3, against 301-316 us dense; the four
+# games of T = 200 at that shape, whose p_t mostly weigh far fewer rows,
+# took 649 ms at 0.25, 643-659 ms at 0.1-0.2 and 785 ms dense (best of 5)
+SUPPORT_MAX_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -188,6 +217,34 @@ def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, x[..., None])[..., 0]
 
 
+def _support_times(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A'p per instance, a (n, d) or (B, n, d) and p (B, n) distributions,
+    from the rows with p_i >= eps/n alone when they are at most
+    SUPPORT_MAX_SHARE of n, else from every row.  Each instance is formed
+    with the np.dot call of its game alone, so an instance of a stack keeps
+    the bits of its own game, and a dense product those of `_times`."""
+    n = a.shape[-2]
+    least = np.finfo(np.float64).eps / n
+    g = np.empty(p.shape[:-1] + a.shape[-1:])
+    for b in range(len(p)):
+        weights, rows = p[b:b + 1], (a if a.ndim == 2 else a[b])
+        weighed = np.flatnonzero(weights[0] >= least)
+        if weighed.size <= SUPPORT_MAX_SHARE * n:
+            weights, rows = weights[:, weighed], rows[weighed]
+        g[b:b + 1] = np.dot(weights, rows)
+    return g
+
+
+def _products(a: np.ndarray):
+    """The two products of a game on a, x -> A x and p -> A'p.  A game
+    with at least SUPPORT_MIN_ENTRIES entries per instance forms the second
+    with `_support_times`."""
+    at = a.swapaxes(-1, -2)
+    dual = (partial(_support_times, a) if a.shape[-2] * a.shape[-1] >= SUPPORT_MIN_ENTRIES
+            else partial(_times, at))
+    return partial(_times, a), dual
+
+
 def _worker(a: np.ndarray, wl, pl) -> _Worker | None:
     """The worker that forms what a game's players show: for one dataset of
     at least PAIR_THREAD_MIN_ENTRIES entries, in which a player shows a
@@ -250,17 +307,18 @@ class _Worker:
         self._thread.join()
 
 
-def _shown(worker: _Worker | None, m: np.ndarray, state) -> Callable[[], np.ndarray] | None:
+def _shown(worker: _Worker | None, times: Callable[[np.ndarray], np.ndarray],
+           state) -> Callable[[], np.ndarray] | None:
     """None for a state that shows its play; else a call with no arguments
-    that gives m times the secondary iterate it shows, ``state.hat``.
+    that gives ``times`` of the secondary iterate it shows, ``state.hat``.
     Without a worker the call forms it; with one, the worker forms it from
-    now on and the call waits for it, so the caller writes neither m nor
-    the state until the call."""
+    now on and the call waits for it, so the caller writes neither the
+    matrix nor the state until the call."""
     if not state.shows_hat:
         return None
 
     def product():
-        return _times(m, state.hat)
+        return times(state.hat)
     return product if worker is None else worker.submit(product)
 
 
@@ -313,15 +371,16 @@ def _play(config: DynamicsConfig, a: np.ndarray,
     A round is played by mover: the second decides from what the first
     shows and absorbs the first's product as soon as it has decided, so
     each shown iterate is ready where its play is; the plays and products
-    go to the record and the hook by role.  Each hint is the product of
-    the shown iterate, from the call `_shown` returns, or of the play.
+    go to the record and the hook by role, and each mover's plays are
+    multiplied by its role's product from `_products`.  Each hint is the
+    product of the shown iterate, from the call `_shown` returns, or of
+    the play.
     The call forms it where the hint is read, or a worker that `_worker`
     starts for this call (A w_hat_{t-1} beside A w_t, A'p_hat_t beside
     A'p_t in mpfp) forms it while the loop forms the play's; either way it
     has the bits of a run on one thread, and an error of its step is
     raised where the hint is read.
     """
-    at = a.swapaxes(-1, -2)
     batch, n, d = (1, *a.shape) if a.ndim == 2 else a.shape
     horizon = config.horizon
     w_first = not config.p_first
@@ -332,26 +391,27 @@ def _play(config: DynamicsConfig, a: np.ndarray,
         alphas, ws = _weights(config), np.empty((batch, horizon, d))
 
     # roles turns a (w, p) pair into (first, second) and back: the movers,
-    # each with the matrix its play is multiplied by, and a round's plays
+    # each with the product its play is multiplied by, and a round's plays
     roles = slice(None, None, 1 if w_first else -1)
-    (first, m1), (second, m2) = ((wl, a), (pl, at))[roles]
+    loss_of, dual_of = _products(a)
+    (first, times1), (second, times2) = ((wl, loss_of), (pl, dual_of))[roles]
     x1 = np.zeros((batch, d))                # w_0
     # the first mover's hint: a first-moving w-player sees A'p_0 with p_0
     # uniform, a first-moving p-player A w_0 with w_0 = 0
-    hint = _times(at, np.full((batch, n), 1.0 / n)) if w_first else np.zeros((batch, n))
+    hint = dual_of(np.full((batch, n), 1.0 / n)) if w_first else np.zeros((batch, n))
     worker = _worker(a, wl, pl)
     try:
         for t in range(1, horizon + 1):
             alpha = alphas[t - 1]
             x1 = first.decide(alpha, hint)
-            shown = _shown(worker, m1, first)
-            y1 = _times(m1, x1)
+            shown = _shown(worker, times1, first)
+            y1 = times1(x1)
             # the second mover's hint is what the first shows of this round's play
             x2 = second.decide(alpha, shown() if shown else y1)
             second.absorb(alpha, y1)
             if t < horizon:
-                shown = _shown(worker, m2, second)
-            y2 = _times(m2, x2)
+                shown = _shown(worker, times2, second)
+            y2 = times2(x2)
             first.absorb(alpha, y2)
             (w_t, p_t), (loss, g_t) = (x1, x2)[roles], (y1, y2)[roles]
             ws[:, t - 1] = w_t

@@ -333,6 +333,17 @@ def test_sweep_exact_mode_uses_lower_bound_data_off_p_2(tmp_path, capsys):
     assert exact2[1:] != lower2[1:]
 
 
+def test_sweep_cell_that_cannot_be_generated_names_its_cell(tmp_path, capsys):
+    # no 16 points fit outside margin 0.9999: the error names the cell
+    # whose dataset failed, not only the sampler's n and gamma
+    code, _, err = run_cli(capsys, "sweep", "--algos", "smooth", "--n", "16", "--d", "4",
+                           "--gamma", "0.3", "0.9999", "--mode", "lower", "--T", "10",
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err == ("error: cell n=16, gamma=0.9999, p=2.0, seed=0, mode=lower: "
+                   "could not place 16 points at margin 0.9999\n")
+
+
 def test_sweep_empty_grid_header_only(tmp_path, capsys):
     out = tmp_path / "empty.csv"
     code, _, _ = run_cli(capsys, "sweep", "--out", str(out))
@@ -492,14 +503,14 @@ def test_run_lower_bound_file_at_odd_d_warns_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,unbuffered", [
-    *(pytest.param(argv, unbuffered, id=f"{argv[0]}-{'un' * bool(unbuffered)}buffered")
-      for argv in (["equiv", "--which", "prop1", "--n", "8", "--d", "3", "--T", "5"],
-                   ["run", "--algo", "smooth", "--n", "8", "--d", "3", "--T", "5"],
-                   ["gen", "--n", "8", "--d", "3", "--out", "{tmp}/x.txt"])
-      for unbuffered in ("", "1")),
-    # argparse prints --help and exits before a command runs; unbuffered,
-    # argparse drops the failed write and exits 0
-    pytest.param(["--help"], "", id="help-buffered")])
+    pytest.param(argv, unbuffered, id=f"{argv[0].lstrip('-')}-{'un' * bool(unbuffered)}buffered")
+    for argv in (["equiv", "--which", "prop1", "--n", "8", "--d", "3", "--T", "5"],
+                 ["run", "--algo", "smooth", "--n", "8", "--d", "3", "--T", "5"],
+                 ["gen", "--n", "8", "--d", "3", "--out", "{tmp}/x.txt"],
+                 # argparse prints --help and exits before a command runs;
+                 # it drops a failed write, which nrp's parser raises
+                 ["--help"])
+    for unbuffered in ("", "1")])
 def test_closed_stdout_exit_2(tmp_path, argv, unbuffered):
     # stdout's reader is gone before the first write, as in `nrp equiv |
     # head -c0`: a buffered stdout fails at its flush, an unbuffered one at

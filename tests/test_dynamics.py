@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nrp.core import margin
+from nrp.core import build_dataset, margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import (DynamicsConfig, Trace, _play, best_response_value,
                           gap_bound_check, run_dynamics, run_dynamics_totals)
@@ -17,8 +17,8 @@ from nrp.errors import BadParameter, NonFinite, NonFiniteIterate
 from nrp.learners import (DualAveragingW, Oftl, OftrlEntropy, OftrlQNorm, OmdBall,
                           OmdEntropy, regret_p_from_arrays, regret_w_from_arrays,
                           weighted_regret_p, weighted_regret_w)
-from nrp.algorithms import (EquivalencePair, check_equivalence, mpfp_config, nag_config,
-                            pnorm_config, smooth_config)
+from nrp.algorithms import (EquivalencePair, check_equivalence, infeasibility_certificate,
+                            mpfp_config, nag_config, pnorm_config, smooth_config)
 from conftest import (assert_workers_ended, count_matvecs, exact_margin_dataset,
                       force_two_threads, nan_dual_map_from, random_dataset,
                       softmax_failing_at)
@@ -790,3 +790,116 @@ def test_a_worker_error_is_raised_on_the_callers_thread(monkeypatch):
     assert exc.value is error
     assert len(made) == 1
     assert_workers_ended(made)
+
+
+# the least exact-margin game at the support product's floor: by round 100
+# every one of the four games has products that read at most a quarter of
+# the rows
+SUPPORT_N, SUPPORT_D, SUPPORT_T = dynamics.SUPPORT_MIN_ENTRIES // 50, 50, 100
+
+
+def support_games(n, horizon):
+    return {"smooth": smooth_config(horizon), "nag": nag_config(horizon),
+            "mpfp": mpfp_config(n, horizon), "pnorm": pnorm_config(n, horizon, 2.0)}
+
+
+def weighed_rows(monkeypatch):
+    """Spy on the support product: the list, one entry per instance of
+    each product it forms, of the number of rows with p_i >= eps/n."""
+    weighed, support_times = [], dynamics._support_times
+
+    def spy(a, p):
+        least = np.finfo(np.float64).eps / a.shape[-2]
+        weighed.extend(np.count_nonzero(p >= least, axis=-1).tolist())
+        return support_times(a, p)
+
+    monkeypatch.setattr(dynamics, "_support_times", spy)
+    return weighed
+
+
+def relative(x, y) -> float:
+    """max |x - y| over the larger of max |x| and max |y|."""
+    x, y = np.asarray(x), np.asarray(y)
+    return float(np.max(np.abs(x - y)) / max(np.max(np.abs(x)), np.max(np.abs(y))))
+
+
+@pytest.fixture(scope="module")
+def above_floor():
+    return [exact_margin_dataset(SUPPORT_N, SUPPORT_D, 0.1, seed) for seed in (0, 7)]
+
+
+@pytest.mark.parametrize("name", ["smooth", "nag", "mpfp", "pnorm"])
+def test_support_product_is_the_dense_game_within_roundoff(monkeypatch, above_floor, name):
+    # the rows left out weigh under eps, so every quantity stays within
+    # roundoff of the game whose products read every row, and the regrets
+    # within the oracle's tolerance of the from-arrays oracle
+    ds = above_floor[0]
+    config = support_games(SUPPORT_N, SUPPORT_T)[name]
+    weighed = weighed_rows(monkeypatch)
+    support = run_dynamics(config, ds)
+    assert min(weighed) <= dynamics.SUPPORT_MAX_SHARE * SUPPORT_N
+    monkeypatch.setattr(dynamics, "SUPPORT_MIN_ENTRIES", ds.matrix.size + 1)
+    count = len(weighed)
+    dense = run_dynamics(config, ds)
+    assert len(weighed) == count
+    for quantity in ("w_bar", "p_bar", "margin_avg", "normalized_margin", "gap_bound_running"):
+        assert relative(getattr(support, quantity), getattr(dense, quantity)) <= 1e-12, quantity
+    for engine, oracle in ((support.regret_w, weighted_regret_w(support, ds)),
+                           (support.regret_p, weighted_regret_p(support, ds))):
+        assert abs(engine - oracle) <= 1e-10 * max(abs(engine), abs(oracle))
+
+
+@pytest.mark.parametrize("name", ["smooth", "nag", "mpfp", "pnorm"])
+def test_support_product_keeps_the_bits_of_each_game_in_a_batch(monkeypatch, above_floor,
+                                                                  name):
+    # each instance of a stack reads its own weighed rows, with the np.dot
+    # call of its game alone
+    config = support_games(SUPPORT_N, SUPPORT_T)[name]
+    weighed = weighed_rows(monkeypatch)
+    batch = run_dynamics_totals(config, above_floor)
+    assert min(weighed) <= dynamics.SUPPORT_MAX_SHARE * SUPPORT_N
+    for ds, got in zip(above_floor, batch):
+        assert totals_bytes(got) == totals_bytes(run_dynamics(config, ds))
+
+
+def test_support_product_keeps_the_bits_on_two_threads(monkeypatch, above_floor):
+    # the worker forms mpfp's shown A'p_hat_t with the product the loop would
+    config = mpfp_config(SUPPORT_N, SUPPORT_T)
+    want = trace_bytes(run_dynamics(config, above_floor[0]))
+    made = force_two_threads(monkeypatch)
+    weighed = weighed_rows(monkeypatch)
+    assert trace_bytes(run_dynamics(config, above_floor[0])) == want
+    assert min(weighed) <= dynamics.SUPPORT_MAX_SHARE * SUPPORT_N
+    assert len(made) == 1
+    assert_workers_ended(made)
+
+
+def test_a_game_below_the_floor_reads_every_row(monkeypatch):
+    # the floor counts the entries of one instance: below it no product,
+    # in a game alone or in a stack of any size, takes the support product
+    weighed = weighed_rows(monkeypatch)
+    datasets = [generate(GenSpec(n=20, d=3, gamma=0.2, mode=GenMode.LOWER_BOUND, seed=seed))
+                for seed in range(3)]
+    monkeypatch.setattr(dynamics, "SUPPORT_MIN_ENTRIES", 20 * 3 + 1)
+    for config in support_games(20, 5).values():
+        run_dynamics(config, datasets[0])
+        run_dynamics_totals(config, datasets)
+    assert weighed == []
+    monkeypatch.setattr(dynamics, "SUPPORT_MIN_ENTRIES", 20 * 3)
+    run_dynamics(smooth_config(5), datasets[0])
+    assert len(weighed) == 5 + 1
+
+
+def test_infeasibility_certificate_above_the_floor(monkeypatch, above_floor):
+    # row 1 is minus row 0, so the rows admit no separator and mpfp's p
+    # settles on that pair; its certificate stays within roundoff
+    a = above_floor[0].matrix.copy()
+    a[1] = -a[0]
+    ds = build_dataset(a, np.ones(SUPPORT_N))
+    weighed = weighed_rows(monkeypatch)
+    p_bar, norm = infeasibility_certificate(ds, SUPPORT_T)
+    assert min(weighed) <= dynamics.SUPPORT_MAX_SHARE * SUPPORT_N
+    monkeypatch.setattr(dynamics, "SUPPORT_MIN_ENTRIES", ds.matrix.size + 1)
+    dense_p_bar, dense_norm = infeasibility_certificate(ds, SUPPORT_T)
+    assert relative(p_bar, dense_p_bar) <= 1e-12
+    assert relative(norm, dense_norm) <= 1e-12
