@@ -36,20 +36,10 @@ records, so they carry the bits of running totals.
 `Totals`, playing B datasets of one shape in the same loop over their
 stacked (B, n, d) matrices; a trace's books add the per-round records of
 the `Trace` of one game.
-
-An OMD player shows its opponent a secondary iterate, whose product with
-the matrix is needed where its play's is, and neither reads the other.
-In a game of one dataset with at least `PAIR_THREAD_MIN_ENTRIES` entries,
-on a process that may use twice the cores one BLAS call takes, a worker
-thread forms the shown iterate's product while the loop forms the play's,
-with the BLAS call the loop would make, so every result keeps its bits.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from _queue import SimpleQueue
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -61,12 +51,6 @@ from .core import Dataset, margin
 from .errors import BadParameter, NonFinite, NonFiniteIterate
 from .learners import PSpec, WSpec, comparator_value
 
-# the fewest matrix entries at which a game forms its pairs of products on
-# two threads: below about this size a pair costs less on one thread than
-# the handoff to a second one (with one BLAS thread, a pair took 62-64 us
-# on one thread and 64-66 us on two at 4000 x 50, 127-143 us and 96-101 us
-# at 3000 x 100)
-PAIR_THREAD_MIN_ENTRIES = 250_000
 # the fewest entries per instance at which a game's products of A' with a
 # distribution read only the rows it weighs (`_support_times`): with one
 # BLAS thread and a 2 MiB L2, every game of T = 400 gained from 250 000
@@ -208,12 +192,7 @@ def _stacked(datasets: list[Dataset]) -> np.ndarray:
 
 
 def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x per instance: a is (n, d) or (B, n, d), x is (B, d).  One game's
-    product goes through np.dot, which releases the GIL where np.matmul
-    holds it for an output of up to about 500 entries; both give the same
-    bits."""
-    if a.ndim == 2:
-        return np.dot(x, a.T)
+    """A x per instance: a is (n, d) or (B, n, d), x is (B, d)."""
     return np.matmul(a, x[..., None])[..., 0]
 
 
@@ -243,83 +222,6 @@ def _products(a: np.ndarray):
     dual = (partial(_support_times, a) if a.shape[-2] * a.shape[-1] >= SUPPORT_MIN_ENTRIES
             else partial(_times, at))
     return partial(_times, a), dual
-
-
-def _worker(a: np.ndarray, wl, pl) -> _Worker | None:
-    """The worker that forms what a game's players show: for one dataset of
-    at least PAIR_THREAD_MIN_ENTRIES entries, in which a player shows a
-    secondary iterate, with cores to spare; else, or when no thread starts,
-    None, and the loop forms every product itself."""
-    if (a.ndim != 2 or a.size < PAIR_THREAD_MIN_ENTRIES
-            or not (wl.shows_hat or pl.shows_hat) or not _spare_cores()):
-        return None
-    try:
-        return _Worker()
-    except RuntimeError:        # Thread.start: the OS refused a thread
-        return None
-
-
-def _spare_cores() -> bool:
-    """Whether two products at once each have cores of their own: whether
-    this process may run on twice the threads one BLAS call takes.
-    OpenBLAS and MKL read that count from these variables when they load,
-    and without them run a large product on every core, which leaves a
-    second thread none."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        threads = os.environ.get(name, "")
-        if threads.isdigit() and int(threads) > 0:
-            return cores >= 2 * int(threads)
-    return False
-
-
-class _Worker:
-    """A thread that runs one job at a time, in the order given: `submit`
-    hands it a call with no arguments and returns the wait, which gives the
-    job's result or raises what it raised; `close` ends the thread once
-    the jobs given have run."""
-
-    def __init__(self):
-        self._jobs, self._results = SimpleQueue(), SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, name="nrp-pairs", daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        for job in iter(self._jobs.get, None):
-            try:
-                self._results.put((job(), None))
-            except BaseException as exc:      # raised by the wait, on the caller's thread
-                self._results.put((None, exc))
-
-    def submit(self, job: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
-        self._jobs.put(job)
-        return self._wait
-
-    def _wait(self) -> np.ndarray:
-        result, error = self._results.get()
-        if error is not None:
-            raise error
-        return result
-
-    def close(self) -> None:
-        self._jobs.put(None)
-        self._thread.join()
-
-
-def _shown(worker: _Worker | None, times: Callable[[np.ndarray], np.ndarray],
-           state) -> Callable[[], np.ndarray] | None:
-    """None for a state that shows its play; else a call with no arguments
-    that gives ``times`` of the secondary iterate it shows, ``state.hat``.
-    Without a worker the call forms it; with one, the worker forms it from
-    now on and the call waits for it, so the caller writes neither the
-    matrix nor the state until the call."""
-    if not state.shows_hat:
-        return None
-
-    def product():
-        return times(state.hat)
-    return product if worker is None else worker.submit(product)
 
 
 def _running(terms: np.ndarray) -> np.ndarray:
@@ -373,13 +275,9 @@ def _play(config: DynamicsConfig, a: np.ndarray,
     each shown iterate is ready where its play is; the plays and products
     go to the record and the hook by role, and each mover's plays are
     multiplied by its role's product from `_products`.  Each hint is the
-    product of the shown iterate, from the call `_shown` returns, or of
-    the play.
-    The call forms it where the hint is read, or a worker that `_worker`
-    starts for this call (A w_hat_{t-1} beside A w_t, A'p_hat_t beside
-    A'p_t in mpfp) forms it while the loop forms the play's; either way it
-    has the bits of a run on one thread, and an error of its step is
-    raised where the hint is read.
+    product of the play, or of the secondary iterate a mover shows,
+    ``state.hat``, formed where the hint is read (A w_hat_{t-1} and
+    A'p_hat_t in mpfp), so an error of the hat's step is raised there.
     """
     batch, n, d = (1, *a.shape) if a.ndim == 2 else a.shape
     horizon = config.horizon
@@ -399,18 +297,14 @@ def _play(config: DynamicsConfig, a: np.ndarray,
     # the first mover's hint: a first-moving w-player sees A'p_0 with p_0
     # uniform, a first-moving p-player A w_0 with w_0 = 0
     hint = dual_of(np.full((batch, n), 1.0 / n)) if w_first else np.zeros((batch, n))
-    worker = _worker(a, wl, pl)
     try:
         for t in range(1, horizon + 1):
             alpha = alphas[t - 1]
             x1 = first.decide(alpha, hint)
-            shown = _shown(worker, times1, first)
             y1 = times1(x1)
             # the second mover's hint is what the first shows of this round's play
-            x2 = second.decide(alpha, shown() if shown else y1)
+            x2 = second.decide(alpha, times1(first.hat) if first.shows_hat else y1)
             second.absorb(alpha, y1)
-            if t < horizon:
-                shown = _shown(worker, times2, second)
             y2 = times2(x2)
             first.absorb(alpha, y2)
             (w_t, p_t), (loss, g_t) = (x1, x2)[roles], (y1, y2)[roles]
@@ -418,7 +312,7 @@ def _play(config: DynamicsConfig, a: np.ndarray,
             # every PSpec starts an EntropySimplex, whose cum is sum alpha_t A w_t
             hook(t, alpha, w_t, p_t, g_t, loss, pl.cum)
             if t < horizon:            # the next hint is read only by a next round
-                hint = shown() if shown else y2
+                hint = times2(second.hat) if second.shows_hat else y2
     except NonFinite as exc:
         # A non-finite w_t first shows where the p-player's softmax raises,
         # in w_t's round or the next.  The rows before round t are stored,
@@ -433,9 +327,6 @@ def _play(config: DynamicsConfig, a: np.ndarray,
         # only the p-player's EntropySimplex takes a softmax
         player = "p" if exc.quantity == "softmax scores" else "w"
         raise NonFiniteIterate(t, player, exc.quantity) from exc
-    finally:
-        if worker is not None:
-            worker.close()
     # a bad w_T of a p-first game reaches no softmax
     bad = _first_bad_round(ws)
     if bad is not None:

@@ -1,14 +1,13 @@
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nrp import algorithms as alg, cli, dynamics, learners
+from nrp import algorithms as alg, cli, learners
 from nrp.core import build_dataset
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.errors import NonFinite
@@ -43,20 +42,17 @@ def random_dataset(rng, n, d, norm_exponent=2.0):
 
 
 class CountedMatrix(np.ndarray):
-    """View of a data matrix that counts the products taking it, or its
-    transpose, as an operand: np.matmul and np.dot, on any thread; row
-    slices and other views do not count."""
+    """View of a data matrix that counts the products taking a 2-D view of
+    it as an operand, np.matmul and np.dot: the matrix, its transpose or a
+    block of its rows, such as the support product's gathered rows, each
+    count as one product; 1-D row slices do not count."""
 
     def __array_finalize__(self, obj):
         self.counter = getattr(obj, "counter", None)
-        self.full = getattr(obj, "full", None)
-        self.lock = getattr(obj, "lock", None)
 
     def _count(self, operands):
-        if any(isinstance(x, CountedMatrix) and x.shape in (x.full, x.full[::-1])
-               for x in operands):
-            with self.lock:
-                self.counter[0] += 1
+        if any(isinstance(x, CountedMatrix) and x.ndim == 2 for x in operands):
+            self.counter[0] += 1
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul and method == "__call__":
@@ -69,31 +65,6 @@ class CountedMatrix(np.ndarray):
         if func is np.dot:
             self._count(args)
         return super().__array_function__(func, types, args, kwargs)
-
-
-def force_two_threads(monkeypatch):
-    """Make every game of one dataset in which a player shows a secondary
-    iterate form that iterate's products on a worker thread, whatever its
-    size, the cores and the BLAS threads; returns the list of the workers
-    made from then on."""
-    made = []
-
-    class Recorded(dynamics._Worker):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
-
-    monkeypatch.setattr(dynamics, "PAIR_THREAD_MIN_ENTRIES", 0)
-    monkeypatch.setattr(dynamics, "_spare_cores", lambda: True)
-    monkeypatch.setattr(dynamics, "_Worker", Recorded)
-    return made
-
-
-def assert_workers_ended(made, timeout=30.0):
-    """Every worker made has ended: joined within the timeout, not alive."""
-    for worker in made:
-        worker._thread.join(timeout)
-        assert not worker._thread.is_alive()
 
 
 def softmax_failing_at(monkeypatch, module, call):
@@ -117,7 +88,7 @@ def count_matvecs(dataset):
     """Swap the dataset's matrix for a counting view of the same memory and
     return the one-element list that accumulates the count."""
     view = dataset.matrix.view(CountedMatrix)
-    view.counter, view.full, view.lock = [0], dataset.matrix.shape, threading.Lock()
+    view.counter = [0]
     object.__setattr__(dataset, "matrix", view)
     return view.counter
 

@@ -12,9 +12,8 @@ from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import run_dynamics
 from nrp.errors import BadParameter, NonFinite, NonFiniteIterate, NrpError, TooFewRows
 from nrp.learners import DualAveragingW, softmax_neg
-from conftest import (assert_workers_ended, collect_rounds, count_matvecs, empirical_risk,
-                      empirical_risk_grad, exact_margin_dataset, force_two_threads,
-                      random_dataset, softmax_failing_at)
+from conftest import (collect_rounds, count_matvecs, empirical_risk, empirical_risk_grad,
+                      exact_margin_dataset, random_dataset, softmax_failing_at)
 
 
 def rel_linf(x, y):
@@ -454,43 +453,22 @@ def test_non_finite_game_in_a_check_is_the_games_error(which, bad_round, monkeyp
 
 
 @pytest.mark.parametrize("form_fails", [False, True])
-def test_mpfp_check_reports_on_two_threads(monkeypatch, form_fails):
-    # the game's shown p fails on the worker in round k, alone or with the
-    # original form's step of the same round: the check reports what it
-    # reports on one thread, the form's error first, as its hook runs
-    # before the next hint is read
+def test_mpfp_check_reports_a_shown_p_that_fails(monkeypatch, form_fails):
+    # the step of the game's shown p fails in round k, alone or with the
+    # original form's step of the same round: the check reports the game's
+    # error, or the form's first, as its hook runs before the next hint is
+    # read
     k = 6
     ds = exact_margin_dataset(16, 4, 0.3, seed=1)
-    found = []
-    for threads in (1, 2):
-        made = force_two_threads(monkeypatch) if threads == 2 else []
-        # each round the game's p-player decides, then shows; the form calls
-        # its softmax twice a round after one call before its loop
-        softmax_failing_at(monkeypatch, learners, 2 * k)
-        if form_fails:
-            softmax_failing_at(monkeypatch, alg, 2 * k)
-        with pytest.raises(NrpError) as info:
-            alg.check_equivalence(alg.EquivalencePair.MPFP, ds, 20)
-        found.append((type(info.value), str(info.value)))
-        monkeypatch.undo()
-        assert_workers_ended(made)
-    assert found[0] == found[1]
+    # each round the game's p-player decides, then shows; the form calls
+    # its softmax twice a round after one call before its loop
+    softmax_failing_at(monkeypatch, learners, 2 * k)
     if form_fails:
-        assert found[0][1].endswith(f"at round {k} of the original form mpfp"), found
+        softmax_failing_at(monkeypatch, alg, 2 * k)
+    with pytest.raises(NrpError) as info:
+        alg.check_equivalence(alg.EquivalencePair.MPFP, ds, 20)
+    if form_fails:
+        assert str(info.value).endswith(f"at round {k} of the original form mpfp"), info.value
     else:
-        assert found[0] == (NonFiniteIterate, str(NonFiniteIterate(k, "p", "softmax scores")))
-    assert len(made) == 1
-
-
-@pytest.mark.parametrize("case,args", [
-    *((test_non_finite_original_form_names_form_and_round, (which,))
-      for which in alg.EquivalencePair),
-    (test_non_finite_game_in_a_check_is_the_games_error, (alg.EquivalencePair.PROP1, 7)),
-    (test_non_finite_game_in_a_check_is_the_games_error, (alg.EquivalencePair.NAG, 7)),
-    (test_non_finite_game_in_a_check_is_the_games_error, (alg.EquivalencePair.NAG, 20))],
-    ids=[*(f"form_{which.value}" for which in alg.EquivalencePair),
-         "game_prop1_7", "game_nag_7", "game_nag_20"])
-def test_non_finite_check_tests_hold_on_two_threads(monkeypatch, capsys, case, args):
-    # the non-finite reports of a check above, with the worker forced on
-    force_two_threads(monkeypatch)
-    case(*args, monkeypatch, capsys)
+        assert type(info.value) is NonFiniteIterate
+        assert str(info.value) == str(NonFiniteIterate(k, "p", "softmax scores"))

@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -12,16 +10,15 @@ from nrp.core import build_dataset, margin
 from nrp.datagen import GenMode, GenSpec, generate
 from nrp.dynamics import (DynamicsConfig, Trace, _play, best_response_value,
                           gap_bound_check, run_dynamics, run_dynamics_totals)
-from nrp import cli, dynamics, learners
+from nrp import dynamics, learners
 from nrp.errors import BadParameter, NonFinite, NonFiniteIterate
 from nrp.learners import (DualAveragingW, Oftl, OftrlEntropy, OftrlQNorm, OmdBall,
                           OmdEntropy, regret_p_from_arrays, regret_w_from_arrays,
                           weighted_regret_p, weighted_regret_w)
 from nrp.algorithms import (EquivalencePair, check_equivalence, infeasibility_certificate,
                             mpfp_config, nag_config, pnorm_config, smooth_config)
-from conftest import (assert_workers_ended, count_matvecs, exact_margin_dataset,
-                      force_two_threads, nan_dual_map_from, random_dataset,
-                      softmax_failing_at)
+from conftest import (count_matvecs, exact_margin_dataset, nan_dual_map_from,
+                      random_dataset, softmax_failing_at)
 
 
 def test_horizon_validation(rng):
@@ -329,29 +326,33 @@ def test_running_regrets_match_oracle_on_drawn_data(p, n, d, gamma, seed, horizo
         assert ok, (lhs, rhs)
 
 
-@pytest.mark.parametrize("name,per_round,two_threads", [
-    pytest.param(name, per_round, two_threads,
-                 id=f"{name}-{per_round}" + ("-two_threads" if two_threads else ""))
-    for two_threads in (False, True)
+@pytest.mark.parametrize("name,per_round,above_floor", [
+    pytest.param(name, per_round, above_floor,
+                 id=f"{name}-{per_round}" + ("-above_floor" if above_floor else ""))
+    for above_floor in (False, True)
     for name, per_round in (("smooth", 2), ("nag", 2), ("mpfp", 4), ("pnorm", 2))])
-def test_engine_matvecs_per_round(rng, monkeypatch, name, per_round, two_threads):
+def test_engine_matvecs_per_round(rng, monkeypatch, name, per_round, above_floor):
     # one A'p and one A w per round, one more for each secondary iterate an
     # OMD player shows, and A'(1/n) once for the first hint of a w-player
     # that moves first (all but nag); no hint is formed after the last
-    # round, which saves mpfp the A' of its last secondary iterate.  A
-    # worker forms products the loop would form, no more; only mpfp's
-    # players show a secondary iterate, so only its game starts one
-    made = force_two_threads(monkeypatch) if two_threads else []
-    n, T = 30, 25
-    ds = random_dataset(rng, n, 5)
+    # round, which saves mpfp the A' of its last secondary iterate.  Above
+    # the support product's floor, a product of A' that gathers the rows p
+    # weighs is one product too
+    if above_floor:
+        n, T = SUPPORT_N, SUPPORT_T
+        ds = exact_margin_dataset(n, SUPPORT_D, 0.1, 0)
+        weighed = weighed_rows(monkeypatch)
+    else:
+        n, T = 30, 25
+        ds = random_dataset(rng, n, 5)
     config = {"smooth": smooth_config(T), "nag": nag_config(T),
               "mpfp": mpfp_config(n, T), "pnorm": pnorm_config(n, T, 2.0)}[name]
     once = {"smooth": 1, "nag": 0, "mpfp": 0, "pnorm": 1}[name]
     counter = count_matvecs(ds)
     run_dynamics(config, ds)
     assert counter[0] == per_round * T + once
-    assert len(made) == (two_threads and name == "mpfp")
-    assert_workers_ended(made)
+    if above_floor:
+        assert min(weighed) <= dynamics.SUPPORT_MAX_SHARE * n
 
 
 @pytest.mark.parametrize("name", ["smooth", "nag", "mpfp", "pnorm2", "pnorm3",
@@ -529,22 +530,6 @@ def test_best_response_consistency(rng):
     assert np.isfinite(m)
 
 
-TRACE_PROPERTIES = ("sum_alpha", "w_bar", "p_bar", "gap_bound_running", "regret_w",
-                    "regret_p", "sum_sq_l1_delta")
-
-
-def trace_bytes(trace):
-    """Every field and property of a trace, as bytes or a float's hex."""
-    got = {}
-    for field in dataclasses.fields(Trace):
-        value = getattr(trace, field.name)
-        got[field.name] = value if field.name == "config" or value is None else value.tobytes()
-    for name in TRACE_PROPERTIES:
-        value = getattr(trace, name)
-        got[name] = value.hex() if isinstance(value, float) else value.tobytes()
-    return got
-
-
 def totals_bytes(totals):
     return (totals.w_sum.tobytes(), totals.sum_alpha.hex(), totals.regret_w.hex(),
             totals.regret_p.hex())
@@ -556,15 +541,13 @@ GAMES = [DynamicsConfig(w_learner=w_learner, p_learner=p_learner, horizon=1, p_f
          for p_first in (False, True)]
 
 
-@pytest.mark.parametrize("two_threads", [False, True], ids=["one_thread", "two_threads"])
 @pytest.mark.parametrize("game", GAMES, ids=[
     f"{type(g.w_learner).__name__}-{type(g.p_learner).__name__}-{'p' if g.p_first else 'w'}_first"
     for g in GAMES])
-def test_hook_gets_each_player_by_role(monkeypatch, game, two_threads):
+def test_hook_gets_each_player_by_role(game):
     # whichever player moves first, the hook gets the w-player's play as
     # w_t with loss = A w_t, and the p-player's, on the simplex, as p_t with
     # g_t = A'p_t, each with the bits of np.dot
-    made = force_two_threads(monkeypatch) if two_threads else []
     a = generate(GenSpec(n=11, d=3, gamma=0.2, mode=GenMode.LOWER_BOUND, seed=4)).matrix
     rounds = []
 
@@ -576,63 +559,6 @@ def test_hook_gets_each_player_by_role(monkeypatch, game, two_threads):
 
     _play(dataclasses.replace(game, horizon=9), a, check)
     assert rounds == list(range(1, 10))
-    shows = isinstance(game.w_learner, OmdBall) or isinstance(game.p_learner, OmdEntropy)
-    assert len(made) == (two_threads and shows)
-    assert_workers_ended(made)
-
-
-@pytest.mark.parametrize("n,d,horizon", [(2, 3, 1), (11, 3, 40), (150, 20, 30)])
-def test_two_threads_keep_the_bits(monkeypatch, n, d, horizon):
-    # the worker makes the BLAS calls the loop would make, on inputs that
-    # neither thread writes: every trace, totals and check report keeps
-    # its bits in all 12 games, and every worker ends with its run
-    ds = generate(GenSpec(n=n, d=d, gamma=0.2, mode=GenMode.LOWER_BOUND, seed=n))
-    games = [dataclasses.replace(game, horizon=horizon) for game in GAMES]
-
-    def play():
-        return ([trace_bytes(run_dynamics(game, ds)) for game in games],
-                [totals_bytes(run_dynamics_totals(game, [ds])[0]) for game in games],
-                [{name: dev.hex() for name, dev in check_equivalence(which, ds, horizon)
-                  .deviations.items()} for which in EquivalencePair])
-
-    one_thread = play()
-    made = force_two_threads(monkeypatch)
-    two_threads = play()
-    for got, want in zip(two_threads, one_thread):
-        assert got == want
-    # a worker for each game whose player shows a secondary iterate, in a
-    # trace and in totals, and one for mpfp's check
-    showing = sum(isinstance(game.w_learner, OmdBall) or isinstance(game.p_learner, OmdEntropy)
-                  for game in games)
-    assert len(made) == 2 * showing + 1
-    assert_workers_ended(made)
-
-
-def test_two_threads_keep_the_bits_at_a_short_switch_interval(monkeypatch):
-    # the interpreter hands the GIL over every microsecond, and on vectors
-    # of more than 500 entries numpy's ufuncs release it too, so a state the
-    # loop writes while the worker reads it would show in the bits; the
-    # games run on a thread of their own, so a worker that never answers
-    # fails the join's timeout rather than hanging the suite.  mpfp moves w
-    # first; its players with p first pair the other player's products
-    ds = generate(GenSpec(n=1000, d=600, gamma=0.1, mode=GenMode.EXACT_MARGIN, seed=2))
-    configs = [mpfp_config(1000, 150), dataclasses.replace(mpfp_config(1000, 150), p_first=True)]
-    want = [trace_bytes(run_dynamics(config, ds)) for config in configs]
-    made = force_two_threads(monkeypatch)
-    got = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        games = threading.Thread(target=lambda: got.extend(
-            trace_bytes(run_dynamics(config, ds)) for config in configs))
-        games.start()
-        games.join(120.0)
-        assert not games.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want
-    assert len(made) == 2
-    assert_workers_ended(made)
 
 
 def nan_omd_ball_from(monkeypatch, bad_round):
@@ -651,7 +577,7 @@ def nan_omd_ball_from(monkeypatch, bad_round):
 
 # games with a secondary iterate that go non-finite: mpfp's p-player's
 # shown iterate, whose softmax is the 2k-th of a run (each round decides,
-# then shows), so the worker raises in round k; the same with the p-player
+# then shows), so its step raises in round k; the same with the p-player
 # moving first; mpfp's w-player playing NaN from round k on; a p step so
 # large that the scores overflow; each with the report the game gives
 NON_FINITE_GAMES = {
@@ -672,124 +598,18 @@ NON_FINITE_GAMES = {
 
 
 @pytest.mark.parametrize("case", list(NON_FINITE_GAMES))
-def test_non_finite_report_on_two_threads(monkeypatch, case):
-    # an error of the worker's step is raised where the loop raises it, and
-    # the report names the round, the player and the quantity it names on
-    # one thread; the worker ends with the run that raised
+def test_non_finite_report_of_a_game_with_a_shown_iterate(monkeypatch, case):
+    # a step of a shown iterate that goes non-finite is raised where its
+    # product is read, and the report names the round, the player and the
+    # quantity
     patch, config, expected = NON_FINITE_GAMES[case]
     ds = generate(GenSpec(n=16, d=4, gamma=0.1, mode=GenMode.LOWER_BOUND, seed=0))
-    found = []
-    for threads in (1, 2):
-        made = force_two_threads(monkeypatch) if threads == 2 else []
-        patch(monkeypatch)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteIterate) as exc:
-                run_dynamics(config, ds)
-        found.append((exc.value.round_index, exc.value.player, exc.value.quantity,
-                      str(exc.value)))
-        monkeypatch.undo()
-    assert found[0] == found[1]
-    assert found[0][:3] == expected
-    assert len(made) == 1
-    assert_workers_ended(made)
-
-
-# the non-finite tests above, each as a call with the test's fixtures
-NON_FINITE_TESTS = {
-    "w_names_round": lambda monkeypatch, rng: test_non_finite_w_names_round_and_player(
-        monkeypatch),
-    "step_names_player": lambda monkeypatch, rng:
-        test_non_finite_step_names_the_player_that_raised(),
-    "w_step_1": lambda monkeypatch, rng: test_non_finite_w_step_names_the_w_player(monkeypatch, 1),
-    "w_step_6": lambda monkeypatch, rng: test_non_finite_w_step_names_the_w_player(monkeypatch, 6),
-    "p_first_3": lambda monkeypatch, rng: test_non_finite_w_of_p_first_game(monkeypatch, rng, 3),
-    "p_first_8": lambda monkeypatch, rng: test_non_finite_w_of_p_first_game(monkeypatch, rng, 8),
-}
-
-
-@pytest.mark.parametrize("case", list(NON_FINITE_TESTS))
-def test_non_finite_tests_hold_on_two_threads(monkeypatch, rng, case):
-    # the non-finite reports above, with the worker forced on; their games
-    # show no secondary iterate, so they start none and keep their reports
-    made = force_two_threads(monkeypatch)
-    NON_FINITE_TESTS[case](monkeypatch, rng)
-    assert made == []
-
-
-@pytest.mark.parametrize("cores,variables,spare", [
-    (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
-    (2, {"OMP_NUM_THREADS": "1"}, True),
-    (8, {"MKL_NUM_THREADS": "4"}, True),
-    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
-    (2, {}, False)])
-def test_spare_cores_read_the_blas_threads(monkeypatch, cores, variables, spare):
-    # a BLAS left at its default runs a large product on every core
-    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in variables.items():
-        monkeypatch.setenv(name, value)
-    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: set(range(cores)),
-                        raising=False)
-    assert dynamics._spare_cores() is spare
-
-
-def test_only_a_large_game_with_a_shown_iterate_starts_a_worker(monkeypatch):
-    # at least the threshold's entries, one dataset, a player that shows a
-    # secondary iterate and cores to spare
-    made = force_two_threads(monkeypatch)
-    monkeypatch.setattr(dynamics, "PAIR_THREAD_MIN_ENTRIES", 20 * 3)
-    small, large = (generate(GenSpec(n=n, d=3, gamma=0.2, mode=GenMode.LOWER_BOUND, seed=0))
-                    for n in (19, 20))
-    run_dynamics(mpfp_config(19, 5), small)
-    run_dynamics(smooth_config(5), large)
-    run_dynamics_totals(mpfp_config(20, 5), [large, large])
-    assert made == []
-    run_dynamics(mpfp_config(20, 5), large)
-    assert len(made) == 1
-    monkeypatch.setattr(dynamics, "_spare_cores", lambda: False)
-    run_dynamics(mpfp_config(20, 5), large)
-    assert len(made) == 1
-    assert_workers_ended(made)
-
-
-def test_a_refused_worker_thread_leaves_every_product_to_the_loop(monkeypatch, capsys):
-    # when the OS refuses the worker's thread, the game forms every product
-    # itself, with the bits of a run on one thread, and a check keeps its
-    # exit code; no real thread is refused
-    ds = generate(GenSpec(n=40, d=5, gamma=0.2, mode=GenMode.LOWER_BOUND, seed=0))
-    want = trace_bytes(run_dynamics(mpfp_config(40, 20), ds))
-    made = force_two_threads(monkeypatch)
-
-    def refuse(thread):
-        raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    assert trace_bytes(run_dynamics(mpfp_config(40, 20), ds)) == want
-    assert cli.main(["equiv", "--which", "mpfp", "--n", "40", "--d", "5", "--T", "20"]) == 0
-    assert "PASS" in capsys.readouterr().out
-    assert made == []
-
-
-def test_a_worker_error_is_raised_on_the_callers_thread(monkeypatch):
-    # an error of a worker's job that is not NonFinite is the run's own
-    # error, the same object, and the worker ends with the run
-    made = force_two_threads(monkeypatch)
-    error = ValueError("a product of the worker")
-    times = dynamics._times
-
-    def failing_on_the_worker(a, x):
-        if threading.current_thread().name == "nrp-pairs":
-            raise error
-        return times(a, x)
-
-    monkeypatch.setattr(dynamics, "_times", failing_on_the_worker)
-    ds = generate(GenSpec(n=16, d=4, gamma=0.1, mode=GenMode.LOWER_BOUND, seed=0))
-    with pytest.raises(ValueError) as exc:
-        run_dynamics(mpfp_config(16, 20), ds)
-    assert exc.value is error
-    assert len(made) == 1
-    assert_workers_ended(made)
+    patch(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteIterate) as exc:
+            run_dynamics(config, ds)
+    assert (exc.value.round_index, exc.value.player, exc.value.quantity) == expected
+    assert str(exc.value) == str(NonFiniteIterate(*expected))
 
 
 # the least exact-margin game at the support product's floor: by round 100
@@ -860,18 +680,6 @@ def test_support_product_keeps_the_bits_of_each_game_in_a_batch(monkeypatch, abo
     assert min(weighed) <= dynamics.SUPPORT_MAX_SHARE * SUPPORT_N
     for ds, got in zip(above_floor, batch):
         assert totals_bytes(got) == totals_bytes(run_dynamics(config, ds))
-
-
-def test_support_product_keeps_the_bits_on_two_threads(monkeypatch, above_floor):
-    # the worker forms mpfp's shown A'p_hat_t with the product the loop would
-    config = mpfp_config(SUPPORT_N, SUPPORT_T)
-    want = trace_bytes(run_dynamics(config, above_floor[0]))
-    made = force_two_threads(monkeypatch)
-    weighed = weighed_rows(monkeypatch)
-    assert trace_bytes(run_dynamics(config, above_floor[0])) == want
-    assert min(weighed) <= dynamics.SUPPORT_MAX_SHARE * SUPPORT_N
-    assert len(made) == 1
-    assert_workers_ended(made)
 
 
 def test_a_game_below_the_floor_reads_every_row(monkeypatch):
