@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -541,24 +542,40 @@ GAMES = [DynamicsConfig(w_learner=w_learner, p_learner=p_learner, horizon=1, p_f
          for p_first in (False, True)]
 
 
+@pytest.mark.parametrize("two_threads", [False, True], ids=["one_thread", "two_threads"])
 @pytest.mark.parametrize("game", GAMES, ids=[
     f"{type(g.w_learner).__name__}-{type(g.p_learner).__name__}-{'p' if g.p_first else 'w'}_first"
     for g in GAMES])
-def test_hook_gets_each_player_by_role(game):
+def test_hook_gets_each_player_by_role(game, two_threads):
     # whichever player moves first, the hook gets the w-player's play as
     # w_t with loss = A w_t, and the p-player's, on the simplex, as p_t with
-    # g_t = A'p_t, each with the bits of np.dot
+    # g_t = A'p_t, each with the bits of np.dot.  A caller may play games
+    # on threads of its own: two at once, each with its own hook, share no
+    # state, so each holds the same and records the same bits
     a = generate(GenSpec(n=11, d=3, gamma=0.2, mode=GenMode.LOWER_BOUND, seed=4)).matrix
-    rounds = []
 
-    def check(t, alpha, w_t, p_t, g_t, loss, cum):
-        assert loss.tobytes() == np.dot(w_t, a.T).tobytes()
-        assert g_t.tobytes() == np.dot(p_t, a).tobytes()
-        assert (p_t >= 0.0).all() and np.allclose(p_t.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
-        rounds.append(t)
+    def play():
+        rounds = []
 
-    _play(dataclasses.replace(game, horizon=9), a, check)
-    assert rounds == list(range(1, 10))
+        def check(t, alpha, w_t, p_t, g_t, loss, cum):
+            assert loss.tobytes() == np.dot(w_t, a.T).tobytes()
+            assert g_t.tobytes() == np.dot(p_t, a).tobytes()
+            assert (p_t >= 0.0).all() and np.allclose(p_t.sum(axis=-1), 1.0, rtol=0.0,
+                                                      atol=1e-12)
+            rounds.append((t, w_t.tobytes(), p_t.tobytes()))
+
+        _play(dataclasses.replace(game, horizon=9), a, check)
+        return rounds
+
+    if two_threads:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(play) for _ in range(2)]
+            got = [run.result(timeout=60.0) for run in runs]
+    else:
+        got = [play()]
+    for rounds in got:
+        assert [t for t, _, _ in rounds] == list(range(1, 10))
+        assert rounds == got[0]
 
 
 def nan_omd_ball_from(monkeypatch, bad_round):
